@@ -13,11 +13,12 @@ import heapq
 import json
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .scoring import ScoreTable, drop_unknown, normalize
+from .scoring import ScoreTable, drop_unknown, normalize, order_by_score
 
 HIGHER_IS_BETTER = "higher_is_better"
 LOWER_IS_BETTER = "lower_is_better"
@@ -81,6 +82,8 @@ class AggregationSpec:
     borda_variant: str = "sum"
     p: float | None = None
     fagin_k: int | None = None
+    # The spec as written, for messages; empty unless parsed. Not part of its identity.
+    text: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -107,26 +110,27 @@ class AggregationSpec:
     @classmethod
     def parse(cls, text: str) -> "AggregationSpec":
         """Parse specs like ``borda:median``, ``borda:p_norm:2`` or ``fagin:50``."""
-        parts = text.strip().split(":")
+        text = text.strip()
+        parts = text.split(":")
         name = parts[0]
         if name == METHOD_NORMALIZED_SUM:
             if len(parts) > 1:
                 raise ValueError(f"{name} takes no arguments: {text!r}")
-            return cls(METHOD_NORMALIZED_SUM)
+            return cls(METHOD_NORMALIZED_SUM, text=text)
         if name == METHOD_BORDA:
             variant = parts[1] if len(parts) > 1 else "sum"
             if variant == "p_norm":
                 if len(parts) != 3:
                     raise ValueError(f"p_norm needs an exponent: {text!r}")
-                return cls(METHOD_BORDA, "p_norm", p=float(parts[2]))
+                return cls(METHOD_BORDA, "p_norm", p=float(parts[2]), text=text)
             if len(parts) > 2:
                 raise ValueError(f"unexpected argument in {text!r}")
-            return cls(METHOD_BORDA, variant)
+            return cls(METHOD_BORDA, variant, text=text)
         if name == METHOD_FAGIN:
             if len(parts) == 1:
-                return cls(METHOD_FAGIN)
+                return cls(METHOD_FAGIN, text=text)
             if len(parts) == 2:
-                return cls(METHOD_FAGIN, fagin_k=int(parts[1]))
+                return cls(METHOD_FAGIN, fagin_k=int(parts[1]), text=text)
             raise ValueError(f"unexpected argument in {text!r}")
         raise ValueError(f"unknown aggregation method {name!r}")
 
@@ -149,10 +153,7 @@ def to_ranking(
         direction = table.direction
         if label is None:
             label = "aggregate"
-    if direction == HIGHER_IS_BETTER:
-        ordered = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
-    else:
-        ordered = sorted(entries.items(), key=lambda kv: (kv[1], kv[0]))
+    ordered = order_by_score(entries, best_first=direction == HIGHER_IS_BETTER)
     items = tuple(
         RankedItem(position, institution, score)
         for position, (institution, score) in enumerate(ordered, start=1)
@@ -329,27 +330,45 @@ def complete_rank_lists(
     return completed
 
 
-def run_aggregation(spec: AggregationSpec, year_tables: Sequence[ScoreTable]) -> RankList:
+class YearTables:
+    """One venue's per-year raw tables, ready for any number of specs.
+
+    The UNKNOWN sentinel is dropped once up front. The normalized yearly
+    rankings that the positional methods start from are built on first
+    use and then shared by every spec aggregated over the same years.
+    """
+
+    def __init__(self, tables: Sequence[ScoreTable]) -> None:
+        if not tables:
+            raise ValueError("no year tables to aggregate")
+        self.tables = [drop_unknown(table) for table in tables]
+
+    @cached_property
+    def rankings(self) -> list[RankList]:
+        return [to_ranking(normalize(table)) for table in self.tables]
+
+
+def run_aggregation(
+    spec: AggregationSpec, year_tables: YearTables | Sequence[ScoreTable]
+) -> RankList:
     """Aggregate per-year raw tables into one final ranking.
 
     Positional methods first turn each year into a ranking of its
     normalized table; the normalized-sum method works on the tables
-    directly. The UNKNOWN sentinel never takes part.
+    directly. The UNKNOWN sentinel never takes part. Pass a ``YearTables``
+    to share the yearly rankings between several specs.
     """
-    if not year_tables:
-        raise ValueError("no year tables to aggregate")
-    visible = [drop_unknown(table) for table in year_tables]
+    if not isinstance(year_tables, YearTables):
+        year_tables = YearTables(year_tables)
     if spec.method == METHOD_NORMALIZED_SUM:
-        final = normalized_sum(visible)
+        final = normalized_sum(year_tables.tables)
         ranking = to_ranking(final, label=spec.label)
     elif spec.method == METHOD_BORDA:
-        yearly = [to_ranking(normalize(table)) for table in visible]
-        final = borda_aggregate(yearly, spec.borda_variant, spec.p)
+        final = borda_aggregate(year_tables.rankings, spec.borda_variant, spec.p)
         ranking = to_ranking(final, label=spec.label)
     else:
-        yearly = [to_ranking(normalize(table)) for table in visible]
-        universe = sorted({inst for table in visible for inst in table.entries})
-        padded = complete_rank_lists(yearly, universe)
+        universe = sorted({inst for table in year_tables.tables for inst in table.entries})
+        padded = complete_rank_lists(year_tables.rankings, universe)
         top = fagin_topk(padded, spec.fagin_k or DEFAULT_TOP_K)
         ranking = RankList(spec.label, top.items)
     return ranking

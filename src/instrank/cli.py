@@ -15,13 +15,13 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .aggregate import (
     AggregationSpec,
     InvalidPError,
     KTooLargeError,
+    YearTables,
     ranking_file_name,
     read_ranking_csv,
     run_aggregation,
@@ -50,9 +50,10 @@ from .ingest import (
 from .scoring import (
     RAW,
     ScoreTable,
-    paper_shares,
+    paper_shares,  # noqa: F401 - perfbench/traced.py wraps it on this module
     read_score_csv,
     score_file_name,
+    score_venue_years,
     write_score_csv,
 )
 from .synth import CorpusParams, InvalidParamsError, generate_corpus
@@ -66,6 +67,9 @@ EXIT_PARSE = 4
 EXIT_ZERO_TRUTH = 5
 
 DEFAULT_METHODS = "normalized_sum, borda:sum, fagin"
+
+# Venue ids become part of output file names.
+UNSAFE_VENUE_CHARS = {"/", "\\", os.sep, "\0"}
 
 DELIMITER_NAMES = {"tab": "\t", "\\t": "\t", "comma": ",", "space": " ", "pipe": "|"}
 
@@ -101,6 +105,23 @@ class PipelineConfig:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if not self.specs:
             raise ConfigError("no aggregation methods configured")
+        # Ranking files and report columns are named by label, so two specs
+        # with one label would overwrite each other.
+        by_label: dict[str, AggregationSpec] = {}
+        for spec in self.specs:
+            first = by_label.setdefault(spec.label, spec)
+            if first is not spec:
+                raise ConfigError(
+                    f"methods {first.text or first!r} and {spec.text or spec!r} "
+                    f"share the label {spec.label!r}"
+                )
+        for venue_id in self.venues:
+            if venue_id in ("", ".", "..") or any(
+                char in venue_id for char in UNSAFE_VENUE_CHARS
+            ):
+                raise ConfigError(
+                    f"venue id {venue_id!r} cannot be part of an output file name"
+                )
 
     def scored_years(self) -> YearRange:
         # Scores are needed for the training span and the held-out year.
@@ -235,17 +256,10 @@ def cmd_score(config: PipelineConfig) -> int:
         nonlocal unattributed
         unattributed += 1
 
-    totals: dict[tuple[str, int], dict[str, Fraction]] = {}
-    for attributed in join_affiliations(papers, rows, on_missing=count_missing):
-        bucket = totals.setdefault(
-            (attributed.paper.venue_id, attributed.paper.year), {}
-        )
-        for institution, amount in paper_shares(attributed).shares:
-            bucket[institution] = bucket.get(institution, Fraction(0)) + amount
+    tables = score_venue_years(join_affiliations(papers, rows, on_missing=count_missing))
     for venue_id in config.venues:
         for year in span:
-            entries = totals.get((venue_id, year), {})
-            table = ScoreTable(year, dict(sorted(entries.items())), RAW)
+            table = tables.get((venue_id, year)) or ScoreTable(year, {}, RAW)
             write_score_csv(
                 table, os.path.join(config.output_dir, score_file_name(venue_id, year))
             )
@@ -278,9 +292,14 @@ def cmd_aggregate(config: PipelineConfig, method: str | None = None) -> int:
             raise ConfigError(str(exc)) from exc
 
     def one_venue(venue_id: str) -> None:
-        tables = _training_tables(config, venue_id)
+        years = YearTables(_training_tables(config, venue_id))
         for spec in specs:
-            ranking = run_aggregation(spec, tables)
+            try:
+                ranking = run_aggregation(spec, years)
+            except KTooLargeError as exc:
+                raise KTooLargeError(
+                    f"venue {venue_id!r}, method {spec.label}: {exc}"
+                ) from exc
             base = os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label))
             write_ranking_csv(ranking, base)
             write_ranking_json(ranking, spec, base[: -len(".csv")] + ".json")
@@ -320,8 +339,12 @@ def _build_report(config: PipelineConfig) -> EvalReport:
     return EvalReport(config.k, rows)
 
 
-def cmd_evaluate(config: PipelineConfig) -> int:
-    """Score every configured method against the held-out year."""
+def cmd_evaluate(config: PipelineConfig) -> EvalReport:
+    """Score every configured method against the held-out year.
+
+    Returns the report, which ``pipeline`` reuses to pick each venue's
+    winning method.
+    """
     report = _build_report(config)
     text = render_report_text(report)
     with open(
@@ -333,7 +356,7 @@ def cmd_evaluate(config: PipelineConfig) -> int:
     ) as out:
         out.write(render_report_csv(report))
     sys.stdout.write(text)
-    return EXIT_OK
+    return report
 
 
 def cmd_pipeline(config: PipelineConfig) -> int:
@@ -346,10 +369,7 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     code = cmd_aggregate(config)
     if code != EXIT_OK:
         return code
-    code = cmd_evaluate(config)
-    if code != EXIT_OK:
-        return code
-    report = _build_report(config)
+    report = cmd_evaluate(config)
     by_label = {spec.label: spec for spec in config.specs}
     for row in report.rows:
         winning_spec = by_label[row.winner]
@@ -486,7 +506,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "aggregate":
             return cmd_aggregate(config, args.method)
         if args.command == "evaluate":
-            return cmd_evaluate(config)
+            cmd_evaluate(config)
+            return EXIT_OK
         return cmd_pipeline(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,12 +8,12 @@ truth normalizes the metric into [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .aggregate import AggregationSpec, RankList, run_aggregation
-from .scoring import ScoreTable, drop_unknown
+from .aggregate import AggregationSpec, RankList, YearTables, run_aggregation
+from .scoring import ScoreTable, drop_unknown, order_by_score
 
 
 class ZeroIdealError(ValueError):
@@ -30,11 +30,15 @@ class GroundTruth:
 
     year: int
     relevance: dict[str, Fraction | float]
+    # Institutions by relevance descending, id ascending: the ideal ranking.
+    ideal: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for institution, value in self.relevance.items():
             if value < 0:
                 raise ValueError(f"negative relevance for {institution!r}")
+        ordered = order_by_score(self.relevance)
+        object.__setattr__(self, "ideal", tuple(institution for institution, _ in ordered))
 
     @classmethod
     def from_score_table(cls, table: ScoreTable) -> "GroundTruth":
@@ -65,8 +69,7 @@ def dcg_at_k(ranking: RankList | Iterable[str], truth: GroundTruth, k: int) -> f
 
 def ideal_dcg_at_k(truth: GroundTruth, k: int) -> float:
     """DCG of the best ordering the truth itself allows."""
-    ordered = sorted(truth.relevance.items(), key=lambda kv: (-kv[1], kv[0]))
-    return dcg_at_k([institution for institution, _ in ordered], truth, k)
+    return dcg_at_k(truth.ideal, truth, k)
 
 
 def ndcg_at_k(ranking: RankList | Iterable[str], truth: GroundTruth, k: int) -> float:
@@ -112,9 +115,10 @@ def evaluate_protocol(
         if venue_id not in truth_by_venue:
             raise MissingTruthError(venue_id)
         truth = truth_by_venue[venue_id]
+        years = YearTables(tables)
         values: dict[str, float] = {}
         for spec in specs:
-            ranking = run_aggregation(spec, tables)
+            ranking = run_aggregation(spec, years)
             values[spec.label] = ndcg_at_k(ranking, truth, k)
         winner = max(values, key=values.get)
         rows.append(EvalRow(venue_id, values, winner))

@@ -5,14 +5,18 @@ authors, then over each author's distinct institutions on that paper.
 Shares are exact rationals, so accumulation is associative and any
 partitioning of the paper stream merges to a bit-identical table; final
 tables are keyed in sorted institution order for reproducible iteration.
+Sums are kept as integer numerators over one common denominator and
+turned into one ``Fraction`` per institution when the table is built.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .ingest import UNKNOWN_INSTITUTION, AttributedPaper
 
@@ -53,22 +57,30 @@ class ScoreTable:
     provenance: str = RAW
 
 
-def paper_shares(paper: AttributedPaper) -> ShareList:
-    """Split one paper's unit of credit per the attribution rule.
+def credit_parts(paper: AttributedPaper) -> Iterator[tuple[str, int]]:
+    """Yield ``(institution, denominator)`` for each author-institution pair.
 
-    Duplicate (author, institution) rows are deduplicated first. Authors
-    whose rows carry the UNKNOWN sentinel credit it like any other
-    institution, so the split always sums to exactly 1.
+    This is the attribution rule: the pair earns ``1/denominator`` of the
+    paper, where ``denominator`` is the number of distinct authors times
+    that author's distinct institutions on the paper. Duplicate (author,
+    institution) rows count once, and the UNKNOWN sentinel is credited
+    like any other institution, so a paper's parts sum to exactly 1.
     """
     by_author: dict[str, dict[str, None]] = {}
     for row in paper.affiliations:
         by_author.setdefault(row.author_id, {})[row.institution_id] = None
-    credit: dict[str, Fraction] = {}
     author_count = len(by_author)
     for institutions in by_author.values():
-        part = Fraction(1, author_count * len(institutions))
+        denominator = author_count * len(institutions)
         for institution in institutions:
-            credit[institution] = credit.get(institution, Fraction(0)) + part
+            yield institution, denominator
+
+
+def paper_shares(paper: AttributedPaper) -> ShareList:
+    """Split one paper's unit of credit per the attribution rule."""
+    credit: dict[str, Fraction] = {}
+    for institution, denominator in credit_parts(paper):
+        credit[institution] = credit.get(institution, 0) + Fraction(1, denominator)
     shares = tuple(
         InstitutionShare(institution, amount)
         for institution, amount in sorted(credit.items())
@@ -76,27 +88,83 @@ def paper_shares(paper: AttributedPaper) -> ShareList:
     return ShareList(paper.paper.paper_id, shares)
 
 
+class CreditAccumulator:
+    """Exact running credit per institution for one year's table.
+
+    Every sum is an integer numerator over one common denominator. The
+    common denominator grows to the ``math.lcm`` with a new denominator
+    only when the new one does not divide it, so almost every addition is
+    a plain integer addition.
+    """
+
+    __slots__ = ("year", "denominator", "numerators")
+
+    def __init__(self, year: int) -> None:
+        self.year = year
+        self.denominator = 1
+        self.numerators: dict[str, int] = {}
+
+    def add(self, institution: str, numerator: int, denominator: int) -> None:
+        """Add ``numerator/denominator`` to one institution's credit."""
+        common = self.denominator
+        if common % denominator:
+            grown = math.lcm(common, denominator)
+            factor = grown // common
+            for other in self.numerators:
+                self.numerators[other] *= factor
+            self.denominator = common = grown
+        scaled = numerator * (common // denominator)
+        self.numerators[institution] = self.numerators.get(institution, 0) + scaled
+
+    def add_paper(self, paper: AttributedPaper) -> None:
+        for institution, denominator in credit_parts(paper):
+            self.add(institution, 1, denominator)
+
+    def table(self) -> ScoreTable:
+        common = self.denominator
+        entries = {
+            institution: Fraction(numerator, common)
+            for institution, numerator in sorted(self.numerators.items())
+        }
+        return ScoreTable(self.year, entries, RAW)
+
+
+def score_venue_years(
+    papers: Iterable[AttributedPaper],
+) -> dict[tuple[str, int], ScoreTable]:
+    """Raw tables keyed by (venue, year) for every venue-year that has papers."""
+    accumulators: dict[tuple[str, int], CreditAccumulator] = {}
+    for attributed in papers:
+        key = (attributed.paper.venue_id, attributed.paper.year)
+        accumulator = accumulators.get(key)
+        if accumulator is None:
+            accumulator = accumulators[key] = CreditAccumulator(attributed.paper.year)
+        accumulator.add_paper(attributed)
+    return {key: accumulator.table() for key, accumulator in accumulators.items()}
+
+
 def accumulate_scores(share_lists: Iterable[ShareList], year: int) -> ScoreTable:
     """Sum share lists into one raw table for the given year."""
-    totals: dict[str, Fraction] = {}
+    accumulator = CreditAccumulator(year)
     for share_list in share_lists:
         for institution, amount in share_list.shares:
-            totals[institution] = totals.get(institution, Fraction(0)) + amount
-    return ScoreTable(year, dict(sorted(totals.items())), RAW)
+            accumulator.add(institution, amount.numerator, amount.denominator)
+    return accumulator.table()
 
 
 def merge_partials(tables: Sequence[ScoreTable]) -> ScoreTable:
     """Pointwise-sum partial tables from any partitioning of the stream."""
     if not tables:
         raise ValueError("nothing to merge")
-    year = tables[0].year
-    totals: dict[str, Fraction] = {}
+    accumulator = CreditAccumulator(tables[0].year)
     for table in tables:
-        if table.year != year:
-            raise YearMismatchError(f"cannot merge year {table.year} into {year}")
+        if table.year != accumulator.year:
+            raise YearMismatchError(
+                f"cannot merge year {table.year} into {accumulator.year}"
+            )
         for institution, amount in table.entries.items():
-            totals[institution] = totals.get(institution, Fraction(0)) + amount
-    return ScoreTable(year, dict(sorted(totals.items())), RAW)
+            accumulator.add(institution, amount.numerator, amount.denominator)
+    return accumulator.table()
 
 
 def normalize(table: ScoreTable) -> ScoreTable:
@@ -127,6 +195,20 @@ def drop_unknown(table: ScoreTable) -> ScoreTable:
     return ScoreTable(table.year, kept, table.provenance)
 
 
+def order_by_score(
+    entries: Mapping[str, Fraction | float], best_first: bool = True
+) -> list[tuple[str, Fraction | float]]:
+    """Entries ordered by score (highest first by default), ties by id ascending.
+
+    Sorting by id and then stably by score alone gives the same order as a
+    ``(score, id)`` key, but compares each pair of scores once instead of
+    building and comparing key tuples.
+    """
+    ordered = sorted(entries.items())
+    ordered.sort(key=itemgetter(1), reverse=best_first)
+    return ordered
+
+
 def score_file_name(venue_id: str, year: int) -> str:
     return f"scores_{venue_id}_{year}.csv"
 
@@ -138,7 +220,7 @@ def write_score_csv(table: ScoreTable, path: str) -> None:
     shortest round-tripping floats, so a rerun is byte-identical.
     """
     visible = drop_unknown(table)
-    ordered = sorted(visible.entries.items(), key=lambda item: (-item[1], item[0]))
+    ordered = order_by_score(visible.entries)
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write("institution_id,score\n")
         for institution, amount in ordered:

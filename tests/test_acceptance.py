@@ -23,13 +23,23 @@ import pytest
 from conftest import make_rank_list, make_table
 from instrank.aggregate import (
     AggregationSpec,
+    YearTables,
     borda_aggregate,
     normalized_sum,
+    ranking_file_name,
+    read_ranking_csv,
     run_aggregation,
     to_ranking,
 )
 from instrank.cli import EXIT_OK, load_config, main
-from instrank.evaluate import EvalReport, EvalRow, GroundTruth, ndcg_at_k, render_report_text
+from instrank.evaluate import (
+    EvalReport,
+    EvalRow,
+    GroundTruth,
+    evaluate_protocol,
+    ndcg_at_k,
+    render_report_text,
+)
 from instrank.ingest import (
     UNKNOWN_INSTITUTION,
     AffiliationRow,
@@ -42,8 +52,15 @@ from instrank.ingest import (
     iter_papers,
     join_affiliations,
 )
-from instrank.scoring import ScoreTable, accumulate_scores, paper_shares, read_score_csv, score_file_name
-from instrank.synth import CorpusParams, generate_corpus, naive_topk
+from instrank.scoring import (
+    ScoreTable,
+    merge_partials,
+    paper_shares,
+    read_score_csv,
+    score_file_name,
+    score_venue_years,
+)
+from instrank.synth import CorpusParams, generate_corpus, naive_score, naive_topk
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "report_table_golden.txt")
 
@@ -91,6 +108,14 @@ def test_report_layout_matches_the_golden_file(announce):
         assert rendered == golden
 
 
+def assert_bitwise_equal(mine: ScoreTable, reference: ScoreTable) -> None:
+    assert mine.year == reference.year
+    assert list(mine.entries.items()) == list(reference.entries.items())
+    assert [float(v) for v in mine.entries.values()] == [
+        float(v) for v in reference.entries.values()
+    ]
+
+
 def test_streaming_scores_equal_the_naive_oracle(announce):
     with announce("streaming scores match the naive oracle bitwise on 20 random corpora"):
         rng = random.Random(20260817)
@@ -124,19 +149,24 @@ def test_streaming_scores_equal_the_naive_oracle(announce):
                     TableSchema.affiliations_default(),
                     strict=True,
                 )
-                shares_by_year = {year: [] for year in span}
-                for attributed in join_affiliations(kept, rows):
-                    shares_by_year[attributed.paper.year].append(
-                        paper_shares(attributed)
+                joined = list(join_affiliations(kept, rows))
+                # The accumulator that ``instrank score`` runs.
+                streamed = score_venue_years(joined)
+                for venue in venues:
+                    reference = naive_score(
+                        paper for paper in joined if paper.paper.venue_id == venue
                     )
+                    for year in span:
+                        mine = streamed.get((venue, year))
+                        assert (mine is None) == (year not in reference)
+                        if mine is not None:
+                            assert_bitwise_equal(mine, reference[year])
                 assert corpus.truth.realized is not None
                 for year in span:
-                    streamed = accumulate_scores(shares_by_year[year], year)
-                    reference = corpus.truth.realized[year]
-                    assert streamed.entries == reference.entries
-                    assert [float(v) for v in streamed.entries.values()] == [
-                        float(v) for v in reference.entries.values()
-                    ]
+                    merged = merge_partials(
+                        [table for (_, y), table in streamed.items() if y == year]
+                    )
+                    assert_bitwise_equal(merged, corpus.truth.realized[year])
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"oracle equivalence took {elapsed:.1f}s"
 
@@ -489,3 +519,66 @@ def test_pipeline_selects_a_consistent_winner(announce, tmp_path):
                 line.split(",")[1] for line in prediction.read().splitlines()[1:]
             ]
             assert got_ids == expected.ids()
+
+
+def test_pipeline_files_equal_the_in_memory_protocol(announce, tmp_path):
+    with announce("pipeline rankings and report equal evaluate_protocol over the score files"):
+        params = CorpusParams(
+            num_institutions=40,
+            num_authors=600,
+            num_venues=3,
+            years=YearRange(2011, 2015),
+            papers_per_venue_year=80,
+            unknown_rate=0.05,
+            rng_seed=8080,
+        )
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        corpus = generate_corpus(params, str(corpus_dir), compute_realized=False)
+        out_dir = tmp_path / "out"
+        config_path = tmp_path / "run.ini"
+        config_path.write_text(
+            "[inputs]\n"
+            f"papers = {corpus.papers_path}\n"
+            f"affiliations = {corpus.affiliations_path}\n"
+            "\n[selection]\n"
+            "venues = V0, V1, V2\n"
+            "train_years = 2011-2014\n"
+            "truth_year = 2015\n"
+            "\n[aggregation]\n"
+            "methods = normalized_sum, borda:sum, borda:median, "
+            "borda:geometric_mean, borda:p_norm:2, fagin\n"
+            "k = 10\n"
+            "\n[output]\n"
+            f"dir = {out_dir}\n",
+            encoding="utf-8",
+        )
+        assert main(["pipeline", "--config", str(config_path)]) == EXIT_OK
+        config = load_config(str(config_path))
+
+        def read_back(venue: str, year: int) -> ScoreTable:
+            return read_score_csv(str(out_dir / score_file_name(venue, year)), year)
+
+        tables = {
+            venue: [read_back(venue, year) for year in config.train_years]
+            for venue in config.venues
+        }
+        truth = {
+            venue: GroundTruth.from_score_table(read_back(venue, config.truth_year))
+            for venue in config.venues
+        }
+        report = evaluate_protocol(tables, truth, config.specs, config.k)
+        expected_csv = [f"venue,method,ndcg@{config.k}"] + [
+            f"{row.venue_id},{label},{value!r}"
+            for row in report.rows
+            for label, value in row.values.items()
+        ]
+        written_csv = (out_dir / "report.csv").read_text(encoding="utf-8").splitlines()
+        assert written_csv == expected_csv
+        for venue in config.venues:
+            years = YearTables(tables[venue])
+            for spec in config.specs:
+                written = read_ranking_csv(
+                    str(out_dir / ranking_file_name(venue, spec.label)), spec.label
+                )
+                assert written.ids() == run_aggregation(spec, years).ids()

@@ -340,6 +340,51 @@ def test_run_aggregation_excludes_unknown_everywhere():
         assert UNKNOWN_INSTITUTION not in ranked_ids(ranking)
 
 
+def test_year_tables_build_the_yearly_rankings_once_for_every_spec(monkeypatch):
+    from instrank import aggregate
+
+    rng = random.Random(12)
+    tables = [
+        make_table(
+            year,
+            {f"I{j:02d}": Fraction(rng.randint(1, 30), rng.randint(1, 6)) for j in range(15)}
+            | {UNKNOWN_INSTITUTION: 3},
+        )
+        for year in (2011, 2012, 2013)
+    ]
+    specs = [
+        AggregationSpec.parse(text)
+        for text in (
+            "normalized_sum",
+            "borda:sum",
+            "borda:median",
+            "borda:geometric_mean",
+            "borda:p_norm:2",
+            "fagin:5",
+        )
+    ]
+    separate = [run_aggregation(spec, tables) for spec in specs]
+    calls = []
+    counted = aggregate.normalize
+
+    def counting_normalize(table):
+        calls.append(table.year)
+        return counted(table)
+
+    monkeypatch.setattr(aggregate, "normalize", counting_normalize)
+    years = aggregate.YearTables(tables)
+    shared = [run_aggregation(spec, years) for spec in specs]
+    assert calls == [2011, 2012, 2013]
+    assert shared == separate
+
+
+def test_spec_text_names_the_spec_as_written():
+    assert AggregationSpec.parse(" borda:p_norm:2.0 ").text == "borda:p_norm:2.0"
+    assert AggregationSpec.parse("fagin").text == "fagin"
+    assert AggregationSpec("fagin").text == ""
+    assert AggregationSpec.parse("fagin:5") == AggregationSpec("fagin", fagin_k=5)
+
+
 def test_unanimity_identical_years_keep_their_order():
     rng = random.Random(31)
     for _ in range(50):

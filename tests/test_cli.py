@@ -176,6 +176,74 @@ def test_exit_2_when_fagin_k_exceeds_the_universe(tmp_path):
     assert main(["aggregate", "--config", cfg_path]) == EXIT_CONFIG
 
 
+def test_fagin_universe_error_names_the_venue_and_method(tmp_path, capsys):
+    params = CorpusParams(
+        num_institutions=10,
+        num_authors=80,
+        num_venues=1,
+        years=YearRange(2011, 2013),
+        papers_per_venue_year=60,
+        rng_seed=5,
+    )
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    corpus = generate_corpus(params, str(corpus_dir), compute_realized=False)
+    cfg_path = write_config(
+        tmp_path / "run.ini",
+        corpus.papers_path,
+        corpus.affiliations_path,
+        str(tmp_path / "out"),
+        extra="\n[aggregation]\nmethods = normalized_sum, fagin\n",
+    )
+    assert main(["pipeline", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "venue 'V0', method fagin: k=20 exceeds universe of 10" in err
+
+
+@pytest.mark.parametrize(
+    "methods, first, second",
+    [
+        ("fagin:5, fagin:50", "fagin:5", "fagin:50"),
+        ("borda:p_norm:2, normalized_sum, borda:p_norm:2.0", "borda:p_norm:2", "borda:p_norm:2.0"),
+        ("fagin, fagin:20", "fagin", "fagin:20"),
+    ],
+)
+def test_exit_2_on_duplicate_method_labels(tmp_path, capsys, methods, first, second):
+    cfg_path, out_dir = tiny_config(
+        tmp_path, extra=f"\n[aggregation]\nmethods = {methods}\n"
+    )
+    with pytest.raises(ConfigError, match=f"'{first}' and '{second}'"):
+        load_config(cfg_path).validate()
+    assert main(["pipeline", "--config", cfg_path]) == EXIT_CONFIG
+    assert f"'{first}' and '{second}'" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
+def test_distinct_labels_pass_validation(tmp_path):
+    methods = "normalized_sum, borda:sum, borda:p_norm:2, borda:p_norm:3, fagin:5"
+    cfg_path, _ = tiny_config(tmp_path, extra=f"\n[aggregation]\nmethods = {methods}\n")
+    load_config(cfg_path).validate()
+
+
+@pytest.mark.parametrize(
+    "venue_id", ["../V0", "V0/x", "V0\\x", os.sep + "tmp", ".", "..", "V\0", ""]
+)
+def test_unsafe_venue_ids_are_rejected_up_front(tmp_path, venue_id):
+    cfg_path, out_dir = tiny_config(tmp_path)
+    config = load_config(cfg_path)
+    config.venues = ["V0", venue_id]
+    with pytest.raises(ConfigError, match="venue id"):
+        config.validate()
+
+
+def test_exit_2_on_a_venue_id_that_leaves_the_output_dir(tmp_path):
+    cfg_path, out_dir = tiny_config(tmp_path)
+    code = main(["score", "--config", cfg_path, "--set", "selection.venues=V0, ../V0"])
+    assert code == EXIT_CONFIG
+    assert not os.path.exists(out_dir)
+    assert not any(name.startswith("scores_") for name in os.listdir(tmp_path))
+
+
 def test_exit_3_on_missing_input_file(tmp_path):
     cfg_path, _ = tiny_config(tmp_path)
     code = main(

@@ -62,6 +62,12 @@ def test_ideal_dcg_orders_by_relevance():
     assert ideal_dcg_at_k(THREE_LEVELS, 3) == dcg_at_k(["A", "B", "C"], THREE_LEVELS, 3)
 
 
+def test_truth_keeps_its_ideal_order_ties_by_id():
+    truth = GroundTruth(2015, {"C": 1, "B": Fraction(5, 2), "A": 1, "D": 2.5})
+    assert truth.ideal == ("B", "D", "A", "C")
+    assert truth == GroundTruth(2015, {"A": 1, "B": Fraction(5, 2), "C": 1, "D": 2.5})
+
+
 # --- ndcg --------------------------------------------------------------
 
 

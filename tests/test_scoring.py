@@ -14,15 +14,19 @@ from instrank.ingest import UNKNOWN_INSTITUTION, AffiliationRow
 from instrank.scoring import (
     NORMALIZED,
     RAW,
+    CreditAccumulator,
     ScoreTable,
     YearMismatchError,
     accumulate_scores,
+    credit_parts,
     drop_unknown,
     merge_partials,
     normalize,
+    order_by_score,
     paper_shares,
     read_score_csv,
     score_file_name,
+    score_venue_years,
     write_score_csv,
 )
 
@@ -136,6 +140,109 @@ def test_any_partitioning_merges_to_the_sequential_table():
         assert [float(v) for v in merged.entries.values()] == [
             float(v) for v in sequential.entries.values()
         ]
+
+
+def test_credit_parts_follow_the_attribution_rule():
+    paper = make_attributed([("a1", "A"), ("a1", "B"), ("a1", "A"), ("a2", "A")])
+    assert list(credit_parts(paper)) == [("A", 4), ("B", 4), ("A", 2)]
+
+
+def test_accumulator_rescales_its_denominator_exactly():
+    accumulator = CreditAccumulator(2014)
+    # Three authors with one institution each: parts of 1/3.
+    accumulator.add_paper(make_attributed([("a1", "A"), ("a2", "B"), ("a3", "C")]))
+    assert accumulator.denominator == 3
+    # Two authors, one with two institutions: parts of 1/2 and 1/4.
+    accumulator.add_paper(make_attributed([("a1", "A"), ("a2", "B"), ("a2", "D")]))
+    assert accumulator.denominator == 12
+    table = accumulator.table()
+    assert table.entries == {
+        "A": Fraction(5, 6),
+        "B": Fraction(7, 12),
+        "C": Fraction(1, 3),
+        "D": Fraction(1, 4),
+    }
+    assert list(table.entries) == ["A", "B", "C", "D"]
+    assert table.year == 2014 and table.provenance == RAW
+
+
+def paper_strategy(max_authors: int, max_institutions: int):
+    """Papers drawn from a small institution pool, UNKNOWN included."""
+    author = st.lists(
+        st.sampled_from(["A", "B", "C", "D", "E", "F", UNKNOWN_INSTITUTION]),
+        min_size=1,
+        max_size=max_institutions,
+    )
+    return st.lists(author, min_size=1, max_size=max_authors)
+
+
+@given(
+    st.lists(
+        st.one_of(paper_strategy(3, 2), paper_strategy(7, 3)),
+        min_size=1,
+        max_size=25,
+    ),
+    st.lists(st.integers(min_value=0, max_value=3), min_size=25, max_size=25),
+    st.lists(st.permutations(["A", "B", "C"]), min_size=5, max_size=7),
+)
+@settings(max_examples=150, deadline=None)
+def test_accumulator_equals_the_fraction_sum_of_paper_shares(
+    author_lists, shard_of, wide_paper
+):
+    # One paper with 5-7 authors of 3 institutions each forces the common
+    # denominator to be rescaled partway through the stream.
+    author_lists = [*author_lists[:12], wide_paper, *author_lists[12:]]
+    papers = [
+        make_attributed(
+            [
+                (f"a{index}", institution)
+                for index, institutions in enumerate(authors)
+                for institution in institutions
+            ],
+            paper_id=f"P{serial}",
+        )
+        for serial, authors in enumerate(author_lists)
+    ]
+    expected: dict[str, Fraction] = {}
+    for paper in papers:
+        for institution, amount in paper_shares(paper).shares:
+            expected[institution] = expected.get(institution, Fraction(0)) + amount
+    expected = dict(sorted(expected.items()))
+
+    streamed = score_venue_years(papers)
+    assert list(streamed) == [("V0", 2014)]
+    table = streamed[("V0", 2014)]
+    assert list(table.entries.items()) == list(expected.items())
+    assert accumulate_scores([paper_shares(p) for p in papers], 2014).entries == expected
+
+    shards: list[list] = [[], [], [], []]
+    for serial, paper in enumerate(papers):
+        shards[shard_of[serial % len(shard_of)]].append(paper)
+    parts = [score_venue_years(shard)[("V0", 2014)] for shard in shards if shard]
+    merged = merge_partials(parts)
+    assert list(merged.entries.items()) == list(expected.items())
+    assert [float(v) for v in merged.entries.values()] == [
+        float(v) for v in table.entries.values()
+    ]
+
+
+def test_score_venue_years_keys_tables_by_venue_and_year():
+    papers = [
+        make_attributed([("a1", "A")], paper_id="P1", year=2014, venue_id="V0"),
+        make_attributed([("a1", "B")], paper_id="P2", year=2015, venue_id="V0"),
+        make_attributed([("a1", "A"), ("a2", "B")], paper_id="P3", year=2014, venue_id="V1"),
+    ]
+    tables = score_venue_years(papers)
+    assert set(tables) == {("V0", 2014), ("V0", 2015), ("V1", 2014)}
+    assert tables[("V0", 2015)].year == 2015
+    assert tables[("V0", 2014)].entries == {"A": Fraction(1)}
+    assert tables[("V1", 2014)].entries == {"A": Fraction(1, 2), "B": Fraction(1, 2)}
+
+
+def test_order_by_score_breaks_ties_by_id_in_either_direction():
+    entries = {"C": Fraction(1, 3), "A": Fraction(1, 2), "B": Fraction(1, 3), "D": 0.5}
+    assert [i for i, _ in order_by_score(entries)] == ["A", "D", "B", "C"]
+    assert [i for i, _ in order_by_score(entries, best_first=False)] == ["B", "C", "A", "D"]
 
 
 def test_normalize_scales_max_to_one():

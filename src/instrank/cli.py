@@ -115,7 +115,11 @@ class PipelineConfig:
                     f"methods {first.text or first!r} and {spec.text or spec!r} "
                     f"share the label {spec.label!r}"
                 )
+        seen_venues: set[str] = set()
         for venue_id in self.venues:
+            if venue_id in seen_venues:
+                raise ConfigError(f"venue id {venue_id!r} is listed twice")
+            seen_venues.add(venue_id)
             if venue_id in ("", ".", "..") or any(
                 char in venue_id for char in UNSAFE_VENUE_CHARS
             ):
@@ -232,6 +236,13 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> PipelineConfig:
     return config
 
 
+def _describe_rows(stats: ParseStats) -> str:
+    text = f"{stats.rows} rows, {stats.skipped} skipped"
+    if stats.skipped:
+        text += f" (first at row {stats.first_skipped})"
+    return text
+
+
 def cmd_score(config: PipelineConfig) -> int:
     """One streaming pass over both dumps, emitting per-venue-year tables."""
     if not config.venues:
@@ -264,8 +275,8 @@ def cmd_score(config: PipelineConfig) -> int:
                 table, os.path.join(config.output_dir, score_file_name(venue_id, year))
             )
     print(
-        f"papers: {paper_stats.rows} rows, {paper_stats.skipped} skipped; "
-        f"affiliations: {affil_stats.rows} rows, {affil_stats.skipped} skipped; "
+        f"papers: {_describe_rows(paper_stats)}; "
+        f"affiliations: {_describe_rows(affil_stats)}; "
         f"filtered papers without affiliations: {unattributed}",
         file=sys.stderr,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import gzip
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 # Sentinel institution id assigned when the affiliation field is empty.
@@ -23,6 +23,9 @@ MIN_YEAR = 1900
 MAX_YEAR = 2100
 
 GZIP_MAGIC = b"\x1f\x8b"
+
+# Builds a row record without the NamedTuple's Python-level ``__new__``: one call less per row.
+_new_tuple = tuple.__new__
 
 
 class MalformedRowError(ValueError):
@@ -65,17 +68,8 @@ class TableSchema:
     has_header: bool = False
 
     def __post_init__(self) -> None:
-        ordinals = [
-            o
-            for o in (
-                self.paper_id,
-                self.year,
-                self.venue_id,
-                self.author_id,
-                self.institution_id,
-            )
-            if o is not None
-        ]
+        columns = (self.paper_id, self.year, self.venue_id, self.author_id, self.institution_id)
+        ordinals = [o for o in columns if o is not None]
         if any(o < 0 for o in ordinals):
             raise ValueError("column ordinals must be non-negative")
         if len(set(ordinals)) != len(ordinals):
@@ -125,6 +119,8 @@ class ParseStats:
     rows: int = 0
     parsed: int = 0
     skipped: int = 0
+    # Line number of the first skipped row (a header counts as row 1).
+    first_skipped: int | None = None
 
 
 @dataclass(frozen=True)
@@ -155,128 +151,131 @@ class YearRange:
         return cls(year, year)
 
 
-def open_table(path: str, schema: TableSchema) -> Iterator[RawRow]:
-    """Stream raw rows from a delimited file, one at a time.
+def _read_rows(
+    path: str,
+    schema: TableSchema,
+    parse: Callable[[int, list[str]], tuple],
+    strict: bool,
+    stats: ParseStats | None,
+) -> Iterator[tuple]:
+    """The one line-reading loop: yields ``parse(line_number, fields)`` per line.
 
-    Gzip compression is detected from the file's magic bytes, not its
-    name. A header row, when the schema declares one, is consumed and not
-    yielded; line numbers still count it, so the first data row of a
-    headered file is row 2. A missing file raises FileNotFoundError
-    before iteration starts; failures mid-stream raise StreamError with
-    the row number reached.
+    Gzip is detected from the magic bytes, not the name. A declared header
+    is consumed but still counted, so a headered file's first data row is
+    row 2. A MalformedRowError from ``parse`` skips the row, or under
+    ``strict`` aborts. A missing file raises FileNotFoundError on the first
+    ``next``; mid-stream failures raise StreamError with the row reached.
     """
     with open(path, "rb") as raw:
-        if raw.read(2) == GZIP_MAGIC:
-            raw.seek(0)
-            stream: io.TextIOBase = io.TextIOWrapper(
-                gzip.GzipFile(fileobj=raw), encoding="utf-8"
-            )
-        else:
-            raw.seek(0)
-            stream = io.TextIOWrapper(raw, encoding="utf-8")
+        gzipped = raw.peek(2)[:2] == GZIP_MAGIC
+        stream = io.TextIOWrapper(gzip.GzipFile(fileobj=raw) if gzipped else raw, encoding="utf-8")
         delimiter = schema.delimiter
-        line_number = 0
+        line_number = header = 1 if schema.has_header else 0
+        skipped, aborted, first_skipped = 0, 0, None
         try:
-            if schema.has_header:
-                line_number = 1
+            if header:
                 stream.readline()
-            for line in stream:
-                line_number += 1
-                yield RawRow(line_number, line.rstrip("\r\n").split(delimiter))
+            for line_number, line in enumerate(stream, header + 1):
+                try:
+                    record = parse(line_number, line.rstrip("\r\n").split(delimiter))
+                except MalformedRowError:
+                    if strict:
+                        aborted = 1
+                        raise
+                    skipped += 1
+                    if first_skipped is None:
+                        first_skipped = line_number
+                    continue
+                yield record
         except (OSError, UnicodeDecodeError, EOFError) as exc:
             raise StreamError(path, line_number + 1, exc) from exc
+        finally:
+            # Counted once, not per row; a strict abort's row is read, not parsed.
+            if stats is not None:
+                rows = line_number - header
+                stats.rows += rows
+                stats.parsed += rows - skipped - aborted
+                stats.skipped += skipped
+                stats.first_skipped = stats.first_skipped or first_skipped
+
+
+def open_table(path: str, schema: TableSchema) -> Iterator[RawRow]:
+    """Stream ``RawRow``s (line number, split fields) through the one reader, ``_read_rows``."""
+    return _read_rows(path, schema, RawRow, False, None)
+
+
+def _paper_parser(schema: TableSchema) -> Callable[[int, list[str]], PaperRecord]:
+    if schema.year is None or schema.venue_id is None:
+        raise ValueError("schema does not describe a papers table")
+    paper_col, year_col, venue_col = schema.paper_id, schema.year, schema.venue_id
+    needed = max(paper_col, year_col, venue_col) + 1
+
+    def parse(line_number: int, fields: list[str]) -> PaperRecord:
+        if len(fields) < needed:
+            raise MalformedRowError(
+                line_number, f"expected at least {needed} columns, got {len(fields)}"
+            )
+        paper_id = fields[paper_col]
+        if not paper_id:
+            raise MalformedRowError(line_number, "empty paper id")
+        year_text = fields[year_col]
+        try:
+            year = int(year_text)
+        except ValueError:
+            raise MalformedRowError(line_number, f"year {year_text!r} is not an integer") from None
+        if not MIN_YEAR <= year <= MAX_YEAR:
+            raise MalformedRowError(line_number, f"year {year} outside {MIN_YEAR}-{MAX_YEAR}")
+        return _new_tuple(PaperRecord, (paper_id, year, fields[venue_col]))
+
+    return parse
+
+
+def _affiliation_parser(schema: TableSchema) -> Callable[[int, list[str]], AffiliationRow]:
+    if schema.author_id is None or schema.institution_id is None:
+        raise ValueError("schema does not describe an affiliations table")
+    paper_col, author_col = schema.paper_id, schema.author_id
+    institution_col = schema.institution_id
+    needed = max(paper_col, author_col, institution_col) + 1
+
+    def parse(line_number: int, fields: list[str]) -> AffiliationRow:
+        if len(fields) < needed:
+            raise MalformedRowError(
+                line_number, f"expected at least {needed} columns, got {len(fields)}"
+            )
+        paper_id = fields[paper_col]
+        if not paper_id:
+            raise MalformedRowError(line_number, "empty paper id")
+        author_id = fields[author_col]
+        if not author_id:
+            raise MalformedRowError(line_number, "empty author id")
+        institution = fields[institution_col] or UNKNOWN_INSTITUTION
+        return _new_tuple(AffiliationRow, (paper_id, author_id, institution))
+
+    return parse
 
 
 def parse_paper_row(row: RawRow, schema: TableSchema) -> PaperRecord:
     """Extract a PaperRecord; raises MalformedRowError with the row number."""
-    if schema.year is None or schema.venue_id is None:
-        raise ValueError("schema does not describe a papers table")
-    fields = row.fields
-    needed = max(schema.paper_id, schema.year, schema.venue_id)
-    if len(fields) <= needed:
-        raise MalformedRowError(
-            row.line_number, f"expected at least {needed + 1} columns, got {len(fields)}"
-        )
-    paper_id = fields[schema.paper_id]
-    if not paper_id:
-        raise MalformedRowError(row.line_number, "empty paper id")
-    try:
-        year = int(fields[schema.year])
-    except ValueError:
-        raise MalformedRowError(
-            row.line_number, f"year {fields[schema.year]!r} is not an integer"
-        ) from None
-    if not MIN_YEAR <= year <= MAX_YEAR:
-        raise MalformedRowError(
-            row.line_number, f"year {year} outside {MIN_YEAR}-{MAX_YEAR}"
-        )
-    return PaperRecord(paper_id, year, fields[schema.venue_id])
+    return _paper_parser(schema)(*row)
 
 
 def parse_affiliation_row(row: RawRow, schema: TableSchema) -> AffiliationRow:
     """Extract an AffiliationRow; empty institution becomes the UNKNOWN sentinel."""
-    if schema.author_id is None or schema.institution_id is None:
-        raise ValueError("schema does not describe an affiliations table")
-    fields = row.fields
-    needed = max(schema.paper_id, schema.author_id, schema.institution_id)
-    if len(fields) <= needed:
-        raise MalformedRowError(
-            row.line_number, f"expected at least {needed + 1} columns, got {len(fields)}"
-        )
-    paper_id = fields[schema.paper_id]
-    if not paper_id:
-        raise MalformedRowError(row.line_number, "empty paper id")
-    author_id = fields[schema.author_id]
-    if not author_id:
-        raise MalformedRowError(row.line_number, "empty author id")
-    institution = fields[schema.institution_id] or UNKNOWN_INSTITUTION
-    return AffiliationRow(paper_id, author_id, institution)
+    return _affiliation_parser(schema)(*row)
 
 
 def iter_papers(
-    path: str,
-    schema: TableSchema,
-    strict: bool = False,
-    stats: ParseStats | None = None,
+    path: str, schema: TableSchema, strict: bool = False, stats: ParseStats | None = None
 ) -> Iterator[PaperRecord]:
     """Parse a papers table, skipping (or, when strict, aborting on) bad rows."""
-    for row in open_table(path, schema):
-        if stats is not None:
-            stats.rows += 1
-        try:
-            record = parse_paper_row(row, schema)
-        except MalformedRowError:
-            if strict:
-                raise
-            if stats is not None:
-                stats.skipped += 1
-            continue
-        if stats is not None:
-            stats.parsed += 1
-        yield record
+    return _read_rows(path, schema, _paper_parser(schema), strict, stats)
 
 
 def iter_affiliations(
-    path: str,
-    schema: TableSchema,
-    strict: bool = False,
-    stats: ParseStats | None = None,
+    path: str, schema: TableSchema, strict: bool = False, stats: ParseStats | None = None
 ) -> Iterator[AffiliationRow]:
     """Parse an affiliations table with the same skip-or-abort policy."""
-    for row in open_table(path, schema):
-        if stats is not None:
-            stats.rows += 1
-        try:
-            record = parse_affiliation_row(row, schema)
-        except MalformedRowError:
-            if strict:
-                raise
-            if stats is not None:
-                stats.skipped += 1
-            continue
-        if stats is not None:
-            stats.parsed += 1
-        yield record
+    return _read_rows(path, schema, _affiliation_parser(schema), strict, stats)
 
 
 def filter_papers(

@@ -201,11 +201,20 @@ def order_by_score(
     """Entries ordered by score (highest first by default), ties by id ascending.
 
     Sorting by id and then stably by score alone gives the same order as a
-    ``(score, id)`` key, but compares each pair of scores once instead of
-    building and comparing key tuples.
+    ``(score, id)`` key without building key tuples. When every score is a
+    ``Fraction``, each is keyed by its exact numerator over the common
+    denominator, so the sort compares plain integers.
     """
     ordered = sorted(entries.items())
-    ordered.sort(key=itemgetter(1), reverse=best_first)
+    scores = entries.values()
+    if all(isinstance(score, Fraction) for score in scores):
+        common = math.lcm(*(score.denominator for score in scores))
+        ordered.sort(
+            key=lambda item: item[1].numerator * (common // item[1].denominator),
+            reverse=best_first,
+        )
+    else:
+        ordered.sort(key=itemgetter(1), reverse=best_first)
     return ordered
 
 

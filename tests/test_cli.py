@@ -236,6 +236,15 @@ def test_unsafe_venue_ids_are_rejected_up_front(tmp_path, venue_id):
         config.validate()
 
 
+def test_exit_2_on_a_duplicate_venue_id(tmp_path, capsys):
+    cfg_path, out_dir = tiny_config(tmp_path, venues="V0, V0")
+    with pytest.raises(ConfigError, match="venue id 'V0' is listed twice"):
+        load_config(cfg_path).validate()
+    assert main(["pipeline", "--config", cfg_path]) == EXIT_CONFIG
+    assert "venue id 'V0' is listed twice" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
 def test_exit_2_on_a_venue_id_that_leaves_the_output_dir(tmp_path):
     cfg_path, out_dir = tiny_config(tmp_path)
     code = main(["score", "--config", cfg_path, "--set", "selection.venues=V0, ../V0"])
@@ -286,6 +295,17 @@ def test_score_writes_a_file_for_every_venue_year(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "papers: 9 rows, 0 skipped" in err
     assert "filtered papers without affiliations: 0" in err
+
+
+def test_score_summary_names_the_first_skipped_row(tmp_path, capsys):
+    cfg_path, _ = tiny_config(tmp_path)
+    _, affils = tiny_dumps(tmp_path)
+    with open(affils, "a", encoding="utf-8") as out:
+        out.write("P1\t\tIA\n")  # empty author id
+    assert main(["score", "--config", cfg_path]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "papers: 9 rows, 0 skipped; " in err
+    assert "affiliations: 10 rows, 1 skipped (first at row 10); " in err
 
 
 def test_score_empty_venue_set_writes_nothing(tmp_path):

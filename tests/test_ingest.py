@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -195,6 +196,114 @@ def test_iter_affiliations_same_policy(tmp_path):
     assert (stats.rows, stats.parsed, stats.skipped) == (3, 2, 1)
     with pytest.raises(MalformedRowError):
         list(iter_affiliations(path, AFFILS, strict=True))
+
+
+def test_strict_abort_counts_the_failing_row_as_read_not_parsed(tmp_path):
+    lines = [paper_line(f"P{i}") for i in range(1, 5)] + ["short", paper_line("P9")]
+    path = write_papers(tmp_path / "p.tsv", lines)
+    stats = ParseStats()
+    with pytest.raises(MalformedRowError) as info:
+        list(iter_papers(path, PAPERS, strict=True, stats=stats))
+    assert info.value.line_number == 5
+    assert (stats.rows, stats.parsed, stats.skipped) == (5, 4, 0)
+    assert stats.first_skipped is None
+
+
+def test_parse_stats_record_the_first_skipped_row(tmp_path):
+    schema = TableSchema(paper_id=0, author_id=1, institution_id=2, has_header=True)
+    path = write_papers(
+        tmp_path / "a.tsv", ["pid\taid\tiid", "P1\tA1\tI1", "P2\t\tI1", "P3", "P4\tA4\tI4"]
+    )
+    stats = ParseStats()
+    assert len(list(iter_affiliations(path, schema, stats=stats))) == 2
+    assert (stats.rows, stats.parsed, stats.skipped, stats.first_skipped) == (4, 2, 2, 3)
+    # A second table read into the same stats adds its counts, keeps the first row.
+    other = write_papers(tmp_path / "b.tsv", ["pid\taid\tiid", "P9"])
+    list(iter_affiliations(other, schema, stats=stats))
+    assert (stats.rows, stats.parsed, stats.skipped, stats.first_skipped) == (5, 2, 3, 3)
+
+
+# --- the shared reader against a reference ------------------------------
+
+# Field values that make rows good, short, id-less or badly dated.
+FIELD_VALUES = ["", "P1", "P2", "A1", "I1", "V0", "2014", "1776", "2100", "x9", "é"]
+
+
+def reference_parse(text, kind, has_header, strict):
+    """Records, (rows, parsed, skipped, first_skipped) and the strict abort row.
+
+    Built on ``str.split("\n")`` and the documented row rules, independent
+    of the program's reader.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    records, rows, skipped, first_skipped, abort_row = [], 0, 0, None, None
+    for number, line in enumerate(lines, 1):
+        if has_header and number == 1:
+            continue
+        rows += 1
+        fields = line.removesuffix("\r").split("\t")
+        record = None
+        if kind == "papers" and len(fields) >= 9 and fields[0]:
+            try:
+                year = int(fields[3])
+            except ValueError:
+                year = None
+            if year is not None and 1900 <= year <= 2100:
+                record = PaperRecord(fields[0], year, fields[8])
+        elif kind == "affiliations" and len(fields) >= 3 and fields[0] and fields[1]:
+            record = AffiliationRow(fields[0], fields[1], fields[2] or UNKNOWN_INSTITUTION)
+        if record is not None:
+            records.append(record)
+        elif strict:
+            abort_row = number
+            break
+        else:
+            skipped += 1
+            first_skipped = first_skipped or number
+    return records, (rows, len(records), skipped, first_skipped), abort_row
+
+
+@given(
+    kind=st.sampled_from(["papers", "affiliations"]),
+    rows=st.lists(
+        st.one_of(
+            st.lists(st.sampled_from(FIELD_VALUES), min_size=0, max_size=11),
+            st.lists(st.sampled_from(FIELD_VALUES[1:]), min_size=9, max_size=10),
+        ),
+        max_size=25,
+    ),
+    has_header=st.booleans(),
+    crlf=st.booleans(),
+    final_newline=st.booleans(),
+    compressed=st.booleans(),
+    strict=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_reader_matches_a_reference_over_real_files(
+    tmp_path_factory, kind, rows, has_header, crlf, final_newline, compressed, strict
+):
+    lines = (["header\tline"] if has_header else []) + ["\t".join(row) for row in rows]
+    ending = "\r\n" if crlf else "\n"
+    text = ending.join(lines) + (ending if final_newline and lines else "")
+    path = tmp_path_factory.mktemp("reader") / "t.tsv"
+    payload = text.encode("utf-8")
+    path.write_bytes(gzip.compress(payload) if compressed else payload)
+
+    reader = iter_papers if kind == "papers" else iter_affiliations
+    schema = replace(PAPERS if kind == "papers" else AFFILS, has_header=has_header)
+    stats = ParseStats()
+    got, abort_row = [], None
+    try:
+        for record in reader(str(path), schema, strict, stats):
+            got.append(record)
+    except MalformedRowError as exc:
+        abort_row = exc.line_number
+    expected, counts, expected_abort = reference_parse(text, kind, has_header, strict)
+    assert got == expected
+    assert (stats.rows, stats.parsed, stats.skipped, stats.first_skipped) == counts
+    assert abort_row == expected_abort
 
 
 # --- filtering ----------------------------------------------------------

@@ -245,6 +245,32 @@ def test_order_by_score_breaks_ties_by_id_in_either_direction():
     assert [i for i, _ in order_by_score(entries, best_first=False)] == ["B", "C", "A", "D"]
 
 
+SCORE_IDS = st.text(alphabet="ABCDEFG", min_size=1, max_size=3)
+
+
+@given(
+    st.one_of(
+        # Few numerators over mixed denominators: many exact ties.
+        st.dictionaries(
+            SCORE_IDS,
+            st.builds(Fraction, st.integers(0, 6), st.sampled_from([1, 2, 3, 4, 6, 7, 12, 35])),
+            max_size=40,
+        ),
+        st.dictionaries(
+            SCORE_IDS, st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0, 2.5, 1e-300]), max_size=40
+        ),
+    ),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_order_by_score_matches_the_score_then_id_key(entries, best_first):
+    # Best first: highest score, then id ascending; worst first: the
+    # lowest score first, ties still by id ascending.
+    sign = -1 if best_first else 1
+    expected = sorted(entries.items(), key=lambda kv: (sign * kv[1], kv[0]))
+    assert order_by_score(entries, best_first=best_first) == expected
+
+
 def test_normalize_scales_max_to_one():
     table = normalize(make_table(2014, {"A": 4, "B": 1}))
     assert table.entries == {"A": Fraction(1), "B": Fraction(1, 4)}

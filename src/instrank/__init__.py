@@ -25,6 +25,7 @@ from .evaluate import (
     GroundTruth,
     dcg_at_k,
     evaluate_protocol,
+    evaluate_rankings,
     ndcg_at_k,
 )
 from .ingest import (
@@ -73,6 +74,7 @@ __all__ = [
     "borda_scores",
     "dcg_at_k",
     "evaluate_protocol",
+    "evaluate_rankings",
     "fagin_topk",
     "filter_papers",
     "generate_corpus",

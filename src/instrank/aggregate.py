@@ -2,14 +2,13 @@
 
 Three aggregation families are provided: a normalized score sum over the
 years, positional (Borda-style) point counts with several combining
-variants, and Fagin-style top-k retrieval that avoids scoring the whole
-universe. All of them break score ties by institution id ascending, so
+variants, and Fagin-style top-k by mean normalized score over full
+lists. All of them break score ties by institution id ascending, so
 every output is deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import statistics
@@ -245,16 +244,11 @@ def _mean_score(values: list[float]) -> float:
 
 
 def fagin_topk(rank_lists: Sequence[RankList], k: int) -> RankList:
-    """Top k institutions by mean score without evaluating the whole universe.
+    """Top k institutions by mean score over lists that rank one universe.
 
-    All lists must rank the same universe, each sorted by its own scores.
-    Sorted access walks every list in parallel, one depth per round;
-    random access fills in the scores of anything seen. The walk stops
-    once k items have appeared in every list and no unseen item could
-    still reach the current k-th best mean (any unseen item is bounded by
-    the mean of the scores at the current depth). That guard keeps the
-    result identical to brute force even when means tie across different
-    score profiles.
+    This is the result Fagin's threshold algorithm returns. Callers
+    normalize and pad every list first, so each institution's mean is
+    computed directly rather than by a sorted-access walk.
 
     Returns ranks 1..k by mean descending, id ascending.
     """
@@ -274,34 +268,10 @@ def fagin_topk(rank_lists: Sequence[RankList], k: int) -> RankList:
     n = len(universe)
     if k > n:
         raise KTooLargeError(f"k={k} exceeds universe of {n}")
-    # Canonical sorted-access order: score descending, id ascending.
-    access = [
-        sorted(scores, key=lambda inst: (-scores[inst], inst)) for scores in by_list
-    ]
-    count = len(rank_lists)
-
-    seen_in: dict[str, int] = {}
-    means: dict[str, float] = {}
-    top_means: list[float] = []  # min-heap of the k best means seen so far
-    fully_seen = 0
-    for depth in range(n):
-        for scores, order in zip(by_list, access):
-            institution = order[depth]
-            hits = seen_in.get(institution, 0) + 1
-            seen_in[institution] = hits
-            if hits == 1:
-                mean = _mean_score([other[institution] for other in by_list])
-                means[institution] = mean
-                if len(top_means) < k:
-                    heapq.heappush(top_means, mean)
-                elif mean > top_means[0]:
-                    heapq.heappushpop(top_means, mean)
-            if hits == count:
-                fully_seen += 1
-        if fully_seen >= k:
-            threshold = _mean_score([scores[order[depth]] for scores, order in zip(by_list, access)])
-            if threshold < top_means[0]:
-                break
+    means = {
+        institution: _mean_score([scores[institution] for scores in by_list])
+        for institution in universe
+    }
     ordered = sorted(means, key=lambda inst: (-means[inst], inst))[:k]
     items = tuple(
         RankedItem(position, institution, means[institution])
@@ -388,7 +358,7 @@ def write_ranking_csv(rank_list: RankList, path: str) -> None:
 
 def read_ranking_csv(path: str, label: str) -> RankList:
     items = []
-    with open(path, "r", encoding="utf-8") as src:
+    with open(path, "r", encoding="utf-8", newline="\n") as src:
         header = src.readline()
         if header.strip() != "rank,institution_id,score":
             raise ValueError(f"{path}: not a ranking file")

@@ -13,7 +13,6 @@ import configparser
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,6 +20,7 @@ from .aggregate import (
     AggregationSpec,
     InvalidPError,
     KTooLargeError,
+    RankList,
     YearTables,
     ranking_file_name,
     read_ranking_csv,
@@ -30,10 +30,10 @@ from .aggregate import (
 )
 from .evaluate import (
     EvalReport,
-    EvalRow,
     GroundTruth,
     ZeroIdealError,
-    ndcg_at_k,
+    evaluate_rankings,
+    ndcg_at_k,  # noqa: F401 - perfbench/traced.py wraps it on this module
     render_report_csv,
     render_report_text,
 )
@@ -91,7 +91,6 @@ class PipelineConfig:
     k: int = 20
     output_dir: str = "out"
     strict: bool = False
-    jobs: int = 1
 
     def validate(self) -> None:
         if self.truth_year <= self.train_years.high:
@@ -101,8 +100,6 @@ class PipelineConfig:
             )
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if not self.specs:
             raise ConfigError("no aggregation methods configured")
         # Ranking files and report columns are named by label, so two specs
@@ -216,7 +213,6 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> PipelineConfig:
         ]
         k = parser.getint("aggregation", "k", fallback=20)
         strict = parser.getboolean("run", "strict", fallback=False)
-        jobs = parser.getint("run", "jobs", fallback=1)
     except ValueError as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
     config = PipelineConfig(
@@ -231,7 +227,6 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> PipelineConfig:
         k=k,
         output_dir=parser.get("output", "dir", fallback="out"),
         strict=strict,
-        jobs=jobs,
     )
     return config
 
@@ -283,13 +278,36 @@ def cmd_score(config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _training_tables(config: PipelineConfig, venue_id: str) -> list[ScoreTable]:
-    return [
-        read_score_csv(
+def _read_tables(
+    config: PipelineConfig, venue_id: str, years: YearRange
+) -> dict[int, ScoreTable]:
+    return {
+        year: read_score_csv(
             os.path.join(config.output_dir, score_file_name(venue_id, year)), year
         )
-        for year in config.train_years
-    ]
+        for year in years
+    }
+
+
+def _rank_venue(
+    config: PipelineConfig,
+    venue_id: str,
+    specs: Sequence[AggregationSpec],
+    tables: Sequence[ScoreTable],
+) -> dict[str, RankList]:
+    """Aggregate one venue's training tables with every spec and write each ranking."""
+    years = YearTables(tables)
+    rankings = {}
+    for spec in specs:
+        try:
+            ranking = run_aggregation(spec, years)
+        except KTooLargeError as exc:
+            raise KTooLargeError(f"venue {venue_id!r}, method {spec.label}: {exc}") from exc
+        base = os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label))
+        write_ranking_csv(ranking, base)
+        write_ranking_json(ranking, spec, base[: -len(".csv")] + ".json")
+        rankings[spec.label] = ranking
+    return rankings
 
 
 def cmd_aggregate(config: PipelineConfig, method: str | None = None) -> int:
@@ -301,99 +319,74 @@ def cmd_aggregate(config: PipelineConfig, method: str | None = None) -> int:
             specs = [AggregationSpec.parse(method)]
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def one_venue(venue_id: str) -> None:
-        years = YearTables(_training_tables(config, venue_id))
-        for spec in specs:
-            try:
-                ranking = run_aggregation(spec, years)
-            except KTooLargeError as exc:
-                raise KTooLargeError(
-                    f"venue {venue_id!r}, method {spec.label}: {exc}"
-                ) from exc
-            base = os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label))
-            write_ranking_csv(ranking, base)
-            write_ranking_json(ranking, spec, base[: -len(".csv")] + ".json")
-
-    if config.jobs > 1 and len(config.venues) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(one_venue, venue_id) for venue_id in config.venues]
-        for future in futures:
-            future.result()
-    else:
-        for venue_id in config.venues:
-            one_venue(venue_id)
+    for venue_id in config.venues:
+        tables = _read_tables(config, venue_id, config.train_years)
+        _rank_venue(config, venue_id, specs, list(tables.values()))
     return EXIT_OK
 
 
 def _build_report(config: PipelineConfig) -> EvalReport:
-    rows = []
+    rankings_by_venue = {}
+    truth_by_venue = {}
     for venue_id in config.venues:
         truth_table = read_score_csv(
-            os.path.join(
-                config.output_dir, score_file_name(venue_id, config.truth_year)
-            ),
+            os.path.join(config.output_dir, score_file_name(venue_id, config.truth_year)),
             config.truth_year,
         )
-        truth = GroundTruth.from_score_table(truth_table)
-        values: dict[str, float] = {}
-        for spec in config.specs:
-            ranking = read_ranking_csv(
-                os.path.join(
-                    config.output_dir, ranking_file_name(venue_id, spec.label)
-                ),
+        truth_by_venue[venue_id] = GroundTruth.from_score_table(truth_table)
+        rankings_by_venue[venue_id] = {
+            spec.label: read_ranking_csv(
+                os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label)),
                 spec.label,
             )
-            values[spec.label] = ndcg_at_k(ranking, truth, config.k)
-        winner = max(values, key=values.get)
-        rows.append(EvalRow(venue_id, values, winner))
-    return EvalReport(config.k, rows)
+            for spec in config.specs
+        }
+    return evaluate_rankings(rankings_by_venue, truth_by_venue, config.k)
+
+
+def _write_report(config: PipelineConfig, report: EvalReport) -> None:
+    text = render_report_text(report)
+    for name, content in (("report.txt", text), ("report.csv", render_report_csv(report))):
+        path = os.path.join(config.output_dir, name)
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            out.write(content)
+    sys.stdout.write(text)
 
 
 def cmd_evaluate(config: PipelineConfig) -> EvalReport:
-    """Score every configured method against the held-out year.
-
-    Returns the report, which ``pipeline`` reuses to pick each venue's
-    winning method.
-    """
+    """Score every configured method's ranking files against the held-out year."""
     report = _build_report(config)
-    text = render_report_text(report)
-    with open(
-        os.path.join(config.output_dir, "report.txt"), "w", encoding="utf-8", newline="\n"
-    ) as out:
-        out.write(text)
-    with open(
-        os.path.join(config.output_dir, "report.csv"), "w", encoding="utf-8", newline="\n"
-    ) as out:
-        out.write(render_report_csv(report))
-    sys.stdout.write(text)
+    _write_report(config, report)
     return report
 
 
 def cmd_pipeline(config: PipelineConfig) -> int:
-    """score, aggregate, evaluate, then predict the year after the truth year."""
+    """score, aggregate, evaluate, then predict the year after the truth year.
+
+    Each score file is read back once, and everything after that runs on
+    those tables in memory: every venue's rankings are written first, then
+    the report, then the predictions.
+    """
     code = cmd_score(config)
-    if code != EXIT_OK:
+    if code != EXIT_OK or not config.venues:
         return code
-    if not config.venues:
-        return EXIT_OK
-    code = cmd_aggregate(config)
-    if code != EXIT_OK:
-        return code
-    report = cmd_evaluate(config)
+    tables_by_venue = {}
+    rankings_by_venue = {}
+    for venue_id in config.venues:
+        tables = _read_tables(config, venue_id, config.scored_years())
+        tables_by_venue[venue_id] = tables
+        training = [tables[year] for year in config.train_years]
+        rankings_by_venue[venue_id] = _rank_venue(config, venue_id, config.specs, training)
+    truth_by_venue = {
+        venue_id: GroundTruth.from_score_table(tables[config.truth_year])
+        for venue_id, tables in tables_by_venue.items()
+    }
+    report = evaluate_rankings(rankings_by_venue, truth_by_venue, config.k)
+    _write_report(config, report)
     by_label = {spec.label: spec for spec in config.specs}
     for row in report.rows:
-        winning_spec = by_label[row.winner]
-        tables = [
-            read_score_csv(
-                os.path.join(
-                    config.output_dir, score_file_name(row.venue_id, year)
-                ),
-                year,
-            )
-            for year in config.scored_years()
-        ]
-        prediction = run_aggregation(winning_spec, tables)
+        tables = list(tables_by_venue[row.venue_id].values())
+        prediction = run_aggregation(by_label[row.winner], tables)
         write_ranking_csv(
             prediction,
             os.path.join(config.output_dir, f"prediction_{row.venue_id}.csv"),
@@ -481,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="override any config key",
         )
         sub.add_argument("--k", type=int, default=None, help="evaluation cutoff")
-        sub.add_argument("--jobs", type=int, default=None, help="parallel venues")
         sub.add_argument("--strict", action="store_true", help="abort on malformed rows")
         sub.add_argument("--output-dir", default=None)
         if name == "aggregate":
@@ -494,8 +486,6 @@ def _configured(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config, args.set)
     if args.k is not None:
         config.k = args.k
-    if args.jobs is not None:
-        config.jobs = args.jobs
     if args.strict:
         config.strict = True
     if args.output_dir is not None:

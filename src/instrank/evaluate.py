@@ -99,30 +99,43 @@ class EvalReport:
         return list(self.rows[0].values) if self.rows else []
 
 
+def evaluate_rankings(
+    rankings_by_venue: Mapping[str, Mapping[str, RankList]],
+    truth_by_venue: Mapping[str, GroundTruth],
+    k: int,
+) -> EvalReport:
+    """Score each venue's rankings, keyed by method label, against its truth.
+
+    The winner per venue is the method with the highest NDCG; exact ties
+    go to the method listed first.
+    """
+    rows = []
+    for venue_id, rankings in rankings_by_venue.items():
+        if venue_id not in truth_by_venue:
+            raise MissingTruthError(venue_id)
+        truth = truth_by_venue[venue_id]
+        values = {
+            label: ndcg_at_k(ranking, truth, k) for label, ranking in rankings.items()
+        }
+        winner = max(values, key=values.get)
+        rows.append(EvalRow(venue_id, values, winner))
+    return EvalReport(k, rows)
+
+
 def evaluate_protocol(
     tables_by_venue: Mapping[str, Sequence[ScoreTable]],
     truth_by_venue: Mapping[str, GroundTruth],
     specs: Sequence[AggregationSpec],
     k: int,
 ) -> EvalReport:
-    """Aggregate each venue's training years with every spec and score it.
-
-    The winner per venue is the method with the highest NDCG; exact ties
-    go to the method listed first.
-    """
-    rows = []
+    """Aggregate each venue's training years with every spec, then evaluate."""
+    rankings_by_venue = {}
     for venue_id, tables in tables_by_venue.items():
-        if venue_id not in truth_by_venue:
-            raise MissingTruthError(venue_id)
-        truth = truth_by_venue[venue_id]
         years = YearTables(tables)
-        values: dict[str, float] = {}
-        for spec in specs:
-            ranking = run_aggregation(spec, years)
-            values[spec.label] = ndcg_at_k(ranking, truth, k)
-        winner = max(values, key=values.get)
-        rows.append(EvalRow(venue_id, values, winner))
-    return EvalReport(k, rows)
+        rankings_by_venue[venue_id] = {
+            spec.label: run_aggregation(spec, years) for spec in specs
+        }
+    return evaluate_rankings(rankings_by_venue, truth_by_venue, k)
 
 
 def render_report_text(report: EvalReport, title: str | None = None) -> str:

@@ -168,7 +168,9 @@ def _read_rows(
     """
     with open(path, "rb") as raw:
         gzipped = raw.peek(2)[:2] == GZIP_MAGIC
-        stream = io.TextIOWrapper(gzip.GzipFile(fileobj=raw) if gzipped else raw, encoding="utf-8")
+        source = gzip.GzipFile(fileobj=raw) if gzipped else raw
+        # Only "\n" ends a row; a lone "\r" is data, a trailing one is stripped.
+        stream = io.TextIOWrapper(source, encoding="utf-8", newline="\n")
         delimiter = schema.delimiter
         line_number = header = 1 if schema.has_header else 0
         skipped, aborted, first_skipped = 0, 0, None

@@ -239,7 +239,7 @@ def write_score_csv(table: ScoreTable, path: str) -> None:
 def read_score_csv(path: str, year: int) -> ScoreTable:
     """Read a table written by write_score_csv back into exact form."""
     entries: dict[str, Fraction] = {}
-    with open(path, "r", encoding="utf-8") as src:
+    with open(path, "r", encoding="utf-8", newline="\n") as src:
         header = src.readline()
         if header.strip() != "institution_id,score":
             raise ValueError(f"{path}: not a score table")

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from instrank.aggregate import ranking_file_name, read_ranking_csv, run_aggregation
+from instrank import cli
 from instrank.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -90,7 +91,7 @@ def test_load_config_defaults(tmp_path):
     assert config.venues == ["V0"]
     assert config.train_years == YearRange(2011, 2012)
     assert config.truth_year == 2013
-    assert config.k == 20 and config.jobs == 1 and config.strict is False
+    assert config.k == 20 and config.strict is False
     assert [spec.label for spec in config.specs] == [
         "normalized_sum",
         "borda_sum",
@@ -104,7 +105,7 @@ def test_load_config_reads_table_sections_and_run_section(tmp_path):
     extra = (
         "\n[papers_table]\n"
         "paper_id = 1\nyear = 0\nvenue_id = 2\ndelimiter = comma\nhas_header = yes\n"
-        "\n[run]\nstrict = true\njobs = 4\n"
+        "\n[run]\nstrict = true\n"
         "\n[aggregation]\nmethods = borda:median\nk = 5\n"
     )
     cfg_path, _ = tiny_config(tmp_path, extra=extra)
@@ -112,7 +113,7 @@ def test_load_config_reads_table_sections_and_run_section(tmp_path):
     assert config.papers_schema.delimiter == ","
     assert config.papers_schema.has_header is True
     assert (config.papers_schema.paper_id, config.papers_schema.year) == (1, 0)
-    assert config.strict is True and config.jobs == 4
+    assert config.strict is True
     assert config.k == 5
     assert [spec.label for spec in config.specs] == ["borda_median"]
 
@@ -121,10 +122,10 @@ def test_load_config_applies_overrides(tmp_path):
     cfg_path, _ = tiny_config(tmp_path)
     config = load_config(
         cfg_path,
-        ["selection.venues=V7", "aggregation.k=3", "run.jobs=2"],
+        ["selection.venues=V7", "aggregation.k=3"],
     )
     assert config.venues == ["V7"]
-    assert config.k == 3 and config.jobs == 2
+    assert config.k == 3
 
 
 def test_load_config_rejects_bad_overrides_and_missing_keys(tmp_path):
@@ -153,6 +154,13 @@ def test_exit_2_on_config_error(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[inputs]\n", encoding="utf-8")
     assert main(["score", "--config", str(bad)]) == EXIT_CONFIG
+
+
+def test_jobs_flag_is_a_usage_error(tmp_path):
+    cfg_path, _ = tiny_config(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["aggregate", "--config", cfg_path, "--jobs", "2"])
+    assert info.value.code == 2
 
 
 def test_exit_2_on_truth_year_in_training_range(tmp_path):
@@ -308,6 +316,35 @@ def test_score_summary_names_the_first_skipped_row(tmp_path, capsys):
     assert "affiliations: 10 rows, 1 skipped (first at row 10); " in err
 
 
+def test_score_keeps_a_lone_carriage_return_inside_an_institution_id(tmp_path, capsys):
+    papers = tmp_path / "papers.txt"
+    papers.write_text(
+        "P1\t\t\t2011\t\t\t\t\tV0\nP2\t\t\t2011\t\t\t\t\tV0\n", encoding="utf-8"
+    )
+    affils = tmp_path / "affils.txt"
+    affils.write_bytes(b"P1\tA1\tI1\rjunk\nP2\tA2\tI2\n")
+    out_dir = tmp_path / "out"
+    cfg_path = write_config(
+        tmp_path / "run.ini",
+        papers,
+        affils,
+        out_dir,
+        train="2011",
+        truth="2012",
+        extra="\n[aggregation]\nmethods = normalized_sum\n",
+    )
+    assert main(["score", "--config", cfg_path]) == EXIT_OK
+    assert "affiliations: 2 rows, 0 skipped; " in capsys.readouterr().err
+    path = out_dir / score_file_name("V0", 2011)
+    assert path.read_bytes() == b"institution_id,score\nI1\rjunk,1.0\nI2,1.0\n"
+    assert read_score_csv(str(path), 2011).entries == {"I1\rjunk": 1, "I2": 1}
+    assert main(["aggregate", "--config", cfg_path]) == EXIT_OK
+    ranking = read_ranking_csv(
+        str(out_dir / ranking_file_name("V0", "normalized_sum")), "normalized_sum"
+    )
+    assert ranking.ids() == ["I1\rjunk", "I2"]
+
+
 def test_score_empty_venue_set_writes_nothing(tmp_path):
     cfg_path, out_dir = tiny_config(tmp_path, venues="")
     assert main(["score", "--config", cfg_path]) == EXIT_OK
@@ -386,41 +423,6 @@ def test_aggregate_method_flag_runs_only_that_method(tmp_path):
     )
     assert payload["method"]["name"] == "fagin"
     assert payload["method"]["fagin_k"] == 2
-
-
-def test_aggregate_parallel_jobs_match_serial_output(tmp_path):
-    params = CorpusParams(
-        num_institutions=8,
-        num_authors=60,
-        num_venues=3,
-        years=YearRange(2011, 2013),
-        papers_per_venue_year=25,
-        rng_seed=5,
-    )
-    corpus_dir = tmp_path / "corpus"
-    corpus_dir.mkdir()
-    corpus = generate_corpus(params, str(corpus_dir), compute_realized=False)
-    outputs = {}
-    for jobs, out_name in ((1, "serial"), (3, "parallel")):
-        out_dir = str(tmp_path / out_name)
-        cfg_path = write_config(
-            tmp_path / f"run_{out_name}.ini",
-            corpus.papers_path,
-            corpus.affiliations_path,
-            out_dir,
-            venues="V0, V1, V2",
-            train="2011-2012",
-            truth="2013",
-            extra="\n[aggregation]\nmethods = normalized_sum, borda:sum, fagin:5\n",
-        )
-        assert main(["score", "--config", cfg_path]) == EXIT_OK
-        assert main(["aggregate", "--config", cfg_path, "--jobs", str(jobs)]) == EXIT_OK
-        outputs[out_name] = {
-            name: open(os.path.join(out_dir, name), "rb").read()
-            for name in sorted(os.listdir(out_dir))
-            if name.startswith("ranking_")
-        }
-    assert outputs["serial"] == outputs["parallel"]
 
 
 # --- evaluate and pipeline ----------------------------------------------
@@ -530,6 +532,62 @@ def test_pipeline_prediction_recomputes_from_the_winning_method(tmp_path):
     expected = run_aggregation(winning_spec, tables)
     written = read_ranking_csv(os.path.join(out_dir, "prediction_V0.csv"), "p")
     assert written.ids() == expected.ids()
+
+
+def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch):
+    params = CorpusParams(
+        num_institutions=30,
+        num_authors=300,
+        num_venues=3,
+        years=YearRange(2011, 2015),
+        papers_per_venue_year=60,
+        unknown_rate=0.05,
+        rng_seed=71,
+    )
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    corpus = generate_corpus(params, str(corpus_dir), compute_realized=False)
+    real_read = cli.read_score_csv
+    reads = []
+
+    def counting_read(path, year):
+        reads.append(os.path.basename(path))
+        return real_read(path, year)
+
+    outputs = {}
+    for out_name, commands in (
+        ("stages", ["score", "aggregate", "evaluate"]),
+        ("pipeline", ["pipeline"]),
+    ):
+        out_dir = str(tmp_path / out_name)
+        cfg_path = write_config(
+            tmp_path / f"run_{out_name}.ini",
+            corpus.papers_path,
+            corpus.affiliations_path,
+            out_dir,
+            venues="V0, V1, V2",
+            train="2011-2014",
+            truth="2015",
+            extra=(
+                "\n[aggregation]\nmethods = normalized_sum, borda:sum, borda:median, "
+                "borda:geometric_mean, borda:p_norm:2, fagin\nk = 10\n"
+            ),
+        )
+        if out_name == "pipeline":
+            monkeypatch.setattr(cli, "read_score_csv", counting_read)
+        for command in commands:
+            assert main([command, "--config", cfg_path]) == EXIT_OK
+        outputs[out_name] = {
+            name: open(os.path.join(out_dir, name), "rb").read()
+            for name in sorted(os.listdir(out_dir))
+            if name.startswith(("ranking_", "report."))
+        }
+    assert len(outputs["stages"]) == 3 * 6 * 2 + 2
+    assert outputs["pipeline"] == outputs["stages"]
+    # The pipeline reads each score file it wrote exactly once.
+    assert sorted(reads) == sorted(
+        score_file_name(venue, year) for venue in ("V0", "V1", "V2") for year in range(2011, 2016)
+    )
 
 
 def test_evaluate_k_flag_overrides_config(tmp_path, capsys):

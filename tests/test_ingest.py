@@ -223,6 +223,28 @@ def test_parse_stats_record_the_first_skipped_row(tmp_path):
     assert (stats.rows, stats.parsed, stats.skipped, stats.first_skipped) == (5, 2, 3, 3)
 
 
+LONE_CR = b"P1\tA1\tI1\rjunk\nP2\tA2\tI2\n"
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+def test_only_a_newline_ends_a_row(tmp_path, compressed):
+    path = tmp_path / "a.tsv"
+    path.write_bytes(gzip.compress(LONE_CR) if compressed else LONE_CR)
+    stats = ParseStats()
+    rows = list(iter_affiliations(str(path), AFFILS, stats=stats))
+    assert rows == [AffiliationRow("P1", "A1", "I1\rjunk"), AffiliationRow("P2", "A2", "I2")]
+    assert (stats.rows, stats.parsed, stats.skipped) == (2, 2, 0)
+
+
+def test_strict_abort_row_counts_newlines_only(tmp_path):
+    path = tmp_path / "a.tsv"
+    # Universal newlines would read the text after "\r" as a row of its own.
+    path.write_bytes(b"P1\tA1\tI1\rP3\tA3\tI3\nP2\t\tI2\n")
+    with pytest.raises(MalformedRowError) as info:
+        list(iter_affiliations(str(path), AFFILS, strict=True))
+    assert info.value.line_number == 2
+
+
 # --- the shared reader against a reference ------------------------------
 
 # Field values that make rows good, short, id-less or badly dated.

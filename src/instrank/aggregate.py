@@ -1,10 +1,11 @@
 """Consensus rankings from per-year score tables.
 
-Three aggregation families are provided: a normalized score sum over the
+Every year is normalized once (``YearTables.normalized``) and three
+aggregation families read that view: a normalized score sum over the
 years, positional (Borda-style) point counts with several combining
-variants, and Fagin-style top-k by mean normalized score over full
-lists. All of them break score ties by institution id ascending, so
-every output is deterministic.
+variants, and Fagin-style top-k by mean normalized score. All of them
+rank higher values first and break score ties by institution id
+ascending, so every output is deterministic.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .scoring import ScoreTable, drop_unknown, normalize, order_by_score
 
-HIGHER_IS_BETTER = "higher_is_better"
-LOWER_IS_BETTER = "lower_is_better"
-
 METHOD_NORMALIZED_SUM = "normalized_sum"
 METHOD_BORDA = "borda"
 METHOD_FAGIN = "fagin"
@@ -30,10 +28,6 @@ METHODS = (METHOD_NORMALIZED_SUM, METHOD_BORDA, METHOD_FAGIN)
 BORDA_VARIANTS = ("sum", "median", "geometric_mean", "p_norm")
 
 DEFAULT_TOP_K = 20
-
-
-class NotFullListsError(ValueError):
-    """Fagin requires every list to rank the same item universe."""
 
 
 class KTooLargeError(ValueError):
@@ -63,10 +57,9 @@ class RankList:
 
 @dataclass(frozen=True)
 class FinalScoreTable:
-    """Aggregated values over all years, plus which direction wins."""
+    """Aggregated values over all years; higher values rank first."""
 
     entries: dict[str, Fraction | float]
-    direction: str = HIGHER_IS_BETTER
 
 
 @dataclass(frozen=True)
@@ -137,51 +130,60 @@ class AggregationSpec:
 def to_ranking(
     table: ScoreTable | FinalScoreTable, label: str | None = None
 ) -> RankList:
-    """Order a table into ranks 1..n, breaking score ties by id ascending.
+    """Order a table into ranks 1..n, highest score first, ties by id ascending.
 
-    Year tables always rank higher scores first and shed the UNKNOWN
-    sentinel; aggregated tables follow their own direction.
+    Year tables shed the UNKNOWN sentinel first.
     """
     if isinstance(table, ScoreTable):
         entries: Mapping[str, Fraction | float] = drop_unknown(table).entries
-        direction = HIGHER_IS_BETTER
         if label is None:
             label = str(table.year)
     else:
         entries = table.entries
-        direction = table.direction
         if label is None:
             label = "aggregate"
-    ordered = order_by_score(entries, best_first=direction == HIGHER_IS_BETTER)
     items = tuple(
         RankedItem(position, institution, score)
-        for position, (institution, score) in enumerate(ordered, start=1)
+        for position, (institution, score) in enumerate(order_by_score(entries), start=1)
     )
     return RankList(label, items)
 
 
-def normalized_sum(tables: Sequence[ScoreTable]) -> FinalScoreTable:
-    """Sum each institution's scores after scaling every year's maximum to 1.
+class YearTables:
+    """One venue's per-year tables, normalized once for any number of specs.
 
-    Years where an institution is absent contribute nothing. Arithmetic
-    is exact, so rescaling any year's raw scores by a positive constant
-    leaves the result bit-identical. Empty or all-zero years carry no
-    scale and are skipped.
+    The UNKNOWN sentinel is dropped and every year scaled to a maximum of
+    1 up front; ``normalized`` is the one view every method reads. The
+    yearly rankings the positional methods start from are built from it
+    on first use, and both are shared by every spec aggregated over the
+    same years.
     """
+
+    def __init__(self, tables: Sequence[ScoreTable]) -> None:
+        if not tables:
+            raise ValueError("no year tables to aggregate")
+        self.normalized = [normalize(drop_unknown(table)) for table in tables]
+
+    @cached_property
+    def rankings(self) -> list[RankList]:
+        return [to_ranking(table) for table in self.normalized]
+
+
+def normalized_sum(year_tables: YearTables | Sequence[ScoreTable]) -> FinalScoreTable:
+    """Sum each institution's normalized scores over the years.
+
+    Years where an institution is absent contribute nothing, and an
+    all-zero year adds 0 but keeps its institutions. Arithmetic is exact,
+    so rescaling any year's raw scores by a positive constant leaves the
+    result bit-identical.
+    """
+    if not isinstance(year_tables, YearTables):
+        year_tables = YearTables(year_tables)
     totals: dict[str, Fraction] = {}
-    for table in tables:
-        visible = drop_unknown(table)
-        for institution in visible.entries:
-            totals.setdefault(institution, Fraction(0))
-        if not visible.entries:
-            continue
-        top = max(visible.entries.values())
-        if top == 0:
-            continue
-        top = Fraction(top)
-        for institution, amount in visible.entries.items():
-            totals[institution] += Fraction(amount) / top
-    return FinalScoreTable(dict(sorted(totals.items())), HIGHER_IS_BETTER)
+    for table in year_tables.normalized:
+        for institution, amount in table.entries.items():
+            totals[institution] = totals.get(institution, 0) + amount
+    return FinalScoreTable(dict(sorted(totals.items())))
 
 
 def borda_scores(rank_list: RankList) -> dict[str, int]:
@@ -235,41 +237,30 @@ def borda_aggregate(
             entries[institution] = (
                 math.fsum(float(v) ** p for v in values) / count
             )
-    return FinalScoreTable(entries, HIGHER_IS_BETTER)
+    return FinalScoreTable(entries)
 
 
-def _mean_score(values: list[float]) -> float:
-    # fsum makes the reduction independent of list order.
-    return math.fsum(values) / len(values)
+def fagin_topk(tables: Sequence[ScoreTable], k: int) -> RankList:
+    """Top k institutions by mean score over the normalized year tables.
 
-
-def fagin_topk(rank_lists: Sequence[RankList], k: int) -> RankList:
-    """Top k institutions by mean score over lists that rank one universe.
-
-    This is the result Fagin's threshold algorithm returns. Callers
-    normalize and pad every list first, so each institution's mean is
-    computed directly rather than by a sorted-access walk.
+    An institution absent from a year counts 0 there. This is the result
+    Fagin's threshold algorithm returns over the yearly lists padded to
+    one universe, computed directly rather than by a sorted-access walk.
 
     Returns ranks 1..k by mean descending, id ascending.
     """
-    if not rank_lists:
-        raise ValueError("no rank lists given")
+    if not tables:
+        raise ValueError("no year tables given")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    universe = {item.institution_id for item in rank_lists[0].items}
-    by_list: list[dict[str, float]] = []
-    for rank_list in rank_lists:
-        scores = {item.institution_id: float(item.score) for item in rank_list.items}
-        if set(scores) != universe:
-            raise NotFullListsError(
-                f"list {rank_list.label!r} does not rank the full universe"
-            )
-        by_list.append(scores)
+    universe = {institution for table in tables for institution in table.entries}
     n = len(universe)
     if k > n:
         raise KTooLargeError(f"k={k} exceeds universe of {n}")
+    # fsum makes the mean independent of year order.
     means = {
-        institution: _mean_score([scores[institution] for scores in by_list])
+        institution: math.fsum(float(table.entries.get(institution, 0)) for table in tables)
+        / len(tables)
         for institution in universe
     }
     ordered = sorted(means, key=lambda inst: (-means[inst], inst))[:k]
@@ -280,68 +271,24 @@ def fagin_topk(rank_lists: Sequence[RankList], k: int) -> RankList:
     return RankList("fagin", items)
 
 
-def complete_rank_lists(
-    rank_lists: Sequence[RankList], universe: Sequence[str]
-) -> list[RankList]:
-    """Pad partial lists to a shared universe with zero-score entries."""
-    completed = []
-    for rank_list in rank_lists:
-        present = {item.institution_id for item in rank_list.items}
-        missing = sorted(set(universe) - present)
-        if not missing:
-            completed.append(rank_list)
-            continue
-        items = list(rank_list.items)
-        next_rank = len(items) + 1
-        for institution in missing:
-            items.append(RankedItem(next_rank, institution, Fraction(0)))
-            next_rank += 1
-        completed.append(RankList(rank_list.label, tuple(items)))
-    return completed
-
-
-class YearTables:
-    """One venue's per-year raw tables, ready for any number of specs.
-
-    The UNKNOWN sentinel is dropped once up front. The normalized yearly
-    rankings that the positional methods start from are built on first
-    use and then shared by every spec aggregated over the same years.
-    """
-
-    def __init__(self, tables: Sequence[ScoreTable]) -> None:
-        if not tables:
-            raise ValueError("no year tables to aggregate")
-        self.tables = [drop_unknown(table) for table in tables]
-
-    @cached_property
-    def rankings(self) -> list[RankList]:
-        return [to_ranking(normalize(table)) for table in self.tables]
-
-
 def run_aggregation(
     spec: AggregationSpec, year_tables: YearTables | Sequence[ScoreTable]
 ) -> RankList:
     """Aggregate per-year raw tables into one final ranking.
 
-    Positional methods first turn each year into a ranking of its
-    normalized table; the normalized-sum method works on the tables
-    directly. The UNKNOWN sentinel never takes part. Pass a ``YearTables``
-    to share the yearly rankings between several specs.
+    Every method reads the normalized years; the positional methods read
+    them as yearly rankings. The UNKNOWN sentinel never takes part. Pass a
+    ``YearTables`` to share the normalized years between several specs.
     """
     if not isinstance(year_tables, YearTables):
         year_tables = YearTables(year_tables)
     if spec.method == METHOD_NORMALIZED_SUM:
-        final = normalized_sum(year_tables.tables)
-        ranking = to_ranking(final, label=spec.label)
-    elif spec.method == METHOD_BORDA:
+        return to_ranking(normalized_sum(year_tables), label=spec.label)
+    if spec.method == METHOD_BORDA:
         final = borda_aggregate(year_tables.rankings, spec.borda_variant, spec.p)
-        ranking = to_ranking(final, label=spec.label)
-    else:
-        universe = sorted({inst for table in year_tables.tables for inst in table.entries})
-        padded = complete_rank_lists(year_tables.rankings, universe)
-        top = fagin_topk(padded, spec.fagin_k or DEFAULT_TOP_K)
-        ranking = RankList(spec.label, top.items)
-    return ranking
+        return to_ranking(final, label=spec.label)
+    top = fagin_topk(year_tables.normalized, spec.fagin_k or DEFAULT_TOP_K)
+    return RankList(spec.label, top.items)
 
 
 def ranking_file_name(venue_id: str, label: str) -> str:

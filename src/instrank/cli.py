@@ -48,7 +48,6 @@ from .ingest import (
     join_affiliations,
 )
 from .scoring import (
-    RAW,
     ScoreTable,
     paper_shares,  # noqa: F401 - perfbench/traced.py wraps it on this module
     read_score_csv,
@@ -72,6 +71,19 @@ DEFAULT_METHODS = "normalized_sum, borda:sum, fagin"
 UNSAFE_VENUE_CHARS = {"/", "\\", os.sep, "\0"}
 
 DELIMITER_NAMES = {"tab": "\t", "\\t": "\t", "comma": ",", "space": " ", "pipe": "|"}
+
+# Every key a config file or --set may name, by section; anything else is
+# rejected, so a misspelt key cannot be silently ignored.
+_TABLE_KEYS = {"paper_id", "delimiter", "has_header"}
+CONFIG_KEYS = {
+    "inputs": {"papers", "affiliations"},
+    "selection": {"venues", "train_years", "truth_year"},
+    "papers_table": _TABLE_KEYS | {"year", "venue_id"},
+    "affiliations_table": _TABLE_KEYS | {"author_id", "institution_id"},
+    "aggregation": {"methods", "k"},
+    "run": {"strict"},
+    "output": {"dir"},
+}
 
 
 class ConfigError(Exception):
@@ -184,6 +196,12 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> PipelineConfig:
         if section not in parser:
             parser.add_section(section)
         parser[section][key] = value
+    for section in parser.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"config {path}: unknown section [{section}]")
+        for key in parser[section]:
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(f"config {path}: unknown key {key!r} in section [{section}]")
     try:
         inputs = parser["inputs"]
         selection = parser["selection"]
@@ -265,7 +283,7 @@ def cmd_score(config: PipelineConfig) -> int:
     tables = score_venue_years(join_affiliations(papers, rows, on_missing=count_missing))
     for venue_id in config.venues:
         for year in span:
-            table = tables.get((venue_id, year)) or ScoreTable(year, {}, RAW)
+            table = tables.get((venue_id, year)) or ScoreTable(year, {})
             write_score_csv(
                 table, os.path.join(config.output_dir, score_file_name(venue_id, year))
             )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -22,8 +22,9 @@ from .ingest import UNKNOWN_INSTITUTION, AttributedPaper
 
 log = logging.getLogger(__name__)
 
+# perfbench/prepare.py still builds ``ScoreTable(year, entries, RAW)``;
+# the third argument is accepted and ignored.
 RAW = "raw"
-NORMALIZED = "normalized"
 
 
 class YearMismatchError(ValueError):
@@ -47,14 +48,13 @@ class ShareList:
 class ScoreTable:
     """Institution credit for one year.
 
-    ``provenance`` records whether entries are raw sums or have been
-    scaled to a maximum of 1. Raw tables may carry the UNKNOWN sentinel;
-    ranking-grade outputs must not.
+    Raw tables may carry the UNKNOWN sentinel; ranking-grade outputs must
+    not.
     """
 
     year: int
     entries: dict[str, Fraction]
-    provenance: str = RAW
+    tag: InitVar[object] = None  # ignored, see RAW
 
 
 def credit_parts(paper: AttributedPaper) -> Iterator[tuple[str, int]]:
@@ -126,7 +126,7 @@ class CreditAccumulator:
             institution: Fraction(numerator, common)
             for institution, numerator in sorted(self.numerators.items())
         }
-        return ScoreTable(self.year, entries, RAW)
+        return ScoreTable(self.year, entries)
 
 
 def score_venue_years(
@@ -174,13 +174,13 @@ def normalize(table: ScoreTable) -> ScoreTable:
     meaningful scale; it is passed through unchanged with a warning.
     """
     if not table.entries:
-        return ScoreTable(table.year, {}, NORMALIZED)
+        return ScoreTable(table.year, {})
     top = max(table.entries.values())
     if top == 0:
         log.warning("year %d: all scores are zero, normalization is a no-op", table.year)
-        return ScoreTable(table.year, dict(table.entries), NORMALIZED)
+        return ScoreTable(table.year, dict(table.entries))
     scaled = {institution: amount / top for institution, amount in table.entries.items()}
-    return ScoreTable(table.year, dict(sorted(scaled.items())), NORMALIZED)
+    return ScoreTable(table.year, dict(sorted(scaled.items())))
 
 
 def drop_unknown(table: ScoreTable) -> ScoreTable:
@@ -192,13 +192,13 @@ def drop_unknown(table: ScoreTable) -> ScoreTable:
         for institution, amount in table.entries.items()
         if institution != UNKNOWN_INSTITUTION
     }
-    return ScoreTable(table.year, kept, table.provenance)
+    return ScoreTable(table.year, kept)
 
 
 def order_by_score(
-    entries: Mapping[str, Fraction | float], best_first: bool = True
+    entries: Mapping[str, Fraction | float],
 ) -> list[tuple[str, Fraction | float]]:
-    """Entries ordered by score (highest first by default), ties by id ascending.
+    """Entries ordered by score, highest first, ties by id ascending.
 
     Sorting by id and then stably by score alone gives the same order as a
     ``(score, id)`` key without building key tuples. When every score is a
@@ -211,10 +211,10 @@ def order_by_score(
         common = math.lcm(*(score.denominator for score in scores))
         ordered.sort(
             key=lambda item: item[1].numerator * (common // item[1].denominator),
-            reverse=best_first,
+            reverse=True,
         )
     else:
-        ordered.sort(key=itemgetter(1), reverse=best_first)
+        ordered.sort(key=itemgetter(1), reverse=True)
     return ordered
 
 
@@ -249,4 +249,4 @@ def read_score_csv(path: str, year: int) -> ScoreTable:
                 continue
             institution, _, score = line.rpartition(",")
             entries[institution] = Fraction(float(score))
-    return ScoreTable(year, dict(sorted(entries.items())), RAW)
+    return ScoreTable(year, dict(sorted(entries.items())))

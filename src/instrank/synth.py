@@ -23,7 +23,7 @@ from .ingest import (
     PaperRecord,
     YearRange,
 )
-from .scoring import RAW, ScoreTable
+from .scoring import ScoreTable
 
 # Institutions this weak never lose all weight to drift.
 MIN_WEIGHT = 0.1
@@ -100,8 +100,8 @@ def planted_weights(params: CorpusParams, year: int) -> list[float]:
     offset = params.strength_drift * (year - params.years.low)
     weights = []
     for i in range(params.num_institutions):
-        direction = 1.0 if i % 2 else -1.0
-        weights.append(max(params.num_institutions - i + direction * offset, MIN_WEIGHT))
+        sign = 1.0 if i % 2 else -1.0
+        weights.append(max(params.num_institutions - i + sign * offset, MIN_WEIGHT))
     return weights
 
 
@@ -237,7 +237,7 @@ def naive_score(corpus: Iterable[AttributedPaper]) -> dict[int, ScoreTable]:
             for institution in institutions:
                 bucket[institution] = bucket.get(institution, Fraction(0)) + piece
     return {
-        year: ScoreTable(year, dict(sorted(bucket.items())), RAW)
+        year: ScoreTable(year, dict(sorted(bucket.items())))
         for year, bucket in sorted(by_year.items())
     }
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from instrank.aggregate import RankedItem, RankList
 from instrank.ingest import AffiliationRow, AttributedPaper, PaperRecord
-from instrank.scoring import RAW, ScoreTable
+from instrank.scoring import ScoreTable
 
 
 def make_paper(paper_id: str = "P1", year: int = 2014, venue_id: str = "V0") -> PaperRecord:
@@ -27,12 +27,12 @@ def make_attributed(
     return AttributedPaper(paper, affiliations)
 
 
-def make_table(year: int, entries: dict, provenance: str = RAW) -> ScoreTable:
+def make_table(year: int, entries: dict) -> ScoreTable:
     exact = {
         institution: value if isinstance(value, Fraction) else Fraction(value)
         for institution, value in entries.items()
     }
-    return ScoreTable(year, dict(sorted(exact.items())), provenance)
+    return ScoreTable(year, dict(sorted(exact.items())))
 
 
 def make_rank_list(label: str, pairs: list[tuple[str, object]]) -> RankList:

@@ -10,14 +10,11 @@ import pytest
 from conftest import make_rank_list, make_table
 from instrank.aggregate import (
     AggregationSpec,
-    FinalScoreTable,
     InvalidPError,
     KTooLargeError,
-    NotFullListsError,
     RankList,
     borda_aggregate,
     borda_scores,
-    complete_rank_lists,
     fagin_topk,
     normalized_sum,
     read_ranking_csv,
@@ -52,11 +49,6 @@ def test_to_ranking_breaks_ties_by_id_ascending():
 def test_to_ranking_drops_unknown_sentinel():
     ranking = to_ranking(make_table(2014, {"A": 1, UNKNOWN_INSTITUTION: 99}))
     assert ranked_ids(ranking) == ["A"]
-
-
-def test_to_ranking_respects_lower_is_better():
-    final = FinalScoreTable({"A": 3.0, "B": 1.0}, "lower_is_better")
-    assert ranked_ids(to_ranking(final)) == ["B", "A"]
 
 
 def test_to_ranking_matches_plain_sort_on_random_tables():
@@ -133,10 +125,20 @@ def test_normalized_sum_absent_year_contributes_nothing():
 
 
 def test_normalized_sum_skips_all_zero_years_but_keeps_their_institutions():
-    final = normalized_sum(
-        [make_table(2011, {"A": 0, "C": 0}), make_table(2012, {"A": 1})]
-    )
+    zero = make_table(2011, {"A": 0, "C": 0})
+    final = normalized_sum([zero, make_table(2012, {"A": 1})])
     assert final.entries == {"A": Fraction(1), "C": Fraction(0)}
+    # A year that is all zero adds 0, also when it is the only one.
+    assert normalized_sum([zero]).entries == {"A": Fraction(0), "C": Fraction(0)}
+
+
+def test_normalized_sum_rejects_no_years_like_run_aggregation():
+    with pytest.raises(ValueError) as direct:
+        normalized_sum([])
+    with pytest.raises(ValueError) as dispatched:
+        run_aggregation(AggregationSpec("normalized_sum"), [])
+    assert type(direct.value) is type(dispatched.value)
+    assert str(direct.value) == str(dispatched.value) == "no year tables to aggregate"
 
 
 def test_normalized_sum_single_year_equals_that_years_normalization():
@@ -243,42 +245,45 @@ def test_borda_rejects_empty_input_and_bad_variant():
 
 
 def test_fagin_tie_on_average_goes_to_smaller_id():
-    lists = [
-        make_rank_list("a", [("A", 1.0), ("B", 0.5), ("C", 0.1)]),
-        make_rank_list("b", [("B", 1.0), ("A", 0.5), ("C", 0.1)]),
+    tables = [
+        make_table(2011, {"A": 1, "B": Fraction(1, 2), "C": Fraction(1, 10)}),
+        make_table(2012, {"B": 1, "A": Fraction(1, 2), "C": Fraction(1, 10)}),
     ]
-    top = fagin_topk(lists, 1)
+    top = fagin_topk(tables, 1)
     assert ranked_ids(top) == ["A"]
 
 
 def test_fagin_full_k_gives_the_complete_ranking():
-    lists = [
-        make_rank_list("a", [("A", 1.0), ("B", 0.6), ("C", 0.2)]),
-        make_rank_list("b", [("A", 1.0), ("C", 0.9), ("B", 0.3)]),
+    tables = [
+        make_table(2011, {"A": 1, "B": Fraction(3, 5), "C": Fraction(1, 5)}),
+        make_table(2012, {"A": 1, "C": Fraction(9, 10), "B": Fraction(3, 10)}),
     ]
-    top = fagin_topk(lists, 3)
+    top = fagin_topk(tables, 3)
     assert ranked_ids(top) == ["A", "C", "B"]
     assert [item.rank for item in top.items] == [1, 2, 3]
 
 
 def test_fagin_rejects_k_beyond_universe():
-    lists = [make_rank_list("a", [("A", 1.0), ("B", 0.5)])]
-    with pytest.raises(KTooLargeError):
-        fagin_topk(lists, 3)
-
-
-def test_fagin_rejects_partial_lists():
-    lists = [
-        make_rank_list("a", [("A", 1.0), ("B", 0.5)]),
-        make_rank_list("b", [("A", 1.0)]),
-    ]
-    with pytest.raises(NotFullListsError):
-        fagin_topk(lists, 1)
+    tables = [make_table(2011, {"A": 1, "B": Fraction(1, 2)})]
+    with pytest.raises(KTooLargeError, match=r"^k=3 exceeds universe of 2$"):
+        fagin_topk(tables, 3)
 
 
 def test_fagin_rejects_nonpositive_k():
     with pytest.raises(ValueError):
-        fagin_topk([make_rank_list("a", [("A", 1.0)])], 0)
+        fagin_topk([make_table(2011, {"A": 1})], 0)
+
+
+def test_fagin_absent_year_counts_zero_toward_the_mean():
+    tables = [
+        make_table(2011, {"A": 1, "B": Fraction(1, 2)}),
+        make_table(2012, {"A": 1}),
+    ]
+    top = fagin_topk(tables, 2)
+    assert [(item.institution_id, item.score) for item in top.items] == [
+        ("A", 1.0),
+        ("B", 0.25),
+    ]
 
 
 def test_fagin_matches_naive_on_random_tables():
@@ -304,14 +309,6 @@ def test_fagin_matches_naive_on_random_tables():
         reference = naive_topk(tables, k)
         assert set(ranked_ids(mine)) == set(ranked_ids(reference))
         assert ranked_ids(mine) == ranked_ids(reference)
-
-
-def test_complete_rank_lists_pads_missing_ids_with_zero():
-    lists = [make_rank_list("a", [("B", 1.0)])]
-    padded = complete_rank_lists(lists, ["A", "B", "C"])
-    assert ranked_ids(padded[0]) == ["B", "A", "C"]
-    assert [float(item.score) for item in padded[0].items] == [1.0, 0.0, 0.0]
-    assert [item.rank for item in padded[0].items] == [1, 2, 3]
 
 
 # --- run_aggregation ----------------------------------------------------

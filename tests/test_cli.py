@@ -163,6 +163,27 @@ def test_jobs_flag_is_a_usage_error(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "extra, overrides, named",
+    [
+        ("\n[outptu]\ndir = x\n", [], "unknown section [outptu]"),
+        ("\n[run]\njobs = 4\n", [], "unknown key 'jobs' in section [run]"),
+        ("", ["run.jbos=2"], "unknown key 'jbos' in section [run]"),
+        ("", ["aggregation.kk=3"], "unknown key 'kk' in section [aggregation]"),
+    ],
+)
+def test_exit_2_on_an_unknown_config_section_or_key(
+    tmp_path, capsys, extra, overrides, named
+):
+    cfg_path, out_dir = tiny_config(tmp_path, extra=extra)
+    argv = ["pipeline", "--config", cfg_path]
+    for override in overrides:
+        argv += ["--set", override]
+    assert main(argv) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
 def test_exit_2_on_truth_year_in_training_range(tmp_path):
     cfg_path, _ = tiny_config(tmp_path, truth="2011")
     assert main(["score", "--config", cfg_path]) == EXIT_CONFIG

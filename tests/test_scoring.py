@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from conftest import make_attributed, make_table
 from instrank.ingest import UNKNOWN_INSTITUTION, AffiliationRow
 from instrank.scoring import (
-    NORMALIZED,
-    RAW,
     CreditAccumulator,
     ScoreTable,
     YearMismatchError,
@@ -91,7 +89,6 @@ def test_accumulate_sums_share_lists():
     table = accumulate_scores([paper_shares(p) for p in papers], 2014)
     assert table.entries == {"A": Fraction(3, 2), "B": Fraction(1, 2)}
     assert table.year == 2014
-    assert table.provenance == RAW
 
 
 def test_accumulate_empty_stream_gives_empty_table():
@@ -163,7 +160,7 @@ def test_accumulator_rescales_its_denominator_exactly():
         "D": Fraction(1, 4),
     }
     assert list(table.entries) == ["A", "B", "C", "D"]
-    assert table.year == 2014 and table.provenance == RAW
+    assert table.year == 2014
 
 
 def paper_strategy(max_authors: int, max_institutions: int):
@@ -239,10 +236,9 @@ def test_score_venue_years_keys_tables_by_venue_and_year():
     assert tables[("V1", 2014)].entries == {"A": Fraction(1, 2), "B": Fraction(1, 2)}
 
 
-def test_order_by_score_breaks_ties_by_id_in_either_direction():
+def test_order_by_score_breaks_ties_by_id_ascending():
     entries = {"C": Fraction(1, 3), "A": Fraction(1, 2), "B": Fraction(1, 3), "D": 0.5}
     assert [i for i, _ in order_by_score(entries)] == ["A", "D", "B", "C"]
-    assert [i for i, _ in order_by_score(entries, best_first=False)] == ["B", "C", "A", "D"]
 
 
 SCORE_IDS = st.text(alphabet="ABCDEFG", min_size=1, max_size=3)
@@ -260,21 +256,17 @@ SCORE_IDS = st.text(alphabet="ABCDEFG", min_size=1, max_size=3)
             SCORE_IDS, st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0, 2.5, 1e-300]), max_size=40
         ),
     ),
-    st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_order_by_score_matches_the_score_then_id_key(entries, best_first):
-    # Best first: highest score, then id ascending; worst first: the
-    # lowest score first, ties still by id ascending.
-    sign = -1 if best_first else 1
-    expected = sorted(entries.items(), key=lambda kv: (sign * kv[1], kv[0]))
-    assert order_by_score(entries, best_first=best_first) == expected
+def test_order_by_score_matches_the_score_then_id_key(entries):
+    # Highest score first, ties by id ascending.
+    expected = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert order_by_score(entries) == expected
 
 
 def test_normalize_scales_max_to_one():
     table = normalize(make_table(2014, {"A": 4, "B": 1}))
     assert table.entries == {"A": Fraction(1), "B": Fraction(1, 4)}
-    assert table.provenance == NORMALIZED
 
 
 def test_normalize_is_idempotent():

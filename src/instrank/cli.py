@@ -1,7 +1,8 @@
 """Command-line front-end: synth, score, aggregate, evaluate, pipeline.
 
 Exit codes are part of the contract: 0 success, 2 configuration error,
-3 I/O error, 4 parse failure under --strict, 5 all-zero ground truth.
+3 I/O error, 4 parse failure under --strict or a paper id listed twice
+among the filtered papers, 5 all-zero ground truth.
 All outputs are UTF-8 with LF line endings and rerunning any command on
 unchanged inputs reproduces its outputs byte for byte.
 """
@@ -38,6 +39,7 @@ from .evaluate import (
     render_report_text,
 )
 from .ingest import (
+    DuplicatePaperIdError,
     MalformedRowError,
     ParseStats,
     TableSchema,
@@ -45,7 +47,7 @@ from .ingest import (
     filter_papers,
     iter_affiliations,
     iter_papers,
-    join_affiliations,
+    join_affiliations,  # noqa: F401 - perfbench/traced.py wraps it on this module
 )
 from .scoring import (
     ScoreTable,
@@ -257,7 +259,12 @@ def _describe_rows(stats: ParseStats) -> str:
 
 
 def cmd_score(config: PipelineConfig) -> int:
-    """One streaming pass over both dumps, emitting per-venue-year tables."""
+    """One streaming pass over both dumps, emitting per-venue-year tables.
+
+    ``score_venue_years`` runs the first three phases: index the filtered
+    papers, bucket the affiliation rows under them, credit each
+    venue-year. The fourth writes one score file per venue and scored year.
+    """
     if not config.venues:
         log.warning("venue set is empty; nothing to score")
         return EXIT_OK
@@ -266,6 +273,18 @@ def cmd_score(config: PipelineConfig) -> int:
     venue_set = set(config.venues)
     paper_stats = ParseStats()
     affil_stats = ParseStats()
+    kept = unattributed = 0
+
+    def count_kept(papers):
+        nonlocal kept
+        for paper in papers:
+            kept += 1
+            yield paper
+
+    def count_missing(_paper) -> None:
+        nonlocal unattributed
+        unattributed += 1
+
     papers = filter_papers(
         iter_papers(config.papers_path, config.papers_schema, config.strict, paper_stats),
         venue_set,
@@ -274,13 +293,10 @@ def cmd_score(config: PipelineConfig) -> int:
     rows = iter_affiliations(
         config.affiliations_path, config.affiliations_schema, config.strict, affil_stats
     )
-    unattributed = 0
-
-    def count_missing(_paper) -> None:
-        nonlocal unattributed
-        unattributed += 1
-
-    tables = score_venue_years(join_affiliations(papers, rows, on_missing=count_missing))
+    try:
+        tables = score_venue_years(count_kept(papers), rows, count_missing)
+    except DuplicatePaperIdError as exc:
+        raise DuplicatePaperIdError(f"{config.papers_path}: {exc}") from exc
     for venue_id in config.venues:
         for year in span:
             table = tables.get((venue_id, year)) or ScoreTable(year, {})
@@ -290,6 +306,7 @@ def cmd_score(config: PipelineConfig) -> int:
     print(
         f"papers: {_describe_rows(paper_stats)}; "
         f"affiliations: {_describe_rows(affil_stats)}; "
+        f"papers kept by the venue/year filter: {kept}; "
         f"filtered papers without affiliations: {unattributed}",
         file=sys.stderr,
     )
@@ -535,7 +552,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InvalidPError, InvalidParamsError, KTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MalformedRowError as exc:
+    except (MalformedRowError, DuplicatePaperIdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ZeroIdealError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import gzip
 import io
 from dataclasses import dataclass
+from sys import intern
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 # Sentinel institution id assigned when the affiliation field is empty.
@@ -294,35 +295,61 @@ def filter_papers(
             yield paper
 
 
-def join_affiliations(
+def bucket_affiliations(
     papers: Iterable[PaperRecord],
     rows: Iterable[AffiliationRow],
     on_missing: Callable[[PaperRecord], None] | None = None,
-) -> Iterator[AttributedPaper]:
-    """Attach affiliation rows to each filtered paper.
+) -> Iterator[tuple[PaperRecord, list[str]]]:
+    """The join: each filtered paper with its flat ``[author, institution, ...]`` list.
 
-    The filtered papers are indexed in memory; the affiliation stream is
-    consumed once and never stored beyond the rows that match, so memory
-    is proportional to the filtered set, not the dump. Papers that end up
-    with no affiliation rows are reported through ``on_missing`` instead
-    of the main stream. Emission order follows the paper stream.
+    Memory is proportional to the filtered papers' rows, not the dump: the
+    affiliation stream is consumed once, and each matching row keeps only
+    its two ids, passed through ``sys.intern`` because a corpus has just a
+    few thousand distinct authors and institutions. Papers come out in
+    paper-stream order with their rows in file order; papers with no rows
+    go to ``on_missing`` instead.
     """
+    # Index the filtered papers by id.
     index: dict[str, PaperRecord] = {}
-    buckets: dict[str, list[AffiliationRow]] = {}
     for paper in papers:
         if paper.paper_id in index:
             raise DuplicatePaperIdError(
                 f"paper id {paper.paper_id!r} appears twice in the filtered set"
             )
         index[paper.paper_id] = paper
-        buckets[paper.paper_id] = []
+    # Bucket the matching rows; rows of other papers are dropped as they pass.
+    buckets: dict[str, list[str]] = {paper_id: [] for paper_id in index}
     for row in rows:
+        # Field access, not unpacking: unpacking a tuple subclass takes the slow path.
         bucket = buckets.get(row.paper_id)
         if bucket is not None:
-            bucket.append(row)
+            bucket.append(intern(row.author_id))
+            bucket.append(intern(row.institution_id))
+    # Emit, popping each bucket so its memory goes as the caller works through them.
     for paper_id, paper in index.items():
-        matched = buckets[paper_id]
-        if matched:
-            yield AttributedPaper(paper, tuple(matched))
+        flat = buckets.pop(paper_id)
+        if flat:
+            yield paper, flat
         elif on_missing is not None:
             on_missing(paper)
+
+
+def join_affiliations(
+    papers: Iterable[PaperRecord],
+    rows: Iterable[AffiliationRow],
+    on_missing: Callable[[PaperRecord], None] | None = None,
+) -> Iterator[AttributedPaper]:
+    """Attach affiliation rows to each filtered paper, in paper-stream order.
+
+    Built on ``bucket_affiliations``; each paper's ``AffiliationRow``s are
+    rebuilt from its flat list only as the paper is emitted.
+    """
+    for paper, flat in bucket_affiliations(papers, rows, on_missing):
+        ids = iter(flat)
+        yield AttributedPaper(
+            paper,
+            tuple(
+                AffiliationRow(paper.paper_id, author_id, institution_id)
+                for author_id, institution_id in zip(ids, ids)
+            ),
+        )

@@ -16,9 +16,15 @@ import math
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .ingest import UNKNOWN_INSTITUTION, AttributedPaper
+from .ingest import (
+    UNKNOWN_INSTITUTION,
+    AffiliationRow,
+    AttributedPaper,
+    PaperRecord,
+    bucket_affiliations,
+)
 
 log = logging.getLogger(__name__)
 
@@ -57,18 +63,18 @@ class ScoreTable:
     tag: InitVar[object] = None  # ignored, see RAW
 
 
-def credit_parts(paper: AttributedPaper) -> Iterator[tuple[str, int]]:
-    """Yield ``(institution, denominator)`` for each author-institution pair.
+def credit_parts(pairs: Iterable[tuple[str, str]]) -> Iterator[tuple[str, int]]:
+    """Yield ``(institution, denominator)`` for one paper's author-institution pairs.
 
     This is the attribution rule: the pair earns ``1/denominator`` of the
     paper, where ``denominator`` is the number of distinct authors times
     that author's distinct institutions on the paper. Duplicate (author,
-    institution) rows count once, and the UNKNOWN sentinel is credited
+    institution) pairs count once, and the UNKNOWN sentinel is credited
     like any other institution, so a paper's parts sum to exactly 1.
     """
     by_author: dict[str, dict[str, None]] = {}
-    for row in paper.affiliations:
-        by_author.setdefault(row.author_id, {})[row.institution_id] = None
+    for author, institution in pairs:
+        by_author.setdefault(author, {})[institution] = None
     author_count = len(by_author)
     for institutions in by_author.values():
         denominator = author_count * len(institutions)
@@ -79,7 +85,8 @@ def credit_parts(paper: AttributedPaper) -> Iterator[tuple[str, int]]:
 def paper_shares(paper: AttributedPaper) -> ShareList:
     """Split one paper's unit of credit per the attribution rule."""
     credit: dict[str, Fraction] = {}
-    for institution, denominator in credit_parts(paper):
+    pairs = ((row.author_id, row.institution_id) for row in paper.affiliations)
+    for institution, denominator in credit_parts(pairs):
         credit[institution] = credit.get(institution, 0) + Fraction(1, denominator)
     shares = tuple(
         InstitutionShare(institution, amount)
@@ -116,8 +123,9 @@ class CreditAccumulator:
         scaled = numerator * (common // denominator)
         self.numerators[institution] = self.numerators.get(institution, 0) + scaled
 
-    def add_paper(self, paper: AttributedPaper) -> None:
-        for institution, denominator in credit_parts(paper):
+    def add_paper(self, pairs: Iterable[tuple[str, str]]) -> None:
+        """Credit one paper from its ``(author, institution)`` pairs."""
+        for institution, denominator in credit_parts(pairs):
             self.add(institution, 1, denominator)
 
     def table(self) -> ScoreTable:
@@ -130,16 +138,26 @@ class CreditAccumulator:
 
 
 def score_venue_years(
-    papers: Iterable[AttributedPaper],
+    papers: Iterable[PaperRecord],
+    rows: Iterable[AffiliationRow],
+    on_missing: Callable[[PaperRecord], None] | None = None,
 ) -> dict[tuple[str, int], ScoreTable]:
-    """Raw tables keyed by (venue, year) for every venue-year that has papers."""
+    """Raw tables keyed by (venue, year) for every venue-year that has papers.
+
+    ``papers`` is the filtered paper stream and ``rows`` the affiliation
+    stream. The join (``bucket_affiliations``) indexes the papers and
+    buckets the rows; each paper is then credited into its venue-year's
+    accumulator straight from its flat id list, which is freed as it goes.
+    Filtered papers without rows go to ``on_missing`` and earn no credit.
+    """
     accumulators: dict[tuple[str, int], CreditAccumulator] = {}
-    for attributed in papers:
-        key = (attributed.paper.venue_id, attributed.paper.year)
+    for paper, flat in bucket_affiliations(papers, rows, on_missing):
+        key = (paper.venue_id, paper.year)
         accumulator = accumulators.get(key)
         if accumulator is None:
-            accumulator = accumulators[key] = CreditAccumulator(attributed.paper.year)
-        accumulator.add_paper(attributed)
+            accumulator = accumulators[key] = CreditAccumulator(paper.year)
+        ids = iter(flat)
+        accumulator.add_paper(zip(ids, ids))
     return {key: accumulator.table() for key, accumulator in accumulators.items()}
 
 

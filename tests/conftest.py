@@ -27,6 +27,13 @@ def make_attributed(
     return AttributedPaper(paper, affiliations)
 
 
+def as_streams(
+    papers: list[AttributedPaper],
+) -> tuple[list[PaperRecord], list[AffiliationRow]]:
+    """The paper stream and the affiliation stream that ``score_venue_years`` reads."""
+    return [p.paper for p in papers], [row for p in papers for row in p.affiliations]
+
+
 def make_table(year: int, entries: dict) -> ScoreTable:
     exact = {
         institution: value if isinstance(value, Fraction) else Fraction(value)

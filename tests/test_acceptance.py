@@ -139,19 +139,22 @@ def test_streaming_scores_equal_the_naive_oracle(announce):
             )
             with tempfile.TemporaryDirectory() as tmp:
                 corpus = generate_corpus(params, tmp)
-                papers = iter_papers(
-                    corpus.papers_path, TableSchema.papers_default(), strict=True
-                )
                 venues = {f"V{i}" for i in range(num_venues)}
-                kept = filter_papers(papers, venues, span)
-                rows = iter_affiliations(
-                    corpus.affiliations_path,
-                    TableSchema.affiliations_default(),
-                    strict=True,
-                )
-                joined = list(join_affiliations(kept, rows))
-                # The accumulator that ``instrank score`` runs.
-                streamed = score_venue_years(joined)
+
+                def streams():
+                    papers = iter_papers(
+                        corpus.papers_path, TableSchema.papers_default(), strict=True
+                    )
+                    rows = iter_affiliations(
+                        corpus.affiliations_path,
+                        TableSchema.affiliations_default(),
+                        strict=True,
+                    )
+                    return filter_papers(papers, venues, span), rows
+
+                # The scoring path that ``instrank score`` runs, from the same streams.
+                streamed = score_venue_years(*streams())
+                joined = list(join_affiliations(*streams()))
                 for venue in venues:
                     reference = naive_score(
                         paper for paper in joined if paper.paper.venue_id == venue

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_rank_list, make_table
 from instrank.aggregate import (
@@ -472,3 +474,59 @@ def test_ranking_json_echoes_the_spec(tmp_path):
     assert payload["method"]["fagin_k"] == 5
     assert len(payload["items"]) == 5
     assert payload["items"][0]["rank"] == 1
+
+
+def reference_ranking_json(rank_list: RankList, spec: AggregationSpec) -> bytes:
+    """The bytes ``json.dump(payload, out, indent=2)`` writes, plus the final newline."""
+    import json
+
+    payload = {
+        "method": {
+            "name": spec.method,
+            "borda_variant": spec.borda_variant if spec.method == "borda" else None,
+            "p": spec.p,
+            "fagin_k": spec.fagin_k if spec.method == "fagin" else None,
+            "label": spec.label,
+        },
+        "items": [
+            {"rank": item.rank, "institution_id": item.institution_id, "score": float(item.score)}
+            for item in rank_list.items
+        ],
+    }
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+@st.composite
+def aggregation_specs(draw) -> AggregationSpec:
+    method = draw(st.sampled_from(["normalized_sum", "borda", "fagin"]))
+    variant = draw(st.sampled_from(["sum", "median", "geometric_mean", "p_norm"]))
+    if method == "borda" and variant == "p_norm":
+        p = draw(st.floats(min_value=0.0, exclude_min=True))
+    else:
+        p = draw(st.none() | st.floats())
+    fagin_k = draw(st.none() | st.integers(min_value=1, max_value=500))
+    return AggregationSpec(method, variant, p=p, fagin_k=fagin_k)
+
+
+# Ids with the characters JSON escapes or that a naive writer might trip on.
+tricky_ids = st.text(alphabet='"\\,\x00\x1f\x7f\n\t é€😀aZ', max_size=8) | st.text(max_size=8)
+
+
+@given(
+    aggregation_specs(),
+    st.lists(st.tuples(tricky_ids, st.floats() | st.fractions(-(10**6), 10**6)), max_size=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_ranking_json_writes_the_bytes_of_json_dump(tmp_path_factory, spec, pairs):
+    ranking = make_rank_list(spec.label, pairs)
+    path = tmp_path_factory.mktemp("json") / "ranking.json"
+    write_ranking_json(ranking, spec, str(path))
+    assert path.read_bytes() == reference_ranking_json(ranking, spec)
+
+
+def test_an_empty_ranking_json_writes_an_empty_items_list(tmp_path):
+    spec = AggregationSpec.parse("borda:p_norm:2.5")
+    path = tmp_path / "ranking.json"
+    write_ranking_json(RankList(spec.label, ()), spec, str(path))
+    assert path.read_bytes() == reference_ranking_json(RankList(spec.label, ()), spec)
+    assert b'"items": []\n}\n' in path.read_bytes()

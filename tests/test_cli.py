@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from instrank.aggregate import ranking_file_name, read_ranking_csv, run_aggregation
-from instrank import cli
+from instrank import cli, scoring
 from instrank.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -300,6 +300,17 @@ def test_exit_4_on_malformed_row_under_strict(tmp_path):
     assert main(["score", "--config", cfg_path]) == EXIT_OK
 
 
+def test_exit_4_on_a_paper_id_listed_twice(tmp_path, capsys):
+    cfg_path, _ = tiny_config(tmp_path)
+    papers, _ = tiny_dumps(tmp_path)
+    with open(papers, "a", encoding="utf-8") as out:
+        out.write("P1\t\t\t2012\t\t\t\t\tV0\n")  # P1 is already listed for 2011
+    assert main(["score", "--config", cfg_path]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"error: {papers}: paper id 'P1' appears twice in the filtered set\n" in err
+    assert "Traceback" not in err
+
+
 def test_exit_5_on_all_zero_truth_year(tmp_path):
     # Truth year 2014 has no papers, so its score table is empty.
     cfg_path, _ = tiny_config(
@@ -324,6 +335,35 @@ def test_score_writes_a_file_for_every_venue_year(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "papers: 9 rows, 0 skipped" in err
     assert "filtered papers without affiliations: 0" in err
+
+
+def test_score_summary_counts_the_papers_kept_by_the_filter(tmp_path, capsys):
+    cfg_path, _ = tiny_config(tmp_path, train="2011", truth="2012")
+    papers, _ = tiny_dumps(tmp_path)
+    with open(papers, "a", encoding="utf-8") as out:
+        out.write("P98\t\t\t2011\t\t\t\t\tV0\n")  # kept, but has no affiliations
+        out.write("P99\t\t\t2011\t\t\t\t\tV9\n")  # another venue
+    assert main(["score", "--config", cfg_path]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "papers: 11 rows, 0 skipped; " in err
+    assert "; papers kept by the venue/year filter: 7; " in err
+    assert "; filtered papers without affiliations: 1" in err
+
+
+def test_score_runs_the_shared_scoring_path_once(tmp_path, monkeypatch):
+    assert cli.score_venue_years is scoring.score_venue_years
+    calls = []
+
+    def spy(papers, rows, on_missing=None):
+        calls.append(on_missing)
+        return scoring.score_venue_years(papers, rows, on_missing)
+
+    monkeypatch.setattr(cli, "score_venue_years", spy)
+    cfg_path, out_dir = tiny_config(tmp_path)
+    assert main(["score", "--config", cfg_path]) == EXIT_OK
+    assert len(calls) == 1
+    table = read_score_csv(os.path.join(out_dir, score_file_name("V0", 2011)), 2011)
+    assert table.entries == {"IA": Fraction(2), "IB": Fraction(1)}
 
 
 def test_score_summary_names_the_first_skipped_row(tmp_path, capsys):

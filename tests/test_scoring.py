@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_attributed, make_table
-from instrank.ingest import UNKNOWN_INSTITUTION, AffiliationRow
+from conftest import as_streams, make_attributed, make_table
+from instrank.ingest import UNKNOWN_INSTITUTION, AffiliationRow, PaperRecord, join_affiliations
 from instrank.scoring import (
     CreditAccumulator,
     ScoreTable,
@@ -27,6 +27,7 @@ from instrank.scoring import (
     score_venue_years,
     write_score_csv,
 )
+from instrank.synth import naive_score
 
 
 def test_single_author_single_institution_gets_everything():
@@ -140,17 +141,17 @@ def test_any_partitioning_merges_to_the_sequential_table():
 
 
 def test_credit_parts_follow_the_attribution_rule():
-    paper = make_attributed([("a1", "A"), ("a1", "B"), ("a1", "A"), ("a2", "A")])
-    assert list(credit_parts(paper)) == [("A", 4), ("B", 4), ("A", 2)]
+    pairs = [("a1", "A"), ("a1", "B"), ("a1", "A"), ("a2", "A")]
+    assert list(credit_parts(pairs)) == [("A", 4), ("B", 4), ("A", 2)]
 
 
 def test_accumulator_rescales_its_denominator_exactly():
     accumulator = CreditAccumulator(2014)
     # Three authors with one institution each: parts of 1/3.
-    accumulator.add_paper(make_attributed([("a1", "A"), ("a2", "B"), ("a3", "C")]))
+    accumulator.add_paper([("a1", "A"), ("a2", "B"), ("a3", "C")])
     assert accumulator.denominator == 3
     # Two authors, one with two institutions: parts of 1/2 and 1/4.
-    accumulator.add_paper(make_attributed([("a1", "A"), ("a2", "B"), ("a2", "D")]))
+    accumulator.add_paper([("a1", "A"), ("a2", "B"), ("a2", "D")])
     assert accumulator.denominator == 12
     table = accumulator.table()
     assert table.entries == {
@@ -206,7 +207,7 @@ def test_accumulator_equals_the_fraction_sum_of_paper_shares(
             expected[institution] = expected.get(institution, Fraction(0)) + amount
     expected = dict(sorted(expected.items()))
 
-    streamed = score_venue_years(papers)
+    streamed = score_venue_years(*as_streams(papers))
     assert list(streamed) == [("V0", 2014)]
     table = streamed[("V0", 2014)]
     assert list(table.entries.items()) == list(expected.items())
@@ -215,7 +216,7 @@ def test_accumulator_equals_the_fraction_sum_of_paper_shares(
     shards: list[list] = [[], [], [], []]
     for serial, paper in enumerate(papers):
         shards[shard_of[serial % len(shard_of)]].append(paper)
-    parts = [score_venue_years(shard)[("V0", 2014)] for shard in shards if shard]
+    parts = [score_venue_years(*as_streams(shard))[("V0", 2014)] for shard in shards if shard]
     merged = merge_partials(parts)
     assert list(merged.entries.items()) == list(expected.items())
     assert [float(v) for v in merged.entries.values()] == [
@@ -229,11 +230,68 @@ def test_score_venue_years_keys_tables_by_venue_and_year():
         make_attributed([("a1", "B")], paper_id="P2", year=2015, venue_id="V0"),
         make_attributed([("a1", "A"), ("a2", "B")], paper_id="P3", year=2014, venue_id="V1"),
     ]
-    tables = score_venue_years(papers)
+    tables = score_venue_years(*as_streams(papers))
     assert set(tables) == {("V0", 2014), ("V0", 2015), ("V1", 2014)}
     assert tables[("V0", 2015)].year == 2015
     assert tables[("V0", 2014)].entries == {"A": Fraction(1)}
     assert tables[("V1", 2014)].entries == {"A": Fraction(1, 2), "B": Fraction(1, 2)}
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.booleans(),  # selected by the filter
+            st.sampled_from(["V0", "V1"]),
+            st.integers(min_value=2011, max_value=2012),
+            # Small pools make duplicate (author, institution) rows common.
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["a1", "a2", "a3"]),
+                    st.sampled_from(["A", "B", "C", UNKNOWN_INSTITUTION]),
+                ),
+                max_size=6,
+            ),
+        ),
+        max_size=20,
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_score_venue_years_equals_the_oracle_over_the_join(drawn, rng):
+    papers = [
+        PaperRecord(f"P{serial}", year, venue) for serial, (_, venue, year, _) in enumerate(drawn)
+    ]
+    selected = [paper for paper, (chosen, *_) in zip(papers, drawn) if chosen]
+    rows = [
+        AffiliationRow(paper.paper_id, author, institution)
+        for paper, (*_, pairs) in zip(papers, drawn)
+        for author, institution in pairs
+    ]
+    rng.shuffle(rows)  # rows of one paper interleave with the others'
+
+    missing_scored: list[PaperRecord] = []
+    tables = score_venue_years(iter(selected), iter(rows), missing_scored.append)
+    missing_joined: list[PaperRecord] = []
+    joined = list(join_affiliations(iter(selected), iter(rows), missing_joined.append))
+
+    # The join keeps paper-stream order, and each paper's rows in file order.
+    with_rows = {row.paper_id for row in rows}
+    attributed = [paper for paper in selected if paper.paper_id in with_rows]
+    assert [a.paper for a in joined] == attributed
+    for a in joined:
+        assert a.affiliations == tuple(r for r in rows if r.paper_id == a.paper.paper_id)
+    assert missing_scored == missing_joined
+    assert missing_joined == [paper for paper in selected if paper not in attributed]
+
+    expected = {
+        (venue, year): table
+        for venue in ("V0", "V1")
+        for year, table in naive_score(a for a in joined if a.paper.venue_id == venue).items()
+    }
+    assert tables.keys() == expected.keys()
+    for key, table in tables.items():
+        assert table.year == expected[key].year
+        assert list(table.entries.items()) == list(expected[key].entries.items())
 
 
 def test_order_by_score_breaks_ties_by_id_ascending():

@@ -3,9 +3,11 @@
 Every year is normalized once (``YearTables.normalized``) and three
 aggregation families read that view: a normalized score sum over the
 years, positional (Borda-style) point counts with several combining
-variants, and Fagin-style top-k by mean normalized score. All of them
-rank higher values first and break score ties by institution id
-ascending, so every output is deterministic.
+variants, and Fagin-style top-k by mean normalized score. A normalized
+year is its integer numerators over the year's top numerator, so sums
+and orderings are integer arithmetic. All of them rank higher values
+first and break score ties by institution id ascending, so every output
+is deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, NamedTuple, Sequence
 
-from .scoring import ScoreTable, drop_unknown, normalize, order_by_score
+from .scoring import (
+    MalformedFileError,
+    ScoreTable,
+    drop_unknown,
+    normalize,
+    order_by_score,
+)
 
 METHOD_NORMALIZED_SUM = "normalized_sum"
 METHOD_BORDA = "borda"
@@ -41,7 +49,7 @@ class InvalidPError(ValueError):
 class RankedItem(NamedTuple):
     rank: int
     institution_id: str
-    score: Fraction | float
+    score: float
 
 
 @dataclass(frozen=True)
@@ -55,11 +63,20 @@ class RankList:
         return [item.institution_id for item in self.items]
 
 
-@dataclass(frozen=True)
-class FinalScoreTable:
-    """Aggregated values over all years; higher values rank first."""
+class FinalScoreTable(ScoreTable):
+    """Aggregated values over all years; higher values rank first.
 
-    entries: dict[str, Fraction | float]
+    The same integer shape as a year table, without a year.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, entries: Mapping[str, Fraction | float]) -> None:
+        super().__init__(None, entries)
+
+    @property
+    def label(self) -> str:
+        return "aggregate"
 
 
 @dataclass(frozen=True)
@@ -127,42 +144,46 @@ class AggregationSpec:
         raise ValueError(f"unknown aggregation method {name!r}")
 
 
-def to_ranking(
-    table: ScoreTable | FinalScoreTable, label: str | None = None
-) -> RankList:
+def to_ranking(table: ScoreTable, label: str | None = None) -> RankList:
     """Order a table into ranks 1..n, highest score first, ties by id ascending.
 
-    Year tables shed the UNKNOWN sentinel first.
+    The sort compares the table's integer numerators; each item's score is
+    the float of its exact value. The UNKNOWN sentinel is dropped first.
+    The label defaults to the table's own (its year, or ``aggregate``).
     """
-    if isinstance(table, ScoreTable):
-        entries: Mapping[str, Fraction | float] = drop_unknown(table).entries
-        if label is None:
-            label = str(table.year)
-    else:
-        entries = table.entries
-        if label is None:
-            label = "aggregate"
+    visible = drop_unknown(table)
+    denominator = visible.denominator
     items = tuple(
-        RankedItem(position, institution, score)
-        for position, (institution, score) in enumerate(order_by_score(entries), start=1)
+        RankedItem(position, institution, numerator / denominator)
+        for position, (institution, numerator) in enumerate(
+            order_by_score(visible.numerators), start=1
+        )
     )
-    return RankList(label, items)
+    return RankList(table.label if label is None else label, items)
 
 
 class YearTables:
     """One venue's per-year tables, normalized once for any number of specs.
 
     The UNKNOWN sentinel is dropped and every year scaled to a maximum of
-    1 up front; ``normalized`` is the one view every method reads. The
-    yearly rankings the positional methods start from are built from it
-    on first use, and both are shared by every spec aggregated over the
-    same years.
+    1 up front: a normalized year is the year's numerators over its top
+    numerator, so building it copies nothing. ``normalized`` is the one
+    view every method reads. The yearly rankings the positional methods
+    start from are built from it on first use, and both are shared by
+    every spec aggregated over the same years; ``through`` shares the
+    views with a shorter span.
     """
 
     def __init__(self, tables: Sequence[ScoreTable]) -> None:
         if not tables:
             raise ValueError("no year tables to aggregate")
         self.normalized = [normalize(drop_unknown(table)) for table in tables]
+
+    def through(self, year: int) -> "YearTables":
+        """The years up to ``year``, sharing these normalized views."""
+        head = object.__new__(YearTables)
+        head.normalized = [table for table in self.normalized if table.year <= year]
+        return head
 
     @cached_property
     def rankings(self) -> list[RankList]:
@@ -173,17 +194,21 @@ def normalized_sum(year_tables: YearTables | Sequence[ScoreTable]) -> FinalScore
     """Sum each institution's normalized scores over the years.
 
     Years where an institution is absent contribute nothing, and an
-    all-zero year adds 0 but keeps its institutions. Arithmetic is exact,
-    so rescaling any year's raw scores by a positive constant leaves the
+    all-zero year adds 0 but keeps its institutions. The sum is exact, an
+    integer over the lcm of the years' denominators (their tops), so
+    rescaling any year's raw scores by a positive constant leaves the
     result bit-identical.
     """
     if not isinstance(year_tables, YearTables):
         year_tables = YearTables(year_tables)
-    totals: dict[str, Fraction] = {}
-    for table in year_tables.normalized:
-        for institution, amount in table.entries.items():
-            totals[institution] = totals.get(institution, 0) + amount
-    return FinalScoreTable(dict(sorted(totals.items())))
+    tables = year_tables.normalized
+    common = math.lcm(*(table.denominator for table in tables))
+    totals: dict[str, int] = {}
+    for table in tables:
+        factor = common // table.denominator
+        for institution, numerator in table.numerators.items():
+            totals[institution] = totals.get(institution, 0) + numerator * factor
+    return FinalScoreTable.from_numerators(None, dict(sorted(totals.items())), common)
 
 
 def borda_scores(rank_list: RankList) -> dict[str, int]:
@@ -219,11 +244,11 @@ def borda_aggregate(
     points = [borda_scores(rl) for rl in rank_lists]
     universe = sorted({institution for pts in points for institution in pts})
     count = len(rank_lists)
-    entries: dict[str, Fraction | float] = {}
+    entries: dict[str, int | float] = {}
     for institution in universe:
         values = [pts.get(institution, 0) for pts in points]
         if variant == "sum":
-            entries[institution] = Fraction(sum(values))
+            entries[institution] = sum(values)
         elif variant == "median":
             entries[institution] = statistics.median(values)
         elif variant == "geometric_mean":
@@ -253,14 +278,21 @@ def fagin_topk(tables: Sequence[ScoreTable], k: int) -> RankList:
         raise ValueError("no year tables given")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    universe = {institution for table in tables for institution in table.entries}
+    universe = {institution for table in tables for institution in table.numerators}
     n = len(universe)
     if k > n:
         raise KTooLargeError(f"k={k} exceeds universe of {n}")
-    # fsum makes the mean independent of year order.
+    # Each year's value is the float of its exact score; fsum makes the
+    # mean independent of year order.
+    values = [
+        {
+            institution: numerator / table.denominator
+            for institution, numerator in table.numerators.items()
+        }
+        for table in tables
+    ]
     means = {
-        institution: math.fsum(float(table.entries.get(institution, 0)) for table in tables)
-        / len(tables)
+        institution: math.fsum(year.get(institution, 0.0) for year in values) / len(tables)
         for institution in universe
     }
     ordered = sorted(means, key=lambda inst: (-means[inst], inst))[:k]
@@ -304,19 +336,28 @@ def write_ranking_csv(rank_list: RankList, path: str) -> None:
 
 
 def read_ranking_csv(path: str, label: str) -> RankList:
+    """Read a file written by write_ranking_csv.
+
+    A bad header, rank or score raises ``MalformedFileError`` naming the
+    file and the row (the header is row 1).
+    """
     items = []
     with open(path, "r", encoding="utf-8", newline="\n") as src:
         header = src.readline()
         if header.strip() != "rank,institution_id,score":
-            raise ValueError(f"{path}: not a ranking file")
-        for line in src:
+            raise MalformedFileError(path, 1, f"not a ranking header: {header.strip()!r}")
+        for line_number, line in enumerate(src, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
             # Institution ids may contain commas; rank and score cannot.
             rank_text, _, rest = line.partition(",")
             institution, _, score_text = rest.rpartition(",")
-            items.append(RankedItem(int(rank_text), institution, float(score_text)))
+            try:
+                item = RankedItem(int(rank_text), institution, float(score_text))
+            except ValueError as exc:
+                raise MalformedFileError(path, line_number, str(exc)) from None
+            items.append(item)
     return RankList(label, tuple(items))
 
 

@@ -1,8 +1,9 @@
 """Command-line front-end: synth, score, aggregate, evaluate, pipeline.
 
 Exit codes are part of the contract: 0 success, 2 configuration error,
-3 I/O error, 4 parse failure under --strict or a paper id listed twice
-among the filtered papers, 5 all-zero ground truth.
+3 I/O error, 4 parse failure under --strict, a paper id listed twice
+among the filtered papers, or a malformed score or ranking file (named
+with its row), 5 all-zero ground truth.
 All outputs are UTF-8 with LF line endings and rerunning any command on
 unchanged inputs reproduces its outputs byte for byte.
 """
@@ -50,6 +51,7 @@ from .ingest import (
     join_affiliations,  # noqa: F401 - perfbench/traced.py wraps it on this module
 )
 from .scoring import (
+    MalformedFileError,
     ScoreTable,
     paper_shares,  # noqa: F401 - perfbench/traced.py wraps it on this module
     read_score_csv,
@@ -328,10 +330,9 @@ def _rank_venue(
     config: PipelineConfig,
     venue_id: str,
     specs: Sequence[AggregationSpec],
-    tables: Sequence[ScoreTable],
+    years: YearTables,
 ) -> dict[str, RankList]:
-    """Aggregate one venue's training tables with every spec and write each ranking."""
-    years = YearTables(tables)
+    """Aggregate one venue's training years with every spec and write each ranking."""
     rankings = {}
     for spec in specs:
         try:
@@ -356,7 +357,7 @@ def cmd_aggregate(config: PipelineConfig, method: str | None = None) -> int:
             raise ConfigError(str(exc)) from exc
     for venue_id in config.venues:
         tables = _read_tables(config, venue_id, config.train_years)
-        _rank_venue(config, venue_id, specs, list(tables.values()))
+        _rank_venue(config, venue_id, specs, YearTables(list(tables.values())))
     return EXIT_OK
 
 
@@ -398,30 +399,28 @@ def cmd_evaluate(config: PipelineConfig) -> EvalReport:
 def cmd_pipeline(config: PipelineConfig) -> int:
     """score, aggregate, evaluate, then predict the year after the truth year.
 
-    Each score file is read back once, and everything after that runs on
-    those tables in memory: every venue's rankings are written first, then
-    the report, then the predictions.
+    Each score file is read back once and each venue-year normalized once;
+    everything after that runs on those views in memory: every venue's
+    rankings are written first, then the report, then the predictions,
+    which aggregate every scored year.
     """
     code = cmd_score(config)
     if code != EXIT_OK or not config.venues:
         return code
-    tables_by_venue = {}
+    years_by_venue = {}
     rankings_by_venue = {}
+    truth_by_venue = {}
     for venue_id in config.venues:
         tables = _read_tables(config, venue_id, config.scored_years())
-        tables_by_venue[venue_id] = tables
-        training = [tables[year] for year in config.train_years]
+        years = years_by_venue[venue_id] = YearTables(list(tables.values()))
+        training = years.through(config.train_years.high)
         rankings_by_venue[venue_id] = _rank_venue(config, venue_id, config.specs, training)
-    truth_by_venue = {
-        venue_id: GroundTruth.from_score_table(tables[config.truth_year])
-        for venue_id, tables in tables_by_venue.items()
-    }
+        truth_by_venue[venue_id] = GroundTruth.from_score_table(tables[config.truth_year])
     report = evaluate_rankings(rankings_by_venue, truth_by_venue, config.k)
     _write_report(config, report)
     by_label = {spec.label: spec for spec in config.specs}
     for row in report.rows:
-        tables = list(tables_by_venue[row.venue_id].values())
-        prediction = run_aggregation(by_label[row.winner], tables)
+        prediction = run_aggregation(by_label[row.winner], years_by_venue[row.venue_id])
         write_ranking_csv(
             prediction,
             os.path.join(config.output_dir, f"prediction_{row.venue_id}.csv"),
@@ -552,7 +551,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InvalidPError, InvalidParamsError, KTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MalformedRowError, DuplicatePaperIdError) as exc:
+    except (MalformedRowError, MalformedFileError, DuplicatePaperIdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ZeroIdealError as exc:

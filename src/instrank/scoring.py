@@ -2,21 +2,22 @@
 
 Each paper carries one unit of credit, split equally over its distinct
 authors, then over each author's distinct institutions on that paper.
-Shares are exact rationals, so accumulation is associative and any
-partitioning of the paper stream merges to a bit-identical table; final
-tables are keyed in sorted institution order for reproducible iteration.
-Sums are kept as integer numerators over one common denominator and
-turned into one ``Fraction`` per institution when the table is built.
+Credit is exact: a table holds integer numerators over one common
+denominator, so accumulation is associative and any partitioning of the
+paper stream merges to a bit-identical table. The same integers carry a
+table through the score file, its read-back and aggregation; a
+``Fraction`` per entry is built only when ``ScoreTable.entries`` is read.
+Tables are keyed in sorted institution order for reproducible iteration.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .ingest import (
     UNKNOWN_INSTITUTION,
@@ -37,6 +38,16 @@ class YearMismatchError(ValueError):
     """Partial tables for different years cannot be merged."""
 
 
+class MalformedFileError(ValueError):
+    """A score or ranking file row that cannot be read back."""
+
+    def __init__(self, path: str, line_number: int, reason: str):
+        super().__init__(f"{path}: row {line_number}: {reason}")
+        self.path = path
+        self.line_number = line_number
+        self.reason = reason
+
+
 class InstitutionShare(NamedTuple):
     institution_id: str
     amount: Fraction
@@ -50,44 +61,100 @@ class ShareList:
     shares: tuple[InstitutionShare, ...]
 
 
-@dataclass(frozen=True)
 class ScoreTable:
-    """Institution credit for one year.
+    """Institution credit for one year: ``numerators[i] / denominator``.
 
-    Raw tables may carry the UNKNOWN sentinel; ranking-grade outputs must
-    not.
+    ``ScoreTable(year, entries)`` takes exact values (``Fraction``, ``int``
+    or ``float``) and puts them over their least common denominator; the
+    third argument is ignored (see ``RAW``). ``from_numerators`` adopts
+    integers already over one positive denominator. ``entries`` is the
+    ``Fraction`` view, built on first use. Raw tables may carry the
+    UNKNOWN sentinel; ranking-grade outputs must not. Tables are not
+    modified once built.
     """
 
-    year: int
-    entries: dict[str, Fraction]
-    tag: InitVar[object] = None  # ignored, see RAW
+    __slots__ = ("year", "numerators", "denominator", "_entries")
+
+    def __init__(
+        self, year: int, entries: Mapping[str, Fraction | float], tag: object = None
+    ) -> None:
+        ratios = {institution: value.as_integer_ratio() for institution, value in entries.items()}
+        denominator = math.lcm(*(d for _, d in ratios.values()))
+        self.year = year
+        self.numerators = {
+            institution: n * (denominator // d) for institution, (n, d) in ratios.items()
+        }
+        self.denominator = denominator
+        self._entries: dict[str, Fraction] | None = None
+
+    @classmethod
+    def from_numerators(
+        cls, year: int, numerators: dict[str, int], denominator: int
+    ) -> "ScoreTable":
+        table = cls.__new__(cls)
+        table.year = year
+        table.numerators = numerators
+        table.denominator = denominator
+        table._entries = None
+        return table
+
+    @property
+    def entries(self) -> dict[str, Fraction]:
+        if self._entries is None:
+            denominator = self.denominator
+            self._entries = {
+                institution: Fraction(numerator, denominator)
+                for institution, numerator in self.numerators.items()
+            }
+        return self._entries
+
+    @property
+    def label(self) -> str:
+        """The default label of this table's ranking."""
+        return str(self.year)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScoreTable):
+            return NotImplemented
+        return self.year == other.year and self.entries == other.entries
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(year={self.year!r}, "
+            f"numerators={self.numerators!r}, denominator={self.denominator!r})"
+        )
 
 
-def credit_parts(pairs: Iterable[tuple[str, str]]) -> Iterator[tuple[str, int]]:
-    """Yield ``(institution, denominator)`` for one paper's author-institution pairs.
+def credit_parts(flat: Sequence[str]) -> list[tuple[int, dict[str, None]]]:
+    """Group one paper's flat ``[author, institution, ...]`` ids by author.
 
-    This is the attribution rule: the pair earns ``1/denominator`` of the
+    This is the attribution rule. Each group is ``(denominator,
+    institutions)``: every institution in it earns ``1/denominator`` of the
     paper, where ``denominator`` is the number of distinct authors times
     that author's distinct institutions on the paper. Duplicate (author,
     institution) pairs count once, and the UNKNOWN sentinel is credited
     like any other institution, so a paper's parts sum to exactly 1.
     """
     by_author: dict[str, dict[str, None]] = {}
-    for author, institution in pairs:
+    ids = iter(flat)
+    for author, institution in zip(ids, ids):
         by_author.setdefault(author, {})[institution] = None
     author_count = len(by_author)
-    for institutions in by_author.values():
-        denominator = author_count * len(institutions)
-        for institution in institutions:
-            yield institution, denominator
+    return [
+        (author_count * len(institutions), institutions)
+        for institutions in by_author.values()
+    ]
 
 
 def paper_shares(paper: AttributedPaper) -> ShareList:
     """Split one paper's unit of credit per the attribution rule."""
+    flat = [name for row in paper.affiliations for name in (row.author_id, row.institution_id)]
     credit: dict[str, Fraction] = {}
-    pairs = ((row.author_id, row.institution_id) for row in paper.affiliations)
-    for institution, denominator in credit_parts(pairs):
-        credit[institution] = credit.get(institution, 0) + Fraction(1, denominator)
+    for denominator, institutions in credit_parts(flat):
+        for institution in institutions:
+            credit[institution] = credit.get(institution, 0) + Fraction(1, denominator)
     shares = tuple(
         InstitutionShare(institution, amount)
         for institution, amount in sorted(credit.items())
@@ -111,30 +178,34 @@ class CreditAccumulator:
         self.denominator = 1
         self.numerators: dict[str, int] = {}
 
-    def add(self, institution: str, numerator: int, denominator: int) -> None:
-        """Add ``numerator/denominator`` to one institution's credit."""
+    def _scale(self, denominator: int) -> int:
+        """Make the common denominator a multiple of ``denominator``; return the quotient."""
         common = self.denominator
         if common % denominator:
             grown = math.lcm(common, denominator)
             factor = grown // common
-            for other in self.numerators:
-                self.numerators[other] *= factor
+            numerators = self.numerators
+            for other in numerators:
+                numerators[other] *= factor
             self.denominator = common = grown
-        scaled = numerator * (common // denominator)
+        return common // denominator
+
+    def add(self, institution: str, numerator: int, denominator: int) -> None:
+        """Add ``numerator/denominator`` to one institution's credit."""
+        scaled = numerator * self._scale(denominator)
         self.numerators[institution] = self.numerators.get(institution, 0) + scaled
 
-    def add_paper(self, pairs: Iterable[tuple[str, str]]) -> None:
-        """Credit one paper from its ``(author, institution)`` pairs."""
-        for institution, denominator in credit_parts(pairs):
-            self.add(institution, 1, denominator)
+    def add_paper(self, flat: Sequence[str]) -> None:
+        """Credit one paper from its flat ``[author, institution, ...]`` ids."""
+        numerators = self.numerators
+        for denominator, institutions in credit_parts(flat):
+            share = self._scale(denominator)
+            for institution in institutions:
+                numerators[institution] = numerators.get(institution, 0) + share
 
     def table(self) -> ScoreTable:
-        common = self.denominator
-        entries = {
-            institution: Fraction(numerator, common)
-            for institution, numerator in sorted(self.numerators.items())
-        }
-        return ScoreTable(self.year, entries)
+        numerators = dict(sorted(self.numerators.items()))
+        return ScoreTable.from_numerators(self.year, numerators, self.denominator)
 
 
 def score_venue_years(
@@ -156,8 +227,7 @@ def score_venue_years(
         accumulator = accumulators.get(key)
         if accumulator is None:
             accumulator = accumulators[key] = CreditAccumulator(paper.year)
-        ids = iter(flat)
-        accumulator.add_paper(zip(ids, ids))
+        accumulator.add_paper(flat)
     return {key: accumulator.table() for key, accumulator in accumulators.items()}
 
 
@@ -180,37 +250,38 @@ def merge_partials(tables: Sequence[ScoreTable]) -> ScoreTable:
             raise YearMismatchError(
                 f"cannot merge year {table.year} into {accumulator.year}"
             )
-        for institution, amount in table.entries.items():
-            accumulator.add(institution, amount.numerator, amount.denominator)
+        for institution, numerator in table.numerators.items():
+            accumulator.add(institution, numerator, table.denominator)
     return accumulator.table()
 
 
 def normalize(table: ScoreTable) -> ScoreTable:
     """Scale entries so the maximum is exactly 1.
 
-    An empty table normalizes to an empty table. An all-zero table has no
-    meaningful scale; it is passed through unchanged with a warning.
+    The scaled table is the same numerators over the top one. An empty
+    table normalizes to an empty table. A table with no score above zero
+    has no meaningful scale; it is passed through unchanged with a warning.
     """
-    if not table.entries:
-        return ScoreTable(table.year, {})
-    top = max(table.entries.values())
-    if top == 0:
-        log.warning("year %d: all scores are zero, normalization is a no-op", table.year)
-        return ScoreTable(table.year, dict(table.entries))
-    scaled = {institution: amount / top for institution, amount in table.entries.items()}
-    return ScoreTable(table.year, dict(sorted(scaled.items())))
+    numerators = table.numerators
+    top = max(numerators.values(), default=None)
+    if top is None:
+        return ScoreTable.from_numerators(table.year, {}, 1)
+    if top <= 0:
+        log.warning("year %d: no score above zero, normalization is a no-op", table.year)
+        return table
+    return ScoreTable.from_numerators(table.year, numerators, top)
 
 
 def drop_unknown(table: ScoreTable) -> ScoreTable:
     """Remove the UNKNOWN sentinel before any ranking-grade use."""
-    if UNKNOWN_INSTITUTION not in table.entries:
+    if UNKNOWN_INSTITUTION not in table.numerators:
         return table
     kept = {
-        institution: amount
-        for institution, amount in table.entries.items()
+        institution: numerator
+        for institution, numerator in table.numerators.items()
         if institution != UNKNOWN_INSTITUTION
     }
-    return ScoreTable(table.year, kept)
+    return type(table).from_numerators(table.year, kept, table.denominator)
 
 
 def order_by_score(
@@ -244,27 +315,49 @@ def write_score_csv(table: ScoreTable, path: str) -> None:
     """Write ``institution_id,score`` sorted by score descending, id ascending.
 
     The UNKNOWN sentinel never reaches disk. Scores are written as
-    shortest round-tripping floats, so a rerun is byte-identical.
+    shortest round-tripping floats, so a rerun is byte-identical. Integer
+    true division is correctly rounded, so ``numerator / denominator`` is
+    the float of the exact score.
     """
     visible = drop_unknown(table)
-    ordered = order_by_score(visible.entries)
+    denominator = visible.denominator
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write("institution_id,score\n")
-        for institution, amount in ordered:
-            out.write(f"{institution},{float(amount)!r}\n")
+        out.writelines(
+            f"{institution},{numerator / denominator!r}\n"
+            for institution, numerator in order_by_score(visible.numerators)
+        )
 
 
 def read_score_csv(path: str, year: int) -> ScoreTable:
-    """Read a table written by write_score_csv back into exact form."""
-    entries: dict[str, Fraction] = {}
+    """Read a table written by write_score_csv back into exact form.
+
+    Every score on disk is a float, so a dyadic rational: the table puts
+    each over the largest power-of-two denominator in the file. A bad
+    header, or a score that is not a finite number >= 0, raises
+    ``MalformedFileError`` naming the file and the row (the header is row 1).
+    """
+    ratios: dict[str, tuple[int, int]] = {}
     with open(path, "r", encoding="utf-8", newline="\n") as src:
         header = src.readline()
         if header.strip() != "institution_id,score":
-            raise ValueError(f"{path}: not a score table")
-        for line in src:
+            raise MalformedFileError(path, 1, f"not a score table header: {header.strip()!r}")
+        for line_number, line in enumerate(src, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            institution, _, score = line.rpartition(",")
-            entries[institution] = Fraction(float(score))
-    return ScoreTable(year, dict(sorted(entries.items())))
+            institution, _, text = line.rpartition(",")
+            try:
+                ratio = float(text).as_integer_ratio()
+            except (ValueError, OverflowError):
+                raise MalformedFileError(
+                    path, line_number, f"score {text!r} is not a finite number"
+                ) from None
+            if ratio[0] < 0:
+                raise MalformedFileError(path, line_number, f"score {text!r} is negative")
+            ratios[institution] = ratio
+    denominator = max((d for _, d in ratios.values()), default=1)
+    numerators = {
+        institution: n * (denominator // d) for institution, (n, d) in sorted(ratios.items())
+    }
+    return ScoreTable.from_numerators(year, numerators, denominator)

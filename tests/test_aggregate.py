@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -530,3 +531,74 @@ def test_an_empty_ranking_json_writes_an_empty_items_list(tmp_path):
     write_ranking_json(RankList(spec.label, ()), spec, str(path))
     assert path.read_bytes() == reference_ranking_json(RankList(spec.label, ()), spec)
     assert b'"items": []\n}\n' in path.read_bytes()
+
+
+# --- the integer tables against the Fraction reference --------------------
+
+
+def reference_normalize(entries: dict) -> dict:
+    """Per-year normalization as exact ``Fraction`` arithmetic, UNKNOWN dropped."""
+    visible = {inst: value for inst, value in entries.items() if inst != UNKNOWN_INSTITUTION}
+    top = max(visible.values(), default=Fraction(0))
+    if top == 0:
+        return visible
+    return {inst: value / top for inst, value in visible.items()}
+
+
+def reference_order(entries: dict) -> list:
+    return sorted(entries.items(), key=lambda item: (-item[1], item[0]))
+
+
+def reference_ranking(years: list[dict], spec: AggregationSpec) -> list:
+    normalized = [reference_normalize(entries) for entries in years]
+    if spec.method == "normalized_sum":
+        totals: dict = {}
+        for entries in normalized:
+            for inst, value in entries.items():
+                totals[inst] = totals.get(inst, 0) + value
+        return reference_order(totals)
+    if spec.method == "borda":
+        lists = [make_rank_list(str(i), reference_order(e)) for i, e in enumerate(normalized)]
+        return reference_order(borda_aggregate(lists, spec.borda_variant, spec.p).entries)
+    universe = {inst for entries in normalized for inst in entries}
+    means = {
+        inst: math.fsum(float(entries.get(inst, 0)) for entries in normalized) / len(normalized)
+        for inst in universe
+    }
+    return reference_order(means)[: spec.fagin_k]
+
+
+# Small numerators make exact ties; huge ones make sums that need rounding.
+dyadic_scores = st.builds(
+    lambda numerator, exponent: Fraction(numerator, 2**exponent),
+    st.integers(0, 6) | st.integers(0, 2**70),
+    st.integers(0, 60),
+)
+year_entries = st.dictionaries(
+    st.sampled_from(["A", "B", "C", "D", "E", UNKNOWN_INSTITUTION]), dyadic_scores, max_size=6
+) | st.dictionaries(st.sampled_from(["A", "B", "C"]), st.just(Fraction(0)), min_size=1)
+
+
+@given(st.lists(year_entries, min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_integer_aggregation_matches_the_fraction_reference(years):
+    tables = [make_table(2011 + i, entries) for i, entries in enumerate(years)]
+    specs = [
+        AggregationSpec.parse(text)
+        for text in (
+            "normalized_sum",
+            "borda:sum",
+            "borda:median",
+            "borda:geometric_mean",
+            "borda:p_norm:2",
+            "fagin:3",
+        )
+    ]
+    universe = {inst for entries in years for inst in entries if inst != UNKNOWN_INSTITUTION}
+    for spec in specs:
+        if spec.method == "fagin" and len(universe) < spec.fagin_k:
+            continue
+        ranking = run_aggregation(spec, tables)
+        assert [(item.institution_id, repr(float(item.score))) for item in ranking.items] == [
+            (inst, repr(float(value))) for inst, value in reference_ranking(years, spec)
+        ], spec.label

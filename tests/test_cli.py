@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from instrank.aggregate import ranking_file_name, read_ranking_csv, run_aggregation
-from instrank import cli, scoring
+from instrank import aggregate, cli, scoring
 from instrank.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -311,6 +311,39 @@ def test_exit_4_on_a_paper_id_listed_twice(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, name, row, content",
+    [
+        ("aggregate", "scores_V0_2011.csv", 2, "IA,abc"),
+        ("aggregate", "scores_V0_2011.csv", 2, "IA,inf"),
+        ("aggregate", "scores_V0_2011.csv", 1, "institution,score"),
+        ("evaluate", "ranking_V0_normalized_sum.csv", 2, "x,IA,1.0"),
+        ("evaluate", "scores_V0_2013.csv", 2, "IA,-1.0"),
+    ],
+    ids=[
+        "score-not-a-number",
+        "score-infinite",
+        "score-header",
+        "rank-not-an-int",
+        "truth-negative",
+    ],
+)
+def test_exit_4_on_a_malformed_intermediate_file(tmp_path, capsys, command, name, row, content):
+    cfg_path, out_dir = tiny_config(tmp_path)
+    assert main(["pipeline", "--config", cfg_path]) == EXIT_OK
+    path = os.path.join(out_dir, name)
+    with open(path, encoding="utf-8") as src:
+        lines = src.read().splitlines()
+    lines[row - 1] = content
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: row {row}: ")
+    assert "Traceback" not in err
+
+
 def test_exit_5_on_all_zero_truth_year(tmp_path):
     # Truth year 2014 has no papers, so its score table is empty.
     cfg_path, _ = tiny_config(
@@ -593,6 +626,43 @@ def test_pipeline_prediction_recomputes_from_the_winning_method(tmp_path):
     expected = run_aggregation(winning_spec, tables)
     written = read_ranking_csv(os.path.join(out_dir, "prediction_V0.csv"), "p")
     assert written.ids() == expected.ids()
+
+
+def test_pipeline_normalizes_each_venue_year_once(tmp_path, monkeypatch):
+    params = CorpusParams(
+        num_institutions=9,
+        num_authors=70,
+        num_venues=2,
+        years=YearRange(2011, 2014),
+        papers_per_venue_year=20,
+        rng_seed=5,
+    )
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    corpus = generate_corpus(params, str(corpus_dir), compute_realized=False)
+    out_dir = str(tmp_path / "out")
+    cfg_path = write_config(
+        tmp_path / "run.ini",
+        corpus.papers_path,
+        corpus.affiliations_path,
+        out_dir,
+        venues="V0, V1",
+        train="2011-2013",
+        truth="2014",
+        extra="\n[aggregation]\nmethods = normalized_sum, borda:sum, fagin:3\nk = 3\n",
+    )
+    real_normalize = aggregate.normalize
+    built = []
+
+    def counting_normalize(table):
+        built.append(table.year)
+        return real_normalize(table)
+
+    monkeypatch.setattr(aggregate, "normalize", counting_normalize)
+    assert main(["pipeline", "--config", cfg_path]) == EXIT_OK
+    # Training and prediction share one view per venue-year.
+    assert sorted(built) == sorted(list(range(2011, 2015)) * 2)
+    assert os.path.exists(os.path.join(out_dir, "prediction_V1.csv"))
 
 
 def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch):

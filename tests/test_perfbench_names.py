@@ -10,11 +10,13 @@ fails here rather than in a benchmark run.
 from __future__ import annotations
 
 import importlib.util
+import random
 from fractions import Fraction
 from pathlib import Path
 
 from instrank import aggregate, cli
-from instrank.scoring import ScoreTable
+from instrank.aggregate import YearTables, fagin_topk
+from instrank.scoring import ScoreTable, read_score_csv, write_score_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -41,3 +43,27 @@ def test_the_oracle_reader_builds_score_tables(tmp_path):
     path.write_text("institution_id,score\nB,0.5\nA,1.0\n", encoding="utf-8")
     table = prepare.read_oracle_table(str(path), 2014)
     assert table == ScoreTable(2014, {"A": Fraction(1), "B": Fraction(1, 2)})
+
+
+def test_the_oracle_reader_and_the_score_reader_aggregate_alike(tmp_path):
+    # The oracle's Fagin ids are compared with the ids the CLI computes from
+    # read_score_csv tables, so both readers must rank every year alike.
+    prepare = load_script("prepare")
+    rng = random.Random(11)
+    oracle, program = [], []
+    for year in (2011, 2012, 2013, 2014):
+        entries = {
+            f"I{i:02d}": Fraction(rng.randint(0, 30), rng.choice((1, 3, 7, 12)))
+            for i in range(40)
+            if rng.random() < 0.8
+        }
+        path = str(tmp_path / f"scores_{year}.csv")
+        write_score_csv(ScoreTable(year, entries), path)
+        oracle.append(prepare.read_oracle_table(path, year))
+        program.append(read_score_csv(path, year))
+    oracle_years, program_years = YearTables(oracle), YearTables(program)
+    assert oracle_years.rankings == program_years.rankings
+    assert (
+        fagin_topk(oracle_years.normalized, 20).ids()
+        == fagin_topk(program_years.normalized, 20).ids()
+    )

@@ -141,17 +141,18 @@ def test_any_partitioning_merges_to_the_sequential_table():
 
 
 def test_credit_parts_follow_the_attribution_rule():
-    pairs = [("a1", "A"), ("a1", "B"), ("a1", "A"), ("a2", "A")]
-    assert list(credit_parts(pairs)) == [("A", 4), ("B", 4), ("A", 2)]
+    flat = ["a1", "A", "a1", "B", "a1", "A", "a2", "A"]
+    parts = [(denominator, list(institutions)) for denominator, institutions in credit_parts(flat)]
+    assert parts == [(4, ["A", "B"]), (2, ["A"])]
 
 
 def test_accumulator_rescales_its_denominator_exactly():
     accumulator = CreditAccumulator(2014)
     # Three authors with one institution each: parts of 1/3.
-    accumulator.add_paper([("a1", "A"), ("a2", "B"), ("a3", "C")])
+    accumulator.add_paper(["a1", "A", "a2", "B", "a3", "C"])
     assert accumulator.denominator == 3
     # Two authors, one with two institutions: parts of 1/2 and 1/4.
-    accumulator.add_paper([("a1", "A"), ("a2", "B"), ("a2", "D")])
+    accumulator.add_paper(["a1", "A", "a2", "B", "a2", "D"])
     assert accumulator.denominator == 12
     table = accumulator.table()
     assert table.entries == {
@@ -406,3 +407,23 @@ def test_read_score_csv_rejects_other_files(tmp_path):
     path.write_text("something,else\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_score_csv(str(path), 2014)
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from(["A", "B", "C", "Dept, Univ", UNKNOWN_INSTITUTION]),
+        st.fractions(min_value=0, max_value=10**6, max_denominator=10**9)
+        | st.builds(lambda n, e: Fraction(n, 2**e), st.integers(0, 2**80), st.integers(0, 90)),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_a_score_file_reads_back_as_the_floats_written(tmp_path_factory, entries):
+    path = str(tmp_path_factory.mktemp("scores") / "scores.csv")
+    write_score_csv(ScoreTable(2014, entries), path)
+    back = read_score_csv(path, 2014)
+    expected = {
+        inst: Fraction(float(value))
+        for inst, value in sorted(entries.items())
+        if inst != UNKNOWN_INSTITUTION
+    }
+    assert list(back.entries.items()) == list(expected.items())

@@ -9,7 +9,6 @@ rankings as NDCG against a held-out year.
 
 from .aggregate import (
     AggregationSpec,
-    FinalScoreTable,
     RankList,
     RankedItem,
     borda_aggregate,
@@ -41,8 +40,6 @@ from .ingest import (
 )
 from .scoring import (
     ScoreTable,
-    ShareList,
-    accumulate_scores,
     merge_partials,
     normalize,
     paper_shares,
@@ -58,18 +55,15 @@ __all__ = [
     "CorpusParams",
     "EvalReport",
     "EvalRow",
-    "FinalScoreTable",
     "GroundTruth",
     "PaperRecord",
     "PlantedTruth",
     "RankList",
     "RankedItem",
     "ScoreTable",
-    "ShareList",
     "TableSchema",
     "UNKNOWN_INSTITUTION",
     "YearRange",
-    "accumulate_scores",
     "borda_aggregate",
     "borda_scores",
     "dcg_at_k",

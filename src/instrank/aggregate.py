@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .scoring import (
     MalformedFileError,
@@ -43,7 +42,7 @@ class KTooLargeError(ValueError):
 
 
 class InvalidPError(ValueError):
-    """The p-norm exponent must be a real number > 0."""
+    """The p-norm exponent must be finite, > 0, and small enough for the point counts."""
 
 
 class RankedItem(NamedTuple):
@@ -63,20 +62,12 @@ class RankList:
         return [item.institution_id for item in self.items]
 
 
-class FinalScoreTable(ScoreTable):
-    """Aggregated values over all years; higher values rank first.
-
-    The same integer shape as a year table, without a year.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, entries: Mapping[str, Fraction | float]) -> None:
-        super().__init__(None, entries)
-
-    @property
-    def label(self) -> str:
-        return "aggregate"
+def check_borda(variant: str, p: float | None) -> None:
+    """The one check of a borda variant and its p-norm exponent."""
+    if variant not in BORDA_VARIANTS:
+        raise ValueError(f"unknown borda variant {variant!r}")
+    if variant == "p_norm" and (p is None or not p > 0):
+        raise InvalidPError(f"p must be > 0, got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -97,11 +88,8 @@ class AggregationSpec:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown aggregation method {self.method!r}")
-        if self.borda_variant not in BORDA_VARIANTS:
-            raise ValueError(f"unknown borda variant {self.borda_variant!r}")
-        if self.borda_variant == "p_norm" and self.method == METHOD_BORDA:
-            if self.p is None or not self.p > 0:
-                raise InvalidPError(f"p must be > 0, got {self.p!r}")
+        if self.method == METHOD_BORDA:
+            check_borda(self.borda_variant, self.p)
         if self.method == METHOD_FAGIN:
             if self.fagin_k is None:
                 object.__setattr__(self, "fagin_k", DEFAULT_TOP_K)
@@ -131,7 +119,10 @@ class AggregationSpec:
             if variant == "p_norm":
                 if len(parts) != 3:
                     raise ValueError(f"p_norm needs an exponent: {text!r}")
-                return cls(METHOD_BORDA, "p_norm", p=float(parts[2]), text=text)
+                p = float(parts[2])
+                if p == math.inf:
+                    raise InvalidPError(f"p must be finite: {text!r}")
+                return cls(METHOD_BORDA, "p_norm", p=p, text=text)
             if len(parts) > 2:
                 raise ValueError(f"unexpected argument in {text!r}")
             return cls(METHOD_BORDA, variant, text=text)
@@ -190,7 +181,7 @@ class YearTables:
         return [to_ranking(table) for table in self.normalized]
 
 
-def normalized_sum(year_tables: YearTables | Sequence[ScoreTable]) -> FinalScoreTable:
+def normalized_sum(year_tables: YearTables | Sequence[ScoreTable]) -> ScoreTable:
     """Sum each institution's normalized scores over the years.
 
     Years where an institution is absent contribute nothing, and an
@@ -208,7 +199,7 @@ def normalized_sum(year_tables: YearTables | Sequence[ScoreTable]) -> FinalScore
         factor = common // table.denominator
         for institution, numerator in table.numerators.items():
             totals[institution] = totals.get(institution, 0) + numerator * factor
-    return FinalScoreTable.from_numerators(None, dict(sorted(totals.items())), common)
+    return ScoreTable.from_numerators(None, dict(sorted(totals.items())), common)
 
 
 def borda_scores(rank_list: RankList) -> dict[str, int]:
@@ -221,7 +212,7 @@ def borda_aggregate(
     rank_lists: Sequence[RankList],
     variant: str = "sum",
     p: float | None = None,
-) -> FinalScoreTable:
+) -> ScoreTable:
     """Combine per-list positional points across lists.
 
     Institutions absent from a list take 0 points there. Variants:
@@ -233,36 +224,45 @@ def borda_aggregate(
       sum scaled by 1/L, so it orders identically to ``sum``.
 
     Point values are small integers and float reductions go through
-    ``math.fsum``, so results do not depend on list order.
+    ``math.fsum``, so results do not depend on list order. A ``p`` so large
+    that a point count raised to it overflows a float raises
+    ``InvalidPError``.
     """
     if not rank_lists:
         raise ValueError("no rank lists to aggregate")
-    if variant not in BORDA_VARIANTS:
-        raise ValueError(f"unknown borda variant {variant!r}")
-    if variant == "p_norm" and (p is None or not p > 0):
-        raise InvalidPError(f"p must be > 0, got {p!r}")
+    check_borda(variant, p)
     points = [borda_scores(rl) for rl in rank_lists]
     universe = sorted({institution for pts in points for institution in pts})
     count = len(rank_lists)
-    entries: dict[str, int | float] = {}
-    for institution in universe:
-        values = [pts.get(institution, 0) for pts in points]
-        if variant == "sum":
-            entries[institution] = sum(values)
-        elif variant == "median":
-            entries[institution] = statistics.median(values)
-        elif variant == "geometric_mean":
-            if any(v == 0 for v in values):
-                entries[institution] = 0.0
-            else:
-                entries[institution] = math.exp(
-                    math.fsum(math.log(v) for v in values) / count
-                )
-        else:
-            entries[institution] = (
-                math.fsum(float(v) ** p for v in values) / count
-            )
-    return FinalScoreTable(entries)
+    if variant == "sum":
+        combine = sum
+    elif variant == "median":
+        combine = statistics.median
+    elif variant == "geometric_mean":
+
+        def combine(values):
+            if 0 in values:
+                return 0.0
+            return math.exp(math.fsum(math.log(v) for v in values) / count)
+
+    else:
+
+        def combine(values):
+            return math.fsum(float(v) ** p for v in values) / count
+
+    try:
+        return ScoreTable(
+            None,
+            {
+                institution: combine([pts.get(institution, 0) for pts in points])
+                for institution in universe
+            },
+        )
+    except OverflowError:
+        raise InvalidPError(
+            f"p={p:g} is too large: point counts up to {len(universe)} "
+            "raised to p overflow a float"
+        ) from None
 
 
 def fagin_topk(tables: Sequence[ScoreTable], k: int) -> RankList:

@@ -61,8 +61,6 @@ from .scoring import (
 )
 from .synth import CorpusParams, InvalidParamsError, generate_corpus
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -118,6 +116,8 @@ class PipelineConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if not self.specs:
             raise ConfigError("no aggregation methods configured")
+        if not self.venues:
+            raise ConfigError("no venues configured")
         # Ranking files and report columns are named by label, so two specs
         # with one label would overwrite each other.
         by_label: dict[str, AggregationSpec] = {}
@@ -267,9 +267,6 @@ def cmd_score(config: PipelineConfig) -> int:
     papers, bucket the affiliation rows under them, credit each
     venue-year. The fourth writes one score file per venue and scored year.
     """
-    if not config.venues:
-        log.warning("venue set is empty; nothing to score")
-        return EXIT_OK
     os.makedirs(config.output_dir, exist_ok=True)
     span = config.scored_years()
     venue_set = set(config.venues)
@@ -326,6 +323,14 @@ def _read_tables(
     }
 
 
+def _aggregate(spec: AggregationSpec, years: YearTables, venue_id: str) -> RankList:
+    """``run_aggregation``; a spec that does not fit the data is named by venue and method."""
+    try:
+        return run_aggregation(spec, years)
+    except (KTooLargeError, InvalidPError) as exc:
+        raise type(exc)(f"venue {venue_id!r}, method {spec.label}: {exc}") from exc
+
+
 def _rank_venue(
     config: PipelineConfig,
     venue_id: str,
@@ -335,10 +340,7 @@ def _rank_venue(
     """Aggregate one venue's training years with every spec and write each ranking."""
     rankings = {}
     for spec in specs:
-        try:
-            ranking = run_aggregation(spec, years)
-        except KTooLargeError as exc:
-            raise KTooLargeError(f"venue {venue_id!r}, method {spec.label}: {exc}") from exc
+        ranking = _aggregate(spec, years, venue_id)
         base = os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label))
         write_ranking_csv(ranking, base)
         write_ranking_json(ranking, spec, base[: -len(".csv")] + ".json")
@@ -404,9 +406,7 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     rankings are written first, then the report, then the predictions,
     which aggregate every scored year.
     """
-    code = cmd_score(config)
-    if code != EXIT_OK or not config.venues:
-        return code
+    cmd_score(config)
     years_by_venue = {}
     rankings_by_venue = {}
     truth_by_venue = {}
@@ -420,10 +420,11 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     _write_report(config, report)
     by_label = {spec.label: spec for spec in config.specs}
     for row in report.rows:
-        prediction = run_aggregation(by_label[row.winner], years_by_venue[row.venue_id])
+        venue_id = row.venue_id
+        prediction = _aggregate(by_label[row.winner], years_by_venue[venue_id], venue_id)
         write_ranking_csv(
             prediction,
-            os.path.join(config.output_dir, f"prediction_{row.venue_id}.csv"),
+            os.path.join(config.output_dir, f"prediction_{venue_id}.csv"),
         )
     return EXIT_OK
 

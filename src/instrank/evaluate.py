@@ -1,15 +1,14 @@
 """Ranking quality measured as NDCG against a held-out year.
 
-Gains are the held-out year's scores taken linearly; an item missing
-from the truth contributes nothing. The ideal ordering for the same
-truth normalizes the metric into [0, 1].
+Gains are the held-out year's scores taken linearly, as the floats the
+score file stores; an item missing from the truth contributes nothing.
+The ideal ordering for the same truth normalizes the metric into [0, 1].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .aggregate import AggregationSpec, RankList, YearTables, run_aggregation
@@ -29,7 +28,7 @@ class GroundTruth:
     """Relevance per institution for one held-out year."""
 
     year: int
-    relevance: dict[str, Fraction | float]
+    relevance: dict[str, float]
     # Institutions by relevance descending, id ascending: the ideal ranking.
     ideal: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
@@ -42,7 +41,21 @@ class GroundTruth:
 
     @classmethod
     def from_score_table(cls, table: ScoreTable) -> "GroundTruth":
-        return cls(table.year, dict(drop_unknown(table).entries))
+        """Gains are each score's float, ``numerator / denominator``.
+
+        A read-back table holds floats exactly. In an exact table two scores
+        may round to one float; their ideal order then follows the ids, which
+        leaves every DCG value unchanged.
+        """
+        visible = drop_unknown(table)
+        denominator = visible.denominator
+        return cls(
+            table.year,
+            {
+                institution: numerator / denominator
+                for institution, numerator in visible.numerators.items()
+            },
+        )
 
 
 def _ranked_ids(ranking: RankList | Iterable[str]) -> list[str]:

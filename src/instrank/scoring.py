@@ -4,8 +4,11 @@ Each paper carries one unit of credit, split equally over its distinct
 authors, then over each author's distinct institutions on that paper.
 Credit is exact: a table holds integer numerators over one common
 denominator, so accumulation is associative and any partitioning of the
-paper stream merges to a bit-identical table. The same integers carry a
-table through the score file, its read-back and aggregation; a
+paper stream merges to a bit-identical table. ``ScoreTable`` is the one
+table type: it carries a year's credit through the score file, its
+read-back and aggregation, and with no year it holds an aggregated
+result. ``CreditAccumulator.add_paper`` is the one credit path; a single
+paper's split (``paper_shares``) is a one-paper table built by it. A
 ``Fraction`` per entry is built only when ``ScoreTable.entries`` is read.
 Tables are keyed in sorted institution order for reproducible iteration.
 """
@@ -14,10 +17,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .ingest import (
     UNKNOWN_INSTITUTION,
@@ -48,22 +50,11 @@ class MalformedFileError(ValueError):
         self.reason = reason
 
 
-class InstitutionShare(NamedTuple):
-    institution_id: str
-    amount: Fraction
-
-
-@dataclass(frozen=True)
-class ShareList:
-    """One paper's credit split, sorted by institution id, summing to 1."""
-
-    paper_id: str
-    shares: tuple[InstitutionShare, ...]
-
-
 class ScoreTable:
-    """Institution credit for one year: ``numerators[i] / denominator``.
+    """Institution scores ``numerators[i] / denominator`` for one year.
 
+    With ``year`` ``None`` the table is an aggregated result over several
+    years, and its ranking's default label is ``aggregate``.
     ``ScoreTable(year, entries)`` takes exact values (``Fraction``, ``int``
     or ``float``) and puts them over their least common denominator; the
     third argument is ignored (see ``RAW``). ``from_numerators`` adopts
@@ -76,7 +67,7 @@ class ScoreTable:
     __slots__ = ("year", "numerators", "denominator", "_entries")
 
     def __init__(
-        self, year: int, entries: Mapping[str, Fraction | float], tag: object = None
+        self, year: int | None, entries: Mapping[str, Fraction | float], tag: object = None
     ) -> None:
         ratios = {institution: value.as_integer_ratio() for institution, value in entries.items()}
         denominator = math.lcm(*(d for _, d in ratios.values()))
@@ -89,7 +80,7 @@ class ScoreTable:
 
     @classmethod
     def from_numerators(
-        cls, year: int, numerators: dict[str, int], denominator: int
+        cls, year: int | None, numerators: dict[str, int], denominator: int
     ) -> "ScoreTable":
         table = cls.__new__(cls)
         table.year = year
@@ -111,7 +102,7 @@ class ScoreTable:
     @property
     def label(self) -> str:
         """The default label of this table's ranking."""
-        return str(self.year)
+        return "aggregate" if self.year is None else str(self.year)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScoreTable):
@@ -146,20 +137,6 @@ def credit_parts(flat: Sequence[str]) -> list[tuple[int, dict[str, None]]]:
         (author_count * len(institutions), institutions)
         for institutions in by_author.values()
     ]
-
-
-def paper_shares(paper: AttributedPaper) -> ShareList:
-    """Split one paper's unit of credit per the attribution rule."""
-    flat = [name for row in paper.affiliations for name in (row.author_id, row.institution_id)]
-    credit: dict[str, Fraction] = {}
-    for denominator, institutions in credit_parts(flat):
-        for institution in institutions:
-            credit[institution] = credit.get(institution, 0) + Fraction(1, denominator)
-    shares = tuple(
-        InstitutionShare(institution, amount)
-        for institution, amount in sorted(credit.items())
-    )
-    return ShareList(paper.paper.paper_id, shares)
 
 
 class CreditAccumulator:
@@ -208,6 +185,15 @@ class CreditAccumulator:
         return ScoreTable.from_numerators(self.year, numerators, self.denominator)
 
 
+def paper_shares(paper: AttributedPaper) -> ScoreTable:
+    """One paper's unit of credit split per the attribution rule, as a table."""
+    accumulator = CreditAccumulator(paper.paper.year)
+    accumulator.add_paper(
+        [name for row in paper.affiliations for name in (row.author_id, row.institution_id)]
+    )
+    return accumulator.table()
+
+
 def score_venue_years(
     papers: Iterable[PaperRecord],
     rows: Iterable[AffiliationRow],
@@ -229,15 +215,6 @@ def score_venue_years(
             accumulator = accumulators[key] = CreditAccumulator(paper.year)
         accumulator.add_paper(flat)
     return {key: accumulator.table() for key, accumulator in accumulators.items()}
-
-
-def accumulate_scores(share_lists: Iterable[ShareList], year: int) -> ScoreTable:
-    """Sum share lists into one raw table for the given year."""
-    accumulator = CreditAccumulator(year)
-    for share_list in share_lists:
-        for institution, amount in share_list.shares:
-            accumulator.add(institution, amount.numerator, amount.denominator)
-    return accumulator.table()
 
 
 def merge_partials(tables: Sequence[ScoreTable]) -> ScoreTable:
@@ -284,26 +261,15 @@ def drop_unknown(table: ScoreTable) -> ScoreTable:
     return type(table).from_numerators(table.year, kept, table.denominator)
 
 
-def order_by_score(
-    entries: Mapping[str, Fraction | float],
-) -> list[tuple[str, Fraction | float]]:
+def order_by_score(entries: Mapping[str, int | float]) -> list[tuple[str, int | float]]:
     """Entries ordered by score, highest first, ties by id ascending.
 
     Sorting by id and then stably by score alone gives the same order as a
-    ``(score, id)`` key without building key tuples. When every score is a
-    ``Fraction``, each is keyed by its exact numerator over the common
-    denominator, so the sort compares plain integers.
+    ``(score, id)`` key without building key tuples. Tables pass their
+    integer numerators, so the sort compares plain integers.
     """
     ordered = sorted(entries.items())
-    scores = entries.values()
-    if all(isinstance(score, Fraction) for score in scores):
-        common = math.lcm(*(score.denominator for score in scores))
-        ordered.sort(
-            key=lambda item: item[1].numerator * (common // item[1].denominator),
-            reverse=True,
-        )
-    else:
-        ordered.sort(key=itemgetter(1), reverse=True)
+    ordered.sort(key=itemgetter(1), reverse=True)
     return ordered
 
 

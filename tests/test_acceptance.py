@@ -386,10 +386,10 @@ def test_share_conservation_at_scale(announce):
                     rows.append(
                         AffiliationRow(paper.paper_id, author_id, rng.choice(pool))
                     )
-            shares = paper_shares(AttributedPaper(paper, tuple(rows)))
-            total = sum((amount for _, amount in shares.shares), Fraction(0))
+            shares = paper_shares(AttributedPaper(paper, tuple(rows))).entries
+            total = sum(shares.values(), Fraction(0))
             assert total == 1
-            assert abs(math.fsum(float(a) for _, a in shares.shares) - 1.0) < 1e-9
+            assert abs(math.fsum(float(a) for a in shares.values()) - 1.0) < 1e-9
 
 
 def test_memory_stays_bounded_on_a_gigabyte_corpus(announce, tmp_path):

@@ -102,6 +102,22 @@ def test_spec_rejects_non_positive_p():
         AggregationSpec.parse("borda:p_norm:-1")
 
 
+def test_spec_parse_rejects_a_non_finite_p():
+    with pytest.raises(InvalidPError, match="finite"):
+        AggregationSpec.parse("borda:p_norm:inf")
+    with pytest.raises(InvalidPError):
+        AggregationSpec.parse("borda:p_norm:nan")
+
+
+def test_borda_p_norm_overflow_raises_invalid_p():
+    lists = [make_rank_list("a", [("A", 2), ("B", 1)])]
+    with pytest.raises(InvalidPError, match="p=10000 is too large"):
+        borda_aggregate(lists, "p_norm", p=10_000)
+    with pytest.raises(InvalidPError, match="p=inf is too large"):
+        borda_aggregate(lists, "p_norm", p=math.inf)
+    assert borda_aggregate(lists, "p_norm", p=1000).entries["A"] == 2.0**1000
+
+
 def test_spec_labels():
     assert AggregationSpec.parse("borda:p_norm:2").label == "borda_p_norm_2"
     assert AggregationSpec.parse("borda:geometric_mean").label == "borda_geometric_mean"

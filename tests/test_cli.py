@@ -229,6 +229,61 @@ def test_fagin_universe_error_names_the_venue_and_method(tmp_path, capsys):
     assert "venue 'V0', method fagin: k=20 exceeds universe of 10" in err
 
 
+def test_exit_2_on_an_infinite_p_norm_exponent(tmp_path, capsys):
+    cfg_path, out_dir = tiny_config(
+        tmp_path, extra="\n[aggregation]\nmethods = borda:p_norm:inf\n"
+    )
+    assert main(["pipeline", "--config", cfg_path]) == EXIT_CONFIG
+    assert "p must be finite: 'borda:p_norm:inf'" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
+@pytest.mark.parametrize("command", ["aggregate", "pipeline"])
+def test_exit_2_names_the_venue_when_p_norm_points_overflow(tmp_path, capsys, command):
+    # Two institutions: 2 points raised to 10000 overflow a float.
+    cfg_path, _ = tiny_config(
+        tmp_path, extra="\n[aggregation]\nmethods = borda:p_norm:10000\n"
+    )
+    assert main(["score", "--config", cfg_path]) == EXIT_OK
+    assert main([command, "--config", cfg_path]) == EXIT_CONFIG
+    assert (
+        "venue 'V0', method borda_p_norm_10000: p=10000 is too large"
+        in capsys.readouterr().err
+    )
+
+
+def test_exit_2_names_the_venue_when_the_prediction_overflows(tmp_path, capsys):
+    # The training years hold two institutions, and 2 ** 1000 fits a float.
+    # The truth year adds a third, so the prediction's 3 ** 1000 does not.
+    credited = [(2011, "IA"), (2011, "IB"), (2012, "IA"), (2012, "IB")]
+    credited += [(2013, "IA"), (2013, "IB"), (2013, "IC")]
+    papers = tmp_path / "papers.txt"
+    affils = tmp_path / "affils.txt"
+    papers.write_text(
+        "".join(f"P{n}\t\t\t{year}\t\t\t\t\tV0\n" for n, (year, _) in enumerate(credited)),
+        encoding="utf-8",
+    )
+    affils.write_text(
+        "".join(f"P{n}\tA{n}\t{inst}\n" for n, (_, inst) in enumerate(credited)),
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    cfg_path = write_config(
+        tmp_path / "run.ini",
+        str(papers),
+        str(affils),
+        str(out_dir),
+        extra="\n[aggregation]\nmethods = borda:p_norm:1000\nk = 2\n",
+    )
+    assert main(["pipeline", "--config", cfg_path]) == EXIT_CONFIG
+    assert (
+        "venue 'V0', method borda_p_norm_1000: p=1000 is too large"
+        in capsys.readouterr().err
+    )
+    assert (out_dir / "report.txt").exists()
+    assert not (out_dir / "prediction_V0.csv").exists()
+
+
 @pytest.mark.parametrize(
     "methods, first, second",
     [
@@ -439,10 +494,13 @@ def test_score_keeps_a_lone_carriage_return_inside_an_institution_id(tmp_path, c
     assert ranking.ids() == ["I1\rjunk", "I2"]
 
 
-def test_score_empty_venue_set_writes_nothing(tmp_path):
-    cfg_path, out_dir = tiny_config(tmp_path, venues="")
-    assert main(["score", "--config", cfg_path]) == EXIT_OK
-    assert not os.path.exists(out_dir)
+def test_an_empty_venue_set_exits_2_and_writes_nothing(tmp_path, capsys):
+    for venues in ("", ","):
+        cfg_path, out_dir = tiny_config(tmp_path, venues=venues)
+        for command in ("score", "aggregate", "evaluate", "pipeline"):
+            assert main([command, "--config", cfg_path]) == EXIT_CONFIG
+            assert "no venues configured" in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
 
 
 def test_score_agrees_with_the_naive_oracle_per_venue(tmp_path):

@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_table
 from instrank.aggregate import AggregationSpec
@@ -25,6 +27,7 @@ from instrank.evaluate import (
     render_report_text,
 )
 from instrank.ingest import UNKNOWN_INSTITUTION
+from instrank.scoring import ScoreTable, read_score_csv, write_score_csv
 
 THREE_LEVELS = GroundTruth(2015, {"A": 3.0, "B": 2.0, "C": 1.0})
 
@@ -147,6 +150,73 @@ def test_truth_from_score_table_drops_unknown():
     truth = GroundTruth.from_score_table(table)
     assert truth.relevance == {"A": Fraction(2)}
     assert truth.year == 2015
+
+
+def reference_ndcg(ranking: list[str], entries: dict, k: int) -> float:
+    """NDCG with the ideal order taken from the exact ``Fraction`` scores."""
+    visible = {inst: Fraction(value) for inst, value in entries.items()}
+    visible.pop(UNKNOWN_INSTITUTION, None)
+    ideal = [inst for inst, _ in sorted(visible.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+    def dcg(order: list[str]) -> float:
+        gains = [float(visible.get(inst, 0)) for inst in order[:k]]
+        return math.fsum(g / math.log2(i + 1) for i, g in enumerate(gains, start=1) if g)
+
+    ideal_dcg = dcg(ideal)
+    if ideal_dcg == 0:
+        raise ZeroIdealError("all-zero reference")
+    return dcg(ranking) / ideal_dcg
+
+
+TRUTH_IDS = ["A", "B", "C", "D", "E", "F", UNKNOWN_INSTITUTION]
+# Huge numerators over 2**64 give distinct exact scores that round to one float.
+truth_scores = (
+    st.fractions(min_value=0, max_value=50, max_denominator=12)
+    | st.builds(lambda n, e: Fraction(n, 2**e), st.integers(0, 2**70), st.integers(0, 70))
+    | st.builds(lambda m, d: Fraction(m * 2**64 + d, 2**64), st.integers(0, 4), st.integers(0, 900))
+)
+
+
+@given(
+    st.dictionaries(st.sampled_from(TRUTH_IDS), truth_scores, max_size=len(TRUTH_IDS)),
+    st.permutations(TRUTH_IDS + ["G"]),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=1, max_value=8),
+    st.booleans(),
+)
+@example(
+    # C > B > A exactly, but all three round to 1.0: the ideal order then
+    # follows the ids, and NDCG is unchanged.
+    {
+        "A": Fraction(2**64 + 1, 2**64),
+        "B": Fraction(2**64 + 2, 2**64),
+        "C": Fraction(2**64 + 3, 2**64),
+        "D": Fraction(1, 2),
+    },
+    ["C", "D", "B", "A", "E", "F", UNKNOWN_INSTITUTION, "G"],
+    4,
+    2,
+    False,
+)
+@settings(max_examples=300, deadline=None)
+def test_ndcg_against_table_truth_equals_the_fraction_reference(
+    tmp_path_factory, entries, order, length, k, read_back
+):
+    table = ScoreTable(2015, dict(sorted(entries.items())))
+    if read_back:
+        # The CLI's truth: the score file as it reads back.
+        path = str(tmp_path_factory.mktemp("truth") / "scores.csv")
+        write_score_csv(table, path)
+        table = read_score_csv(path, 2015)
+    truth = GroundTruth.from_score_table(table)
+    ranking = order[:length]
+    try:
+        expected = reference_ndcg(ranking, table.entries, k)
+    except ZeroIdealError:
+        with pytest.raises(ZeroIdealError):
+            ndcg_at_k(ranking, truth, k)
+        return
+    assert ndcg_at_k(ranking, truth, k) == expected
 
 
 # --- protocol ----------------------------------------------------------

@@ -3,8 +3,8 @@
 ``perfbench/traced.py`` wraps fixed module-level names of ``instrank.cli``
 and ``instrank.aggregate``, and ``perfbench/prepare.py`` builds score
 tables with the package's own types. These tests load both scripts by
-path, without running them, so renaming or dropping a name they use
-fails here rather than in a benchmark run.
+path, so renaming or dropping a name they use fails here rather than in a
+benchmark run, and they run the oracle set-up on a tiny workload.
 """
 
 from __future__ import annotations
@@ -14,9 +14,17 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+from conftest import as_streams
 from instrank import aggregate, cli
 from instrank.aggregate import YearTables, fagin_topk
-from instrank.scoring import ScoreTable, read_score_csv, write_score_csv
+from instrank.scoring import (
+    ScoreTable,
+    read_score_csv,
+    score_file_name,
+    score_venue_years,
+    write_score_csv,
+)
+from instrank.synth import iter_corpus
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -67,3 +75,32 @@ def test_the_oracle_reader_and_the_score_reader_aggregate_alike(tmp_path):
         fagin_topk(oracle_years.normalized, 20).ids()
         == fagin_topk(program_years.normalized, 20).ids()
     )
+
+
+def test_the_oracle_set_up_agrees_with_the_program_on_a_tiny_workload(tmp_path):
+    # The benchmark compares the CLI's score files with the oracle's byte for
+    # byte, and its Fagin ranking with the oracle's ids.
+    prepare = load_script("prepare")
+    synth = {"institutions": 12, "venues": 3, "years": "2011-2014", "papers_per_venue_year": 40}
+    params = prepare.corpus_params(synth, 5)
+    config = {"venues": ["V0", "V2"], "train_years": "2011-2013", "truth_year": 2014, "fagin_k": 5}
+    oracle_dir = tmp_path / "oracle"
+    prepare.build_oracle(params, config, str(oracle_dir))
+
+    papers = [paper for paper in iter_corpus(params) if paper.paper.venue_id in config["venues"]]
+    tables = score_venue_years(*as_streams(papers))
+    program = tmp_path / "program.csv"
+    for venue in config["venues"]:
+        training = []
+        for year in (2011, 2012, 2013, 2014):
+            path = str(oracle_dir / score_file_name(venue, year))
+            write_score_csv(tables[(venue, year)], str(program))
+            with open(path, "rb") as oracle_file:
+                assert oracle_file.read() == program.read_bytes(), path
+            back = read_score_csv(path, year)
+            assert back.numerators and back.year == year
+            if year <= 2013:
+                training.append(back)
+        with open(oracle_dir / f"fagin_{venue}.txt", encoding="utf-8") as src:
+            oracle_ids = src.read().splitlines()
+        assert oracle_ids == fagin_topk(YearTables(training).normalized, 5).ids()

@@ -15,7 +15,6 @@ from instrank.scoring import (
     CreditAccumulator,
     ScoreTable,
     YearMismatchError,
-    accumulate_scores,
     credit_parts,
     drop_unknown,
     merge_partials,
@@ -31,16 +30,15 @@ from instrank.synth import naive_score
 
 
 def test_single_author_single_institution_gets_everything():
-    shares = paper_shares(make_attributed([("a1", "A")]))
-    assert shares.shares == (("A", Fraction(1)),)
-    assert shares.shares[0].amount == 1
+    shares = paper_shares(make_attributed([("a1", "A")], year=2013))
+    assert shares.entries == {"A": Fraction(1)}
+    assert shares.year == 2013
 
 
 def test_two_authors_one_with_two_institutions():
     # a1 splits its half over A and B; a2's half lands on A.
     shares = paper_shares(make_attributed([("a1", "A"), ("a1", "B"), ("a2", "A")]))
-    amounts = {share.institution_id: share.amount for share in shares.shares}
-    assert amounts == {"A": Fraction(3, 4), "B": Fraction(1, 4)}
+    assert shares.entries == {"A": Fraction(3, 4), "B": Fraction(1, 4)}
 
 
 def test_duplicate_rows_are_deduplicated():
@@ -48,21 +46,21 @@ def test_duplicate_rows_are_deduplicated():
     doubled = paper_shares(
         make_attributed([("a1", "A"), ("a1", "A"), ("a2", "B"), ("a2", "B")])
     )
-    assert once.shares == doubled.shares
+    assert once == doubled
 
 
 def test_empty_institution_credits_unknown_sentinel():
     shares = paper_shares(
         make_attributed([("a1", UNKNOWN_INSTITUTION), ("a2", "A")])
     )
-    amounts = {share.institution_id: share.amount for share in shares.shares}
+    amounts = shares.entries
     assert amounts[UNKNOWN_INSTITUTION] == Fraction(1, 2)
     assert sum(amounts.values()) == 1
 
 
 def test_share_order_is_sorted_by_institution():
     shares = paper_shares(make_attributed([("a1", "Z"), ("a2", "A"), ("a3", "M")]))
-    assert [share.institution_id for share in shares.shares] == ["A", "M", "Z"]
+    assert list(shares.numerators) == ["A", "M", "Z"]
 
 
 @given(
@@ -79,22 +77,23 @@ def test_share_order_is_sorted_by_institution():
 def test_shares_always_sum_to_one(pairs):
     rows = [(f"a{author}", institution) for author, institution in pairs]
     shares = paper_shares(make_attributed(rows))
-    assert sum(share.amount for share in shares.shares) == 1
+    assert sum(shares.entries.values()) == 1
 
 
-def test_accumulate_sums_share_lists():
+def test_merging_one_paper_tables_sums_their_credit():
     papers = [
         make_attributed([("a1", "A")], paper_id="P1"),
         make_attributed([("a1", "A"), ("a2", "B")], paper_id="P2"),
     ]
-    table = accumulate_scores([paper_shares(p) for p in papers], 2014)
+    table = merge_partials([paper_shares(p) for p in papers])
     assert table.entries == {"A": Fraction(3, 2), "B": Fraction(1, 2)}
     assert table.year == 2014
 
 
 def test_accumulate_empty_stream_gives_empty_table():
-    table = accumulate_scores([], 2014)
+    table = CreditAccumulator(2014).table()
     assert table.entries == {}
+    assert table.year == 2014
 
 
 def test_merge_single_table_is_identity():
@@ -124,16 +123,14 @@ def test_any_partitioning_merges_to_the_sequential_table():
         )
         for i in range(200)
     ]
-    share_lists = [paper_shares(p) for p in papers]
-    sequential = accumulate_scores(share_lists, 2014)
+    one_paper_tables = [paper_shares(p) for p in papers]
+    sequential = score_venue_years(*as_streams(papers))[("V0", 2014)]
     for trial in range(20):
         shard_count = rng.randint(1, 8)
         shards = [[] for _ in range(shard_count)]
-        for share_list in share_lists:
-            shards[rng.randrange(shard_count)].append(share_list)
-        merged = merge_partials(
-            [accumulate_scores(shard, 2014) for shard in shards]
-        )
+        for table in one_paper_tables:
+            shards[rng.randrange(shard_count)].append(table)
+        merged = merge_partials([merge_partials(shard) for shard in shards if shard])
         assert merged.entries == sequential.entries
         assert [float(v) for v in merged.entries.values()] == [
             float(v) for v in sequential.entries.values()
@@ -202,17 +199,15 @@ def test_accumulator_equals_the_fraction_sum_of_paper_shares(
         )
         for serial, authors in enumerate(author_lists)
     ]
-    expected: dict[str, Fraction] = {}
-    for paper in papers:
-        for institution, amount in paper_shares(paper).shares:
-            expected[institution] = expected.get(institution, Fraction(0)) + amount
-    expected = dict(sorted(expected.items()))
+    # naive_score sums each paper's Fraction pieces: the exact reference.
+    expected = naive_score(papers)[2014].entries
 
     streamed = score_venue_years(*as_streams(papers))
     assert list(streamed) == [("V0", 2014)]
     table = streamed[("V0", 2014)]
     assert list(table.entries.items()) == list(expected.items())
-    assert accumulate_scores([paper_shares(p) for p in papers], 2014).entries == expected
+    from_paper_tables = merge_partials([paper_shares(p) for p in papers])
+    assert list(from_paper_tables.entries.items()) == list(expected.items())
 
     shards: list[list] = [[], [], [], []]
     for serial, paper in enumerate(papers):

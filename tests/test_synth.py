@@ -14,9 +14,8 @@ from instrank.ingest import (
     filter_papers,
     iter_affiliations,
     iter_papers,
-    join_affiliations,
 )
-from instrank.scoring import accumulate_scores, paper_shares
+from instrank.scoring import merge_partials, score_venue_years
 from instrank.synth import (
     CorpusParams,
     InvalidParamsError,
@@ -186,12 +185,11 @@ def test_streaming_pipeline_reproduces_the_realized_truth(tmp_path):
     rows = iter_affiliations(
         corpus.affiliations_path, TableSchema.affiliations_default(), strict=True
     )
-    shares_by_year: dict[int, list] = {year: [] for year in params.years}
-    for attributed in join_affiliations(kept, rows):
-        shares_by_year[attributed.paper.year].append(paper_shares(attributed))
-    for year, share_lists in shares_by_year.items():
-        table = accumulate_scores(share_lists, year)
-        assert table.entries == corpus.truth.realized[year].entries
+    tables = score_venue_years(kept, rows)
+    for year in params.years:
+        # The realized truth pools every venue of the year.
+        table = merge_partials([tables[("V0", year)], tables[("V1", year)]])
+        assert list(table.entries.items()) == list(corpus.truth.realized[year].entries.items())
 
 
 def test_generate_corpus_can_skip_the_realized_truth(tmp_path):

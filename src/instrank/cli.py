@@ -45,7 +45,7 @@ from .ingest import (
     ParseStats,
     TableSchema,
     YearRange,
-    filter_papers,
+    filter_papers,  # noqa: F401 - perfbench/traced.py wraps it on this module
     iter_affiliations,
     iter_papers,
     join_affiliations,  # noqa: F401 - perfbench/traced.py wraps it on this module
@@ -263,9 +263,11 @@ def _describe_rows(stats: ParseStats) -> str:
 def cmd_score(config: PipelineConfig) -> int:
     """One streaming pass over both dumps, emitting per-venue-year tables.
 
-    ``score_venue_years`` runs the first three phases: index the filtered
-    papers, bucket the affiliation rows under them, credit each
-    venue-year. The fourth writes one score file per venue and scored year.
+    ``score_venue_years`` runs the first three phases: index the papers
+    the reader keeps by venue and year, read and bucket only their
+    affiliation rows, credit each venue-year. Both readers still check and
+    count every row. The fourth writes one score file per venue and scored
+    year.
     """
     os.makedirs(config.output_dir, exist_ok=True)
     span = config.scored_years()
@@ -284,16 +286,21 @@ def cmd_score(config: PipelineConfig) -> int:
         nonlocal unattributed
         unattributed += 1
 
-    papers = filter_papers(
-        iter_papers(config.papers_path, config.papers_schema, config.strict, paper_stats),
-        venue_set,
-        span,
+    papers = iter_papers(
+        config.papers_path, config.papers_schema, config.strict, paper_stats, venue_set, span
     )
-    rows = iter_affiliations(
-        config.affiliations_path, config.affiliations_schema, config.strict, affil_stats
-    )
+
+    def read_rows(paper_ids):
+        return iter_affiliations(
+            config.affiliations_path,
+            config.affiliations_schema,
+            config.strict,
+            affil_stats,
+            paper_ids,
+        )
+
     try:
-        tables = score_venue_years(count_kept(papers), rows, count_missing)
+        tables = score_venue_years(count_kept(papers), read_rows, count_missing)
     except DuplicatePaperIdError as exc:
         raise DuplicatePaperIdError(f"{config.papers_path}: {exc}") from exc
     for venue_id in config.venues:

@@ -5,6 +5,15 @@ separated by a single-character delimiter (tab by default). There is no
 quoting: a delimiter byte always splits fields. Files are never loaded
 whole; every reader yields records one line at a time so memory stays
 flat no matter how large the dump is.
+
+``_read_rows`` is the one reader, with one inline loop per table (papers,
+affiliations, raw rows): every row is checked and counted in place, with
+no call per row, and a bad row goes to one skip-or-abort policy. The
+selection is pushed into the loops, so most of a whole-graph dump is
+validated and dropped without building a record: ``iter_papers`` takes
+the venue set and year span, and ``iter_affiliations`` the paper ids the
+join asks for. The join (``bucket_affiliations``) indexes the filtered
+papers first, then reads only their rows, as plain tuples.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import gzip
 import io
 from dataclasses import dataclass
 from sys import intern
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, Literal, NamedTuple
 
 # Sentinel institution id assigned when the affiliation field is empty.
 # Kept in raw score tables so credit is conserved, but excluded from any
@@ -32,8 +41,9 @@ _new_tuple = tuple.__new__
 class MalformedRowError(ValueError):
     """A data row that cannot be parsed under the configured schema."""
 
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"row {line_number}: {reason}")
+    def __init__(self, path: str, line_number: int, reason: str):
+        super().__init__(f"{path}: row {line_number}: {reason}")
+        self.path = path
         self.line_number = line_number
         self.reason = reason
 
@@ -113,6 +123,11 @@ class RawRow(NamedTuple):
     fields: list[str]
 
 
+# The join's source of affiliation rows: given the filtered paper ids, it
+# streams ``(paper_id, author_id, institution_id)`` tuples of those papers.
+RowReader = Callable[[Collection[str]], Iterable[tuple[str, str, str]]]
+
+
 @dataclass
 class ParseStats:
     """Counts kept while parsing one table."""
@@ -155,17 +170,24 @@ class YearRange:
 def _read_rows(
     path: str,
     schema: TableSchema,
-    parse: Callable[[int, list[str]], tuple],
+    table: Literal["papers", "affiliations", "raw"],
     strict: bool,
     stats: ParseStats | None,
+    venues: Collection[str] | None = None,
+    years: YearRange | None = None,
+    paper_ids: Collection[str] | None = None,
 ) -> Iterator[tuple]:
-    """The one line-reading loop: yields ``parse(line_number, fields)`` per line.
+    """The one line-reading loop per table: ``"papers"``, ``"affiliations"`` or ``"raw"``.
 
     Gzip is detected from the magic bytes, not the name. A declared header
     is consumed but still counted, so a headered file's first data row is
-    row 2. A MalformedRowError from ``parse`` skips the row, or under
-    ``strict`` aborts. A missing file raises FileNotFoundError on the first
-    ``next``; mid-stream failures raise StreamError with the row reached.
+    row 2. Every row is checked in place, with no call per row; a bad row
+    is skipped and counted, or under ``strict`` aborts with a
+    MalformedRowError naming the file and the row. Only rows that pass the
+    selection (``venues`` and ``years`` for papers, ``paper_ids`` for
+    affiliations; None keeps all) become records. A missing file raises
+    FileNotFoundError on the first ``next``; mid-stream failures raise
+    StreamError with the row reached.
     """
     with open(path, "rb") as raw:
         gzipped = raw.peek(2)[:2] == GZIP_MAGIC
@@ -174,22 +196,71 @@ def _read_rows(
         stream = io.TextIOWrapper(source, encoding="utf-8", newline="\n")
         delimiter = schema.delimiter
         line_number = header = 1 if schema.has_header else 0
-        skipped, aborted, first_skipped = 0, 0, None
+        lines = enumerate(stream, header + 1)
+        skipped = aborted = 0
+        first_skipped = None
+
+        def skip(number: int, reason: str) -> None:
+            """The one skip-or-abort policy for a row that fails its table's checks."""
+            nonlocal skipped, aborted, first_skipped
+            if strict:
+                aborted = 1
+                raise MalformedRowError(path, number, reason)
+            skipped += 1
+            if first_skipped is None:
+                first_skipped = number
+
         try:
             if header:
                 stream.readline()
-            for line_number, line in enumerate(stream, header + 1):
-                try:
-                    record = parse(line_number, line.rstrip("\r\n").split(delimiter))
-                except MalformedRowError:
-                    if strict:
-                        aborted = 1
-                        raise
-                    skipped += 1
-                    if first_skipped is None:
-                        first_skipped = line_number
-                    continue
-                yield record
+            if table == "papers":
+                paper_col, year_col, venue_col = schema.paper_id, schema.year, schema.venue_id
+                needed = max(paper_col, year_col, venue_col) + 1
+                low, high = (years.low, years.high) if years is not None else (MIN_YEAR, MAX_YEAR)
+                for line_number, line in lines:
+                    # Columns past the last one read are left unsplit.
+                    fields = line.rstrip("\r\n").split(delimiter, needed)
+                    if len(fields) < needed:
+                        skip(line_number, f"expected at least {needed} columns, got {len(fields)}")
+                        continue
+                    paper_id = fields[paper_col]
+                    if not paper_id:
+                        skip(line_number, "empty paper id")
+                        continue
+                    year_text = fields[year_col]
+                    try:
+                        year = int(year_text)
+                    except ValueError:
+                        skip(line_number, f"year {year_text!r} is not an integer")
+                        continue
+                    if not MIN_YEAR <= year <= MAX_YEAR:
+                        skip(line_number, f"year {year} outside {MIN_YEAR}-{MAX_YEAR}")
+                        continue
+                    venue_id = fields[venue_col]
+                    if low <= year <= high and (venues is None or venue_id in venues):
+                        yield _new_tuple(PaperRecord, (paper_id, year, venue_id))
+            elif table == "affiliations":
+                paper_col, author_col = schema.paper_id, schema.author_id
+                institution_col = schema.institution_id
+                needed = max(paper_col, author_col, institution_col) + 1
+                for line_number, line in lines:
+                    fields = line.rstrip("\r\n").split(delimiter, needed)
+                    if len(fields) < needed:
+                        skip(line_number, f"expected at least {needed} columns, got {len(fields)}")
+                        continue
+                    paper_id = fields[paper_col]
+                    if not paper_id:
+                        skip(line_number, "empty paper id")
+                        continue
+                    author_id = fields[author_col]
+                    if not author_id:
+                        skip(line_number, "empty author id")
+                        continue
+                    if paper_ids is None or paper_id in paper_ids:
+                        yield paper_id, author_id, fields[institution_col] or UNKNOWN_INSTITUTION
+            else:
+                for line_number, line in lines:
+                    yield _new_tuple(RawRow, (line_number, line.rstrip("\r\n").split(delimiter)))
         except (OSError, UnicodeDecodeError, EOFError) as exc:
             raise StreamError(path, line_number + 1, exc) from exc
         finally:
@@ -204,81 +275,44 @@ def _read_rows(
 
 def open_table(path: str, schema: TableSchema) -> Iterator[RawRow]:
     """Stream ``RawRow``s (line number, split fields) through the one reader, ``_read_rows``."""
-    return _read_rows(path, schema, RawRow, False, None)
-
-
-def _paper_parser(schema: TableSchema) -> Callable[[int, list[str]], PaperRecord]:
-    if schema.year is None or schema.venue_id is None:
-        raise ValueError("schema does not describe a papers table")
-    paper_col, year_col, venue_col = schema.paper_id, schema.year, schema.venue_id
-    needed = max(paper_col, year_col, venue_col) + 1
-
-    def parse(line_number: int, fields: list[str]) -> PaperRecord:
-        if len(fields) < needed:
-            raise MalformedRowError(
-                line_number, f"expected at least {needed} columns, got {len(fields)}"
-            )
-        paper_id = fields[paper_col]
-        if not paper_id:
-            raise MalformedRowError(line_number, "empty paper id")
-        year_text = fields[year_col]
-        try:
-            year = int(year_text)
-        except ValueError:
-            raise MalformedRowError(line_number, f"year {year_text!r} is not an integer") from None
-        if not MIN_YEAR <= year <= MAX_YEAR:
-            raise MalformedRowError(line_number, f"year {year} outside {MIN_YEAR}-{MAX_YEAR}")
-        return _new_tuple(PaperRecord, (paper_id, year, fields[venue_col]))
-
-    return parse
-
-
-def _affiliation_parser(schema: TableSchema) -> Callable[[int, list[str]], AffiliationRow]:
-    if schema.author_id is None or schema.institution_id is None:
-        raise ValueError("schema does not describe an affiliations table")
-    paper_col, author_col = schema.paper_id, schema.author_id
-    institution_col = schema.institution_id
-    needed = max(paper_col, author_col, institution_col) + 1
-
-    def parse(line_number: int, fields: list[str]) -> AffiliationRow:
-        if len(fields) < needed:
-            raise MalformedRowError(
-                line_number, f"expected at least {needed} columns, got {len(fields)}"
-            )
-        paper_id = fields[paper_col]
-        if not paper_id:
-            raise MalformedRowError(line_number, "empty paper id")
-        author_id = fields[author_col]
-        if not author_id:
-            raise MalformedRowError(line_number, "empty author id")
-        institution = fields[institution_col] or UNKNOWN_INSTITUTION
-        return _new_tuple(AffiliationRow, (paper_id, author_id, institution))
-
-    return parse
-
-
-def parse_paper_row(row: RawRow, schema: TableSchema) -> PaperRecord:
-    """Extract a PaperRecord; raises MalformedRowError with the row number."""
-    return _paper_parser(schema)(*row)
-
-
-def parse_affiliation_row(row: RawRow, schema: TableSchema) -> AffiliationRow:
-    """Extract an AffiliationRow; empty institution becomes the UNKNOWN sentinel."""
-    return _affiliation_parser(schema)(*row)
+    return _read_rows(path, schema, "raw", False, None)
 
 
 def iter_papers(
-    path: str, schema: TableSchema, strict: bool = False, stats: ParseStats | None = None
+    path: str,
+    schema: TableSchema,
+    strict: bool = False,
+    stats: ParseStats | None = None,
+    venues: Collection[str] | None = None,
+    years: YearRange | None = None,
 ) -> Iterator[PaperRecord]:
-    """Parse a papers table, skipping (or, when strict, aborting on) bad rows."""
-    return _read_rows(path, schema, _paper_parser(schema), strict, stats)
+    """Parse a papers table, skipping (or, when strict, aborting on) bad rows.
+
+    Every row is checked and counted in ``stats``; only papers whose venue
+    is in ``venues`` and year in ``years`` are yielded (None selects all),
+    in file order. An empty venue set selects nothing.
+    """
+    if schema.year is None or schema.venue_id is None:
+        raise ValueError("schema does not describe a papers table")
+    return _read_rows(path, schema, "papers", strict, stats, venues=venues, years=years)
 
 
 def iter_affiliations(
-    path: str, schema: TableSchema, strict: bool = False, stats: ParseStats | None = None
-) -> Iterator[AffiliationRow]:
-    """Parse an affiliations table with the same skip-or-abort policy."""
-    return _read_rows(path, schema, _affiliation_parser(schema), strict, stats)
+    path: str,
+    schema: TableSchema,
+    strict: bool = False,
+    stats: ParseStats | None = None,
+    paper_ids: Collection[str] | None = None,
+) -> Iterator[tuple[str, str, str]]:
+    """Parse an affiliations table with the same skip-or-abort policy.
+
+    Yields plain ``(paper_id, author_id, institution_id)`` tuples, an empty
+    institution becoming ``UNKNOWN_INSTITUTION``. Every row is checked and
+    counted; only rows of ``paper_ids`` are yielded (None yields all).
+    """
+    if schema.author_id is None or schema.institution_id is None:
+        raise ValueError("schema does not describe an affiliations table")
+    return _read_rows(path, schema, "affiliations", strict, stats, paper_ids=paper_ids)
 
 
 def filter_papers(
@@ -288,7 +322,8 @@ def filter_papers(
 ) -> Iterator[PaperRecord]:
     """Keep papers whose venue is in the set and year in the inclusive range.
 
-    Order is preserved; an empty venue set selects nothing.
+    Order is preserved; an empty venue set selects nothing. This is the
+    selection ``iter_papers`` applies while reading, over records in memory.
     """
     for paper in papers:
         if paper.venue_id in venues and paper.year in years:
@@ -297,13 +332,15 @@ def filter_papers(
 
 def bucket_affiliations(
     papers: Iterable[PaperRecord],
-    rows: Iterable[AffiliationRow],
+    read_rows: RowReader,
     on_missing: Callable[[PaperRecord], None] | None = None,
 ) -> Iterator[tuple[PaperRecord, list[str]]]:
     """The join: each filtered paper with its flat ``[author, institution, ...]`` list.
 
-    Memory is proportional to the filtered papers' rows, not the dump: the
-    affiliation stream is consumed once, and each matching row keeps only
+    The filtered papers are indexed by id first; ``read_rows`` is then
+    called once with those ids and streams their rows (rows of other
+    papers it may yield are dropped). Memory is proportional to the
+    filtered papers' rows, not the dump, and each matching row keeps only
     its two ids, passed through ``sys.intern`` because a corpus has just a
     few thousand distinct authors and institutions. Papers come out in
     paper-stream order with their rows in file order; papers with no rows
@@ -317,14 +354,13 @@ def bucket_affiliations(
                 f"paper id {paper.paper_id!r} appears twice in the filtered set"
             )
         index[paper.paper_id] = paper
-    # Bucket the matching rows; rows of other papers are dropped as they pass.
+    # Bucket the rows of the indexed papers.
     buckets: dict[str, list[str]] = {paper_id: [] for paper_id in index}
-    for row in rows:
-        # Field access, not unpacking: unpacking a tuple subclass takes the slow path.
-        bucket = buckets.get(row.paper_id)
+    for paper_id, author_id, institution_id in read_rows(index):
+        bucket = buckets.get(paper_id)
         if bucket is not None:
-            bucket.append(intern(row.author_id))
-            bucket.append(intern(row.institution_id))
+            bucket.append(intern(author_id))
+            bucket.append(intern(institution_id))
     # Emit, popping each bucket so its memory goes as the caller works through them.
     for paper_id, paper in index.items():
         flat = buckets.pop(paper_id)
@@ -336,7 +372,7 @@ def bucket_affiliations(
 
 def join_affiliations(
     papers: Iterable[PaperRecord],
-    rows: Iterable[AffiliationRow],
+    read_rows: RowReader,
     on_missing: Callable[[PaperRecord], None] | None = None,
 ) -> Iterator[AttributedPaper]:
     """Attach affiliation rows to each filtered paper, in paper-stream order.
@@ -344,7 +380,7 @@ def join_affiliations(
     Built on ``bucket_affiliations``; each paper's ``AffiliationRow``s are
     rebuilt from its flat list only as the paper is emitted.
     """
-    for paper, flat in bucket_affiliations(papers, rows, on_missing):
+    for paper, flat in bucket_affiliations(papers, read_rows, on_missing):
         ids = iter(flat)
         yield AttributedPaper(
             paper,

@@ -23,9 +23,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .ingest import (
     UNKNOWN_INSTITUTION,
-    AffiliationRow,
     AttributedPaper,
     PaperRecord,
+    RowReader,
     bucket_affiliations,
 )
 
@@ -196,19 +196,20 @@ def paper_shares(paper: AttributedPaper) -> ScoreTable:
 
 def score_venue_years(
     papers: Iterable[PaperRecord],
-    rows: Iterable[AffiliationRow],
+    read_rows: RowReader,
     on_missing: Callable[[PaperRecord], None] | None = None,
 ) -> dict[tuple[str, int], ScoreTable]:
     """Raw tables keyed by (venue, year) for every venue-year that has papers.
 
-    ``papers`` is the filtered paper stream and ``rows`` the affiliation
-    stream. The join (``bucket_affiliations``) indexes the papers and
-    buckets the rows; each paper is then credited into its venue-year's
-    accumulator straight from its flat id list, which is freed as it goes.
-    Filtered papers without rows go to ``on_missing`` and earn no credit.
+    ``papers`` is the filtered paper stream, and ``read_rows`` streams the
+    affiliation rows of the paper ids it is given. The join
+    (``bucket_affiliations``) indexes the papers and buckets their rows;
+    each paper is then credited into its venue-year's accumulator straight
+    from its flat id list, which is freed as it goes. Filtered papers
+    without rows go to ``on_missing`` and earn no credit.
     """
     accumulators: dict[tuple[str, int], CreditAccumulator] = {}
-    for paper, flat in bucket_affiliations(papers, rows, on_missing):
+    for paper, flat in bucket_affiliations(papers, read_rows, on_missing):
         key = (paper.venue_id, paper.year)
         accumulator = accumulators.get(key)
         if accumulator is None:
@@ -244,7 +245,7 @@ def normalize(table: ScoreTable) -> ScoreTable:
     if top is None:
         return ScoreTable.from_numerators(table.year, {}, 1)
     if top <= 0:
-        log.warning("year %d: no score above zero, normalization is a no-op", table.year)
+        log.warning("table %s: no score above zero, normalization is a no-op", table.label)
         return table
     return ScoreTable.from_numerators(table.year, numerators, top)
 

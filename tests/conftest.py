@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from instrank.aggregate import RankedItem, RankList
-from instrank.ingest import AffiliationRow, AttributedPaper, PaperRecord
+from instrank.ingest import AffiliationRow, AttributedPaper, PaperRecord, RowReader
 from instrank.scoring import ScoreTable
 
 
@@ -29,9 +29,14 @@ def make_attributed(
 
 def as_streams(
     papers: list[AttributedPaper],
-) -> tuple[list[PaperRecord], list[AffiliationRow]]:
-    """The paper stream and the affiliation stream that ``score_venue_years`` reads."""
-    return [p.paper for p in papers], [row for p in papers for row in p.affiliations]
+) -> tuple[list[PaperRecord], RowReader]:
+    """The paper stream and the row reader that ``score_venue_years`` takes."""
+    return [p.paper for p in papers], rows_of([row for p in papers for row in p.affiliations])
+
+
+def rows_of(rows: list[AffiliationRow]) -> RowReader:
+    """A ``RowReader`` over rows in memory: those of the requested paper ids, in order."""
+    return lambda paper_ids: [row for row in rows if row[0] in paper_ids]
 
 
 def make_table(year: int, entries: dict) -> ScoreTable:

@@ -47,7 +47,6 @@ from instrank.ingest import (
     PaperRecord,
     TableSchema,
     YearRange,
-    filter_papers,
     iter_affiliations,
     iter_papers,
     join_affiliations,
@@ -143,14 +142,22 @@ def test_streaming_scores_equal_the_naive_oracle(announce):
 
                 def streams():
                     papers = iter_papers(
-                        corpus.papers_path, TableSchema.papers_default(), strict=True
-                    )
-                    rows = iter_affiliations(
-                        corpus.affiliations_path,
-                        TableSchema.affiliations_default(),
+                        corpus.papers_path,
+                        TableSchema.papers_default(),
                         strict=True,
+                        venues=venues,
+                        years=span,
                     )
-                    return filter_papers(papers, venues, span), rows
+
+                    def read_rows(paper_ids):
+                        return iter_affiliations(
+                            corpus.affiliations_path,
+                            TableSchema.affiliations_default(),
+                            strict=True,
+                            paper_ids=paper_ids,
+                        )
+
+                    return papers, read_rows
 
                 # The scoring path that ``instrank score`` runs, from the same streams.
                 streamed = score_venue_years(*streams())

@@ -355,6 +355,40 @@ def test_exit_4_on_malformed_row_under_strict(tmp_path):
     assert main(["score", "--config", cfg_path]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "dump, row, reason",
+    [
+        ("papers", "P10\t\t\t2012", "expected at least 9 columns, got 4"),
+        ("affiliations", "P1\t\tIA", "empty author id"),
+    ],
+)
+def test_a_strict_abort_names_the_dump_and_the_row(tmp_path, capsys, dump, row, reason):
+    cfg_path, _ = tiny_config(tmp_path)
+    path = tiny_dumps(tmp_path)[dump == "affiliations"]
+    with open(path, "a", encoding="utf-8") as out:
+        out.write(row + "\n")
+    assert main(["score", "--config", cfg_path, "--strict"]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {path}: row 10: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "dump, row",
+    [
+        ("papers", "P10\t\t\tnever\t\t\t\t\tV9"),  # a venue the run does not select
+        ("affiliations", "P99\t\tIA"),  # a paper the run does not select
+    ],
+)
+def test_a_malformed_row_outside_the_selection_is_still_checked(tmp_path, capsys, dump, row):
+    cfg_path, _ = tiny_config(tmp_path)
+    path = tiny_dumps(tmp_path)[dump == "affiliations"]
+    with open(path, "a", encoding="utf-8") as out:
+        out.write(row + "\n")
+    assert main(["score", "--config", cfg_path]) == EXIT_OK
+    assert f"{dump}: 10 rows, 1 skipped (first at row 10); " in capsys.readouterr().err
+    assert main(["score", "--config", cfg_path, "--strict"]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"error: {path}: row 10: ")
+
+
 def test_exit_4_on_a_paper_id_listed_twice(tmp_path, capsys):
     cfg_path, _ = tiny_config(tmp_path)
     papers, _ = tiny_dumps(tmp_path)

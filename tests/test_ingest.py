@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rows_of
 from instrank.ingest import (
     UNKNOWN_INSTITUTION,
     AffiliationRow,
@@ -25,8 +26,6 @@ from instrank.ingest import (
     iter_papers,
     join_affiliations,
     open_table,
-    parse_affiliation_row,
-    parse_paper_row,
 )
 
 PAPERS = TableSchema.papers_default()
@@ -119,49 +118,58 @@ def test_open_table_wraps_truncated_gzip(tmp_path):
         list(open_table(str(path), AFFILS))
 
 
-# --- row parsers -------------------------------------------------------
+# --- row rules ----------------------------------------------------------
 
 
-def test_parse_paper_row_happy_path():
-    row = RawRow(1, paper_line().split("\t"))
-    assert parse_paper_row(row, PAPERS) == PaperRecord("P1", 2014, "V0")
+def test_iter_papers_reads_a_well_formed_row(tmp_path):
+    path = write_papers(tmp_path / "p.tsv", [paper_line()])
+    assert list(iter_papers(path, PAPERS, strict=True)) == [PaperRecord("P1", 2014, "V0")]
 
 
-def test_parse_paper_row_rejects_short_bad_year_and_empty_id():
+def test_iter_papers_rejects_short_bad_year_and_empty_id(tmp_path):
+    path = write_papers(tmp_path / "p.tsv", [paper_line()] * 6 + ["P1\tx"])
     with pytest.raises(MalformedRowError) as info:
-        parse_paper_row(RawRow(7, ["P1", "x"]), PAPERS)
-    assert info.value.line_number == 7
-    with pytest.raises(MalformedRowError, match="not an integer"):
-        parse_paper_row(RawRow(1, paper_line(year="abc").split("\t")), PAPERS)
-    with pytest.raises(MalformedRowError, match="outside"):
-        parse_paper_row(RawRow(1, paper_line(year="1776").split("\t")), PAPERS)
-    with pytest.raises(MalformedRowError, match="empty paper id"):
-        parse_paper_row(RawRow(1, paper_line(paper_id="").split("\t")), PAPERS)
+        list(iter_papers(path, PAPERS, strict=True))
+    assert (info.value.path, info.value.line_number) == (path, 7)
+    assert str(info.value) == f"{path}: row 7: expected at least 9 columns, got 2"
+    for line, reason in [
+        (paper_line(year="abc"), "not an integer"),
+        (paper_line(year="1776"), "outside"),
+        (paper_line(paper_id=""), "empty paper id"),
+    ]:
+        path = write_papers(tmp_path / "p.tsv", [line])
+        with pytest.raises(MalformedRowError, match=reason):
+            list(iter_papers(path, PAPERS, strict=True))
 
 
-def test_parse_affiliation_row_maps_empty_institution_to_unknown():
-    row = RawRow(1, ["P1", "A1", ""])
-    parsed = parse_affiliation_row(row, AFFILS)
-    assert parsed == AffiliationRow("P1", "A1", UNKNOWN_INSTITUTION)
+def test_iter_affiliations_maps_empty_institution_to_unknown(tmp_path):
+    path = write_papers(tmp_path / "a.tsv", ["P1\tA1\t"])
+    assert list(iter_affiliations(path, AFFILS, strict=True)) == [
+        ("P1", "A1", UNKNOWN_INSTITUTION)
+    ]
 
 
-def test_parse_affiliation_row_rejects_empty_author_or_paper():
-    with pytest.raises(MalformedRowError, match="empty author id"):
-        parse_affiliation_row(RawRow(3, ["P1", "", "I1"]), AFFILS)
-    with pytest.raises(MalformedRowError, match="empty paper id"):
-        parse_affiliation_row(RawRow(3, ["", "A1", "I1"]), AFFILS)
+def test_iter_affiliations_rejects_empty_author_or_paper(tmp_path):
+    for line, reason in [("P1\t\tI1", "empty author id"), ("\tA1\tI1", "empty paper id")]:
+        path = write_papers(tmp_path / "a.tsv", ["P0\tA0\tI0", "P0\tA1\tI1", line])
+        with pytest.raises(MalformedRowError) as info:
+            list(iter_affiliations(path, AFFILS, strict=True))
+        assert str(info.value) == f"{path}: row 3: {reason}"
 
 
-def test_parsers_demand_a_matching_schema():
+def test_parsers_demand_a_matching_schema(tmp_path):
+    path = write_papers(tmp_path / "t.tsv", ["a"])
     with pytest.raises(ValueError):
-        parse_paper_row(RawRow(1, ["a"]), AFFILS)
+        iter_papers(path, AFFILS)
     with pytest.raises(ValueError):
-        parse_affiliation_row(RawRow(1, ["a"]), PAPERS)
+        iter_affiliations(path, PAPERS)
 
 
-def test_extra_trailing_columns_are_ignored():
-    row = RawRow(1, ["P1", "A1", "I1", "junk", "more"])
-    assert parse_affiliation_row(row, AFFILS) == AffiliationRow("P1", "A1", "I1")
+def test_extra_trailing_columns_are_ignored(tmp_path):
+    path = write_papers(tmp_path / "a.tsv", ["P1\tA1\tI1\tjunk\tmore"])
+    assert list(iter_affiliations(path, AFFILS, strict=True)) == [("P1", "A1", "I1")]
+    path = write_papers(tmp_path / "p.tsv", [paper_line() + "\tjunk\tmore"])
+    assert list(iter_papers(path, PAPERS, strict=True)) == [PaperRecord("P1", 2014, "V0")]
 
 
 # --- lenient vs strict iteration ----------------------------------------
@@ -301,11 +309,20 @@ def reference_parse(text, kind, has_header, strict):
     final_newline=st.booleans(),
     compressed=st.booleans(),
     strict=st.booleans(),
+    ids=st.one_of(st.none(), st.sets(st.sampled_from(FIELD_VALUES))),
+    years=st.one_of(
+        st.none(),
+        st.lists(st.sampled_from([1900, 2013, 2014, 2100]), min_size=2, max_size=2).map(
+            lambda ends: YearRange(min(ends), max(ends))
+        ),
+    ),
 )
 @settings(max_examples=200, deadline=None)
 def test_reader_matches_a_reference_over_real_files(
-    tmp_path_factory, kind, rows, has_header, crlf, final_newline, compressed, strict
+    tmp_path_factory, kind, rows, has_header, crlf, final_newline, compressed, strict, ids, years
 ):
+    # ``ids`` selects venues of papers, or paper ids of affiliation rows. The
+    # selection drops records only: counts and the abort row stay the reference's.
     lines = (["header\tline"] if has_header else []) + ["\t".join(row) for row in rows]
     ending = "\r\n" if crlf else "\n"
     text = ending.join(lines) + (ending if final_newline and lines else "")
@@ -313,16 +330,28 @@ def test_reader_matches_a_reference_over_real_files(
     payload = text.encode("utf-8")
     path.write_bytes(gzip.compress(payload) if compressed else payload)
 
-    reader = iter_papers if kind == "papers" else iter_affiliations
-    schema = replace(PAPERS if kind == "papers" else AFFILS, has_header=has_header)
     stats = ParseStats()
+    if kind == "papers":
+        schema = replace(PAPERS, has_header=has_header)
+        records = iter_papers(str(path), schema, strict, stats, ids, years)
+    else:
+        schema = replace(AFFILS, has_header=has_header)
+        records = iter_affiliations(str(path), schema, strict, stats, ids)
     got, abort_row = [], None
     try:
-        for record in reader(str(path), schema, strict, stats):
+        for record in records:
             got.append(record)
     except MalformedRowError as exc:
         abort_row = exc.line_number
     expected, counts, expected_abort = reference_parse(text, kind, has_header, strict)
+    if kind == "papers":
+        expected = [
+            paper
+            for paper in expected
+            if (ids is None or paper.venue_id in ids) and (years is None or paper.year in years)
+        ]
+    elif ids is not None:
+        expected = [row for row in expected if row.paper_id in ids]
     assert got == expected
     assert (stats.rows, stats.parsed, stats.skipped, stats.first_skipped) == counts
     assert abort_row == expected_abort
@@ -380,7 +409,8 @@ def test_join_groups_rows_under_their_paper_in_stream_order():
         AffiliationRow("P2", "A3", "I3"),
         AffiliationRow("P9", "A4", "I4"),  # not in the filtered set
     ]
-    joined = list(join_affiliations(papers, rows))
+    # The reader may yield rows of other papers too; the join drops them.
+    joined = list(join_affiliations(papers, lambda paper_ids: rows))
     assert [a.paper.paper_id for a in joined] == ["P1", "P2"]
     assert joined[0].affiliations == (AffiliationRow("P1", "A2", "I2"),)
     assert joined[1].affiliations == (
@@ -393,7 +423,9 @@ def test_join_reports_papers_without_rows_through_the_callback():
     papers = [PaperRecord("P1", 2011, "V0"), PaperRecord("P2", 2011, "V0")]
     rows = [AffiliationRow("P1", "A1", "I1")]
     orphans: list[str] = []
-    joined = list(join_affiliations(papers, rows, on_missing=lambda p: orphans.append(p.paper_id)))
+    joined = list(
+        join_affiliations(papers, rows_of(rows), on_missing=lambda p: orphans.append(p.paper_id))
+    )
     assert [a.paper.paper_id for a in joined] == ["P1"]
     assert orphans == ["P2"]
 
@@ -401,7 +433,7 @@ def test_join_reports_papers_without_rows_through_the_callback():
 def test_join_rejects_duplicate_paper_ids():
     papers = [PaperRecord("P1", 2011, "V0"), PaperRecord("P1", 2012, "V0")]
     with pytest.raises(DuplicatePaperIdError):
-        list(join_affiliations(papers, []))
+        list(join_affiliations(papers, rows_of([])))
 
 
 # --- end to end over files ----------------------------------------------

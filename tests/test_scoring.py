@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_streams, make_attributed, make_table
+from conftest import as_streams, make_attributed, make_table, rows_of
 from instrank.ingest import UNKNOWN_INSTITUTION, AffiliationRow, PaperRecord, join_affiliations
 from instrank.scoring import (
     CreditAccumulator,
@@ -266,9 +266,9 @@ def test_score_venue_years_equals_the_oracle_over_the_join(drawn, rng):
     rng.shuffle(rows)  # rows of one paper interleave with the others'
 
     missing_scored: list[PaperRecord] = []
-    tables = score_venue_years(iter(selected), iter(rows), missing_scored.append)
+    tables = score_venue_years(iter(selected), rows_of(rows), missing_scored.append)
     missing_joined: list[PaperRecord] = []
-    joined = list(join_affiliations(iter(selected), iter(rows), missing_joined.append))
+    joined = list(join_affiliations(iter(selected), rows_of(rows), missing_joined.append))
 
     # The join keeps paper-stream order, and each paper's rows in file order.
     with_rows = {row.paper_id for row in rows}
@@ -334,6 +334,14 @@ def test_normalize_all_zero_passes_through_with_warning(caplog):
         table = normalize(make_table(2014, {"A": 0, "B": 0}))
     assert table.entries == {"A": Fraction(0), "B": Fraction(0)}
     assert any("zero" in message for message in caplog.messages)
+
+
+def test_normalize_warning_names_the_table_by_its_label(caplog):
+    # An aggregated table has no year; its warning once failed to format.
+    with caplog.at_level("WARNING"):
+        table = normalize(ScoreTable(None, {"a": 0}))
+    assert table.numerators == {"a": 0}
+    assert caplog.messages == ["table aggregate: no score above zero, normalization is a no-op"]
 
 
 def test_normalize_empty_table():

@@ -11,7 +11,6 @@ from instrank.ingest import (
     UNKNOWN_INSTITUTION,
     TableSchema,
     YearRange,
-    filter_papers,
     iter_affiliations,
     iter_papers,
 )
@@ -180,12 +179,23 @@ def test_streaming_pipeline_reproduces_the_realized_truth(tmp_path):
     params = small_params(unknown_rate=0.1)
     corpus = generate_corpus(params, str(tmp_path))
     assert corpus.truth.realized is not None
-    papers = iter_papers(corpus.papers_path, TableSchema.papers_default(), strict=True)
-    kept = filter_papers(papers, {"V0", "V1"}, params.years)
-    rows = iter_affiliations(
-        corpus.affiliations_path, TableSchema.affiliations_default(), strict=True
+    kept = iter_papers(
+        corpus.papers_path,
+        TableSchema.papers_default(),
+        strict=True,
+        venues={"V0", "V1"},
+        years=params.years,
     )
-    tables = score_venue_years(kept, rows)
+
+    def read_rows(paper_ids):
+        return iter_affiliations(
+            corpus.affiliations_path,
+            TableSchema.affiliations_default(),
+            strict=True,
+            paper_ids=paper_ids,
+        )
+
+    tables = score_venue_years(kept, read_rows)
     for year in params.years:
         # The realized truth pools every venue of the year.
         table = merge_partials([tables[("V0", year)], tables[("V1", year)]])

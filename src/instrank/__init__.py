@@ -44,9 +44,20 @@ from .scoring import (
     normalize,
     paper_shares,
 )
-from .synth import CorpusParams, PlantedTruth, generate_corpus, naive_score, naive_topk
 
 __version__ = "0.1.0"
+
+# The corpus generator and its oracles load on first access, so running a
+# pipeline never imports them.
+_SYNTH_NAMES = ("CorpusParams", "PlantedTruth", "generate_corpus", "naive_score", "naive_topk")
+
+
+def __getattr__(name: str):
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AffiliationRow",

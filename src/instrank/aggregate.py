@@ -13,8 +13,6 @@ is deterministic.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Sequence
@@ -51,8 +49,7 @@ class RankedItem(NamedTuple):
     score: float
 
 
-@dataclass(frozen=True)
-class RankList:
+class RankList(NamedTuple):
     """Items in rank order 1..n, scores non-increasing, ids unique."""
 
     label: str
@@ -70,7 +67,6 @@ def check_borda(variant: str, p: float | None) -> None:
         raise InvalidPError(f"p must be > 0, got {p!r}")
 
 
-@dataclass(frozen=True)
 class AggregationSpec:
     """A parsed choice of aggregation method.
 
@@ -78,23 +74,48 @@ class AggregationSpec:
     only to fagin, defaulting to the usual top-20 cutoff.
     """
 
-    method: str
-    borda_variant: str = "sum"
-    p: float | None = None
-    fagin_k: int | None = None
-    # The spec as written, for messages; empty unless parsed. Not part of its identity.
-    text: str = field(default="", compare=False, repr=False)
+    __slots__ = ("method", "borda_variant", "p", "fagin_k", "text")
 
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown aggregation method {self.method!r}")
-        if self.method == METHOD_BORDA:
-            check_borda(self.borda_variant, self.p)
-        if self.method == METHOD_FAGIN:
-            if self.fagin_k is None:
-                object.__setattr__(self, "fagin_k", DEFAULT_TOP_K)
-            elif self.fagin_k < 1:
-                raise ValueError(f"fagin_k must be >= 1, got {self.fagin_k}")
+    def __init__(
+        self,
+        method: str,
+        borda_variant: str = "sum",
+        p: float | None = None,
+        fagin_k: int | None = None,
+        text: str = "",
+    ) -> None:
+        if method not in METHODS:
+            raise ValueError(f"unknown aggregation method {method!r}")
+        if method == METHOD_BORDA:
+            check_borda(borda_variant, p)
+        if method == METHOD_FAGIN:
+            if fagin_k is None:
+                fagin_k = DEFAULT_TOP_K
+            elif fagin_k < 1:
+                raise ValueError(f"fagin_k must be >= 1, got {fagin_k}")
+        self.method = method
+        self.borda_variant = borda_variant
+        self.p = p
+        self.fagin_k = fagin_k
+        # The spec as written, for messages; empty unless parsed. Not part of its identity.
+        self.text = text
+
+    def _key(self) -> tuple:
+        return (self.method, self.borda_variant, self.p, self.fagin_k)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AggregationSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"AggregationSpec(method={self.method!r}, borda_variant={self.borda_variant!r}, "
+            f"p={self.p!r}, fagin_k={self.fagin_k!r})"
+        )
 
     @property
     def label(self) -> str:
@@ -237,7 +258,7 @@ def borda_aggregate(
     if variant == "sum":
         combine = sum
     elif variant == "median":
-        combine = statistics.median
+        from statistics import median as combine
     elif variant == "geometric_mean":
 
         def combine(values):
@@ -338,10 +359,12 @@ def write_ranking_csv(rank_list: RankList, path: str) -> None:
 def read_ranking_csv(path: str, label: str) -> RankList:
     """Read a file written by write_ranking_csv.
 
-    A bad header, rank or score raises ``MalformedFileError`` naming the
-    file and the row (the header is row 1).
+    A bad header, rank or score, a rank that is not the row's position
+    (1, 2, ... down the file), or an institution listed twice raises
+    ``MalformedFileError`` naming the file and the row (the header is row 1).
     """
     items = []
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="\n") as src:
         header = src.readline()
         if header.strip() != "rank,institution_id,score":
@@ -357,6 +380,15 @@ def read_ranking_csv(path: str, label: str) -> RankList:
                 item = RankedItem(int(rank_text), institution, float(score_text))
             except ValueError as exc:
                 raise MalformedFileError(path, line_number, str(exc)) from None
+            if item.rank != len(items) + 1:
+                raise MalformedFileError(
+                    path, line_number, f"rank {item.rank} where {len(items) + 1} is due"
+                )
+            if institution in seen:
+                raise MalformedFileError(
+                    path, line_number, f"institution {institution!r} is listed twice"
+                )
+            seen.add(institution)
             items.append(item)
     return RankList(label, tuple(items))
 

@@ -15,7 +15,6 @@ import configparser
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .aggregate import (
@@ -59,7 +58,6 @@ from .scoring import (
     score_venue_years,
     write_score_csv,
 )
-from .synth import CorpusParams, InvalidParamsError, generate_corpus
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -92,19 +90,37 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
 class PipelineConfig:
-    papers_path: str
-    affiliations_path: str
-    papers_schema: TableSchema
-    affiliations_schema: TableSchema
-    venues: list[str]
-    train_years: YearRange
-    truth_year: int
-    specs: list[AggregationSpec] = field(default_factory=list)
-    k: int = 20
-    output_dir: str = "out"
-    strict: bool = False
+    def __init__(
+        self,
+        papers_path: str,
+        affiliations_path: str,
+        papers_schema: TableSchema,
+        affiliations_schema: TableSchema,
+        venues: list[str],
+        train_years: YearRange,
+        truth_year: int,
+        specs: list[AggregationSpec] | None = None,
+        k: int = 20,
+        output_dir: str = "out",
+        strict: bool = False,
+    ) -> None:
+        self.papers_path = papers_path
+        self.affiliations_path = affiliations_path
+        self.papers_schema = papers_schema
+        self.affiliations_schema = affiliations_schema
+        self.venues = venues
+        self.train_years = train_years
+        self.truth_year = truth_year
+        self.specs = [] if specs is None else specs
+        self.k = k
+        self.output_dir = output_dir
+        self.strict = strict
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PipelineConfig):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def validate(self) -> None:
         if self.truth_year <= self.train_years.high:
@@ -445,6 +461,9 @@ def _parse_count_range(text: str) -> tuple[int, int]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # Only this command generates corpora; the others never load the generator.
+    from .synth import CorpusParams, generate_corpus
+
     try:
         params = CorpusParams(
             num_institutions=args.institutions,
@@ -556,7 +575,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
-    except (InvalidPError, InvalidParamsError, KTooLargeError) as exc:
+    except (InvalidPError, KTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (MalformedRowError, MalformedFileError, DuplicatePaperIdError) as exc:

@@ -8,8 +8,7 @@ The ideal ordering for the same truth normalizes the metric into [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .aggregate import AggregationSpec, RankList, YearTables, run_aggregation
 from .scoring import ScoreTable, drop_unknown, order_by_score
@@ -23,21 +22,24 @@ class MissingTruthError(KeyError):
     """No ground truth was supplied for a venue under evaluation."""
 
 
-@dataclass(frozen=True)
 class GroundTruth:
     """Relevance per institution for one held-out year."""
 
-    year: int
-    relevance: dict[str, float]
-    # Institutions by relevance descending, id ascending: the ideal ranking.
-    ideal: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("year", "relevance", "ideal")
 
-    def __post_init__(self) -> None:
-        for institution, value in self.relevance.items():
+    def __init__(self, year: int, relevance: dict[str, float]) -> None:
+        for institution, value in relevance.items():
             if value < 0:
                 raise ValueError(f"negative relevance for {institution!r}")
-        ordered = order_by_score(self.relevance)
-        object.__setattr__(self, "ideal", tuple(institution for institution, _ in ordered))
+        self.year = year
+        self.relevance = relevance
+        # Institutions by relevance descending, id ascending: the ideal ranking.
+        self.ideal = tuple(institution for institution, _ in order_by_score(relevance))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroundTruth):
+            return NotImplemented
+        return self.year == other.year and self.relevance == other.relevance
 
     @classmethod
     def from_score_table(cls, table: ScoreTable) -> "GroundTruth":
@@ -95,15 +97,13 @@ def ndcg_at_k(ranking: RankList | Iterable[str], truth: GroundTruth, k: int) -> 
     return dcg_at_k(ranking, truth, k) / ideal
 
 
-@dataclass(frozen=True)
-class EvalRow:
+class EvalRow(NamedTuple):
     venue_id: str
     values: dict[str, float]
     winner: str
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     k: int
     rows: list[EvalRow]
 

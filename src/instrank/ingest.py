@@ -18,9 +18,7 @@ papers first, then reads only their rows, as plain tuples.
 
 from __future__ import annotations
 
-import gzip
 import io
-from dataclasses import dataclass
 from sys import intern
 from typing import Callable, Collection, Iterable, Iterator, Literal, NamedTuple
 
@@ -61,7 +59,6 @@ class DuplicatePaperIdError(ValueError):
     """The same paper id appeared twice in a filtered paper stream."""
 
 
-@dataclass(frozen=True)
 class TableSchema:
     """Column ordinals for one delimited table.
 
@@ -70,23 +67,46 @@ class TableSchema:
     zero-based positions in the split row.
     """
 
-    paper_id: int = 0
-    year: int | None = None
-    venue_id: int | None = None
-    author_id: int | None = None
-    institution_id: int | None = None
-    delimiter: str = "\t"
-    has_header: bool = False
+    __slots__ = (
+        "paper_id", "year", "venue_id", "author_id", "institution_id", "delimiter", "has_header"
+    )
 
-    def __post_init__(self) -> None:
-        columns = (self.paper_id, self.year, self.venue_id, self.author_id, self.institution_id)
+    def __init__(
+        self,
+        paper_id: int = 0,
+        year: int | None = None,
+        venue_id: int | None = None,
+        author_id: int | None = None,
+        institution_id: int | None = None,
+        delimiter: str = "\t",
+        has_header: bool = False,
+    ) -> None:
+        columns = (paper_id, year, venue_id, author_id, institution_id)
         ordinals = [o for o in columns if o is not None]
         if any(o < 0 for o in ordinals):
             raise ValueError("column ordinals must be non-negative")
         if len(set(ordinals)) != len(ordinals):
             raise ValueError("column ordinals must be distinct within a table")
-        if len(self.delimiter) != 1:
+        if len(delimiter) != 1:
             raise ValueError("delimiter must be a single character")
+        self.paper_id = paper_id
+        self.year = year
+        self.venue_id = venue_id
+        self.author_id = author_id
+        self.institution_id = institution_id
+        self.delimiter = delimiter
+        self.has_header = has_header
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TableSchema):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def papers_default(cls) -> "TableSchema":
@@ -128,27 +148,42 @@ class RawRow(NamedTuple):
 RowReader = Callable[[Collection[str]], Iterable[tuple[str, str, str]]]
 
 
-@dataclass
 class ParseStats:
     """Counts kept while parsing one table."""
 
-    rows: int = 0
-    parsed: int = 0
-    skipped: int = 0
-    # Line number of the first skipped row (a header counts as row 1).
-    first_skipped: int | None = None
+    def __init__(
+        self, rows: int = 0, parsed: int = 0, skipped: int = 0, first_skipped: int | None = None
+    ) -> None:
+        self.rows = rows
+        self.parsed = parsed
+        self.skipped = skipped
+        # Line number of the first skipped row (a header counts as row 1).
+        self.first_skipped = first_skipped
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ParseStats):
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass(frozen=True)
 class YearRange:
     """Inclusive span of publication years."""
 
-    low: int
-    high: int
+    __slots__ = ("low", "high")
 
-    def __post_init__(self) -> None:
-        if self.low > self.high:
-            raise ValueError(f"empty year range {self.low}-{self.high}")
+    def __init__(self, low: int, high: int) -> None:
+        if low > high:
+            raise ValueError(f"empty year range {low}-{high}")
+        self.low = low
+        self.high = high
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, YearRange):
+            return NotImplemented
+        return self.low == other.low and self.high == other.high
+
+    def __hash__(self) -> int:
+        return hash((self.low, self.high))
 
     def __contains__(self, year: int) -> bool:
         return self.low <= year <= self.high
@@ -190,8 +225,11 @@ def _read_rows(
     StreamError with the row reached.
     """
     with open(path, "rb") as raw:
-        gzipped = raw.peek(2)[:2] == GZIP_MAGIC
-        source = gzip.GzipFile(fileobj=raw) if gzipped else raw
+        source = raw
+        if raw.peek(2)[:2] == GZIP_MAGIC:
+            import gzip  # only gzipped dumps pay for the import
+
+            source = gzip.GzipFile(fileobj=raw)
         # Only "\n" ends a row; a lone "\r" is data, a trailing one is stripped.
         stream = io.TextIOWrapper(source, encoding="utf-8", newline="\n")
         delimiter = schema.delimiter

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import logging
 import math
-from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .ingest import (
     UNKNOWN_INSTITUTION,
@@ -28,6 +27,9 @@ from .ingest import (
     RowReader,
     bucket_affiliations,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 log = logging.getLogger(__name__)
 
@@ -92,6 +94,8 @@ class ScoreTable:
     @property
     def entries(self) -> dict[str, Fraction]:
         if self._entries is None:
+            from fractions import Fraction  # the pipeline never reads this view
+
             denominator = self.denominator
             self._entries = {
                 institution: Fraction(numerator, denominator)
@@ -301,8 +305,9 @@ def read_score_csv(path: str, year: int) -> ScoreTable:
 
     Every score on disk is a float, so a dyadic rational: the table puts
     each over the largest power-of-two denominator in the file. A bad
-    header, or a score that is not a finite number >= 0, raises
-    ``MalformedFileError`` naming the file and the row (the header is row 1).
+    header, a score that is not a finite number >= 0, or an institution
+    listed twice raises ``MalformedFileError`` naming the file and the row
+    (the header is row 1).
     """
     ratios: dict[str, tuple[int, int]] = {}
     with open(path, "r", encoding="utf-8", newline="\n") as src:
@@ -322,6 +327,10 @@ def read_score_csv(path: str, year: int) -> ScoreTable:
                 ) from None
             if ratio[0] < 0:
                 raise MalformedFileError(path, line_number, f"score {text!r} is negative")
+            if institution in ratios:
+                raise MalformedFileError(
+                    path, line_number, f"institution {institution!r} is listed twice"
+                )
             ratios[institution] = ratio
     denominator = max((d for _, d in ratios.values()), default=1)
     numerators = {

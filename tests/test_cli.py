@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -408,6 +410,9 @@ def test_exit_4_on_a_paper_id_listed_twice(tmp_path, capsys):
         ("aggregate", "scores_V0_2011.csv", 1, "institution,score"),
         ("evaluate", "ranking_V0_normalized_sum.csv", 2, "x,IA,1.0"),
         ("evaluate", "scores_V0_2013.csv", 2, "IA,-1.0"),
+        ("aggregate", "scores_V0_2011.csv", 3, "IA,0.125"),
+        ("evaluate", "ranking_V0_normalized_sum.csv", 2, "-7,IA,1.0"),
+        ("evaluate", "ranking_V0_normalized_sum.csv", 3, "2,IA,0.5"),
     ],
     ids=[
         "score-not-a-number",
@@ -415,6 +420,9 @@ def test_exit_4_on_a_paper_id_listed_twice(tmp_path, capsys):
         "score-header",
         "rank-not-an-int",
         "truth-negative",
+        "score-institution-twice",
+        "rank-not-the-row-position",
+        "ranking-institution-twice",
     ],
 )
 def test_exit_4_on_a_malformed_intermediate_file(tmp_path, capsys, command, name, row, content):
@@ -887,3 +895,23 @@ def test_synth_no_truth_skips_the_oracle(tmp_path):
     )
     assert code == EXIT_OK
     assert sorted(os.listdir(out_dir)) == ["affiliations.txt", "papers.txt"]
+
+
+# --- start-up -----------------------------------------------------------
+
+
+def test_the_cli_loads_no_module_the_pipeline_does_not_run():
+    probe = (
+        "import sys\n"
+        "import instrank.cli\n"
+        "unused = ('dataclasses', 'inspect', 'fractions', 'decimal', 'statistics', 'gzip',"
+        " 'instrank.synth')\n"
+        "print(','.join(name for name in unused if name in sys.modules))\n"
+        "import instrank\n"
+        "print(instrank.generate_corpus.__name__, instrank.CorpusParams.__name__)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["", "generate_corpus CorpusParams"]

@@ -360,10 +360,11 @@ def read_ranking_csv(path: str, label: str) -> RankList:
     """Read a file written by write_ranking_csv.
 
     A bad header, rank or score, a rank that is not the row's position
-    (1, 2, ... down the file), or an institution listed twice raises
+    (1, 2, ... down the file), an empty institution id, an institution
+    listed twice, or a score above the one before it raises
     ``MalformedFileError`` naming the file and the row (the header is row 1).
     """
-    items = []
+    items: list[RankedItem] = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="\n") as src:
         header = src.readline()
@@ -384,9 +385,15 @@ def read_ranking_csv(path: str, label: str) -> RankList:
                 raise MalformedFileError(
                     path, line_number, f"rank {item.rank} where {len(items) + 1} is due"
                 )
+            if not institution:
+                raise MalformedFileError(path, line_number, "empty institution id")
             if institution in seen:
                 raise MalformedFileError(
                     path, line_number, f"institution {institution!r} is listed twice"
+                )
+            if items and item.score > items[-1].score:
+                raise MalformedFileError(
+                    path, line_number, f"score {score_text} is above the score before it"
                 )
             seen.add(institution)
             items.append(item)

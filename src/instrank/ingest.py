@@ -12,8 +12,9 @@ no call per row, and a bad row goes to one skip-or-abort policy. The
 selection is pushed into the loops, so most of a whole-graph dump is
 validated and dropped without building a record: ``iter_papers`` takes
 the venue set and year span, and ``iter_affiliations`` the paper ids the
-join asks for. The join (``bucket_affiliations``) indexes the filtered
-papers first, then reads only their rows, as plain tuples.
+join asks for. The join (``index_affiliations``) indexes the filtered
+papers first, each as one list headed by its shared ``(venue_id, year)``
+key, then reads only their rows and appends each row's two ids to it.
 """
 
 from __future__ import annotations
@@ -368,44 +369,31 @@ def filter_papers(
             yield paper
 
 
-def bucket_affiliations(
-    papers: Iterable[PaperRecord],
-    read_rows: RowReader,
-    on_missing: Callable[[PaperRecord], None] | None = None,
-) -> Iterator[tuple[PaperRecord, list[str]]]:
-    """The join: each filtered paper with its flat ``[author, institution, ...]`` list.
+def index_affiliations(papers: Iterable[PaperRecord], read_rows: RowReader) -> dict[str, list]:
+    """The join: each filtered paper id mapped to ``[key, author, institution, ...]``.
 
-    The filtered papers are indexed by id first; ``read_rows`` is then
-    called once with those ids and streams their rows (rows of other
-    papers it may yield are dropped). Memory is proportional to the
-    filtered papers' rows, not the dump, and each matching row keeps only
-    its two ids, passed through ``sys.intern`` because a corpus has just a
-    few thousand distinct authors and institutions. Papers come out in
-    paper-stream order with their rows in file order; papers with no rows
-    go to ``on_missing`` instead.
+    The papers are indexed first, in stream order, each as a one-item list
+    holding its ``(venue_id, year)`` key, one tuple shared by its
+    venue-year; a paper id listed twice raises ``DuplicatePaperIdError``.
+    ``read_rows`` is then called once with the index. Each row of an
+    indexed paper appends its two ids, in file order, through
+    ``sys.intern`` (a corpus has a few thousand distinct authors and
+    institutions); other rows are dropped. Nothing else is kept per paper.
+    A list of length 1 is a paper with no rows.
     """
-    # Index the filtered papers by id.
-    index: dict[str, PaperRecord] = {}
-    for paper in papers:
-        if paper.paper_id in index:
-            raise DuplicatePaperIdError(
-                f"paper id {paper.paper_id!r} appears twice in the filtered set"
-            )
-        index[paper.paper_id] = paper
-    # Bucket the rows of the indexed papers.
-    buckets: dict[str, list[str]] = {paper_id: [] for paper_id in index}
-    for paper_id, author_id, institution_id in read_rows(index):
-        bucket = buckets.get(paper_id)
-        if bucket is not None:
-            bucket.append(intern(author_id))
-            bucket.append(intern(institution_id))
-    # Emit, popping each bucket so its memory goes as the caller works through them.
-    for paper_id, paper in index.items():
-        flat = buckets.pop(paper_id)
-        if flat:
-            yield paper, flat
-        elif on_missing is not None:
-            on_missing(paper)
+    where: dict[str, list] = {}
+    keys: dict[tuple[str, int], tuple[str, int]] = {}
+    for paper_id, year, venue_id in papers:
+        if paper_id in where:
+            raise DuplicatePaperIdError(f"paper id {paper_id!r} appears twice in the filtered set")
+        key = (venue_id, year)
+        where[paper_id] = [keys.setdefault(key, key)]
+    for paper_id, author_id, institution_id in read_rows(where):
+        ids = where.get(paper_id)
+        if ids is not None:
+            ids.append(intern(author_id))
+            ids.append(intern(institution_id))
+    return where
 
 
 def join_affiliations(
@@ -415,15 +403,22 @@ def join_affiliations(
 ) -> Iterator[AttributedPaper]:
     """Attach affiliation rows to each filtered paper, in paper-stream order.
 
-    Built on ``bucket_affiliations``; each paper's ``AffiliationRow``s are
-    rebuilt from its flat list only as the paper is emitted.
+    Built on ``index_affiliations``; each paper's record and its
+    ``AffiliationRow``s are rebuilt from its id list only as the paper is
+    emitted. Papers with no rows go to ``on_missing`` instead.
     """
-    for paper, flat in bucket_affiliations(papers, read_rows, on_missing):
-        ids = iter(flat)
+    for paper_id, ids in index_affiliations(papers, read_rows).items():
+        venue_id, year = ids[0]
+        paper = PaperRecord(paper_id, year, venue_id)
+        if len(ids) == 1:
+            if on_missing is not None:
+                on_missing(paper)
+            continue
+        pairs = iter(ids[1:])
         yield AttributedPaper(
             paper,
             tuple(
-                AffiliationRow(paper.paper_id, author_id, institution_id)
-                for author_id, institution_id in zip(ids, ids)
+                AffiliationRow(paper_id, author_id, institution_id)
+                for author_id, institution_id in zip(pairs, pairs)
             ),
         )

@@ -7,9 +7,12 @@ denominator, so accumulation is associative and any partitioning of the
 paper stream merges to a bit-identical table. ``ScoreTable`` is the one
 table type: it carries a year's credit through the score file, its
 read-back and aggregation, and with no year it holds an aggregated
-result. ``CreditAccumulator.add_paper`` is the one credit path; a single
-paper's split (``paper_shares``) is a one-paper table built by it. A
-``Fraction`` per entry is built only when ``ScoreTable.entries`` is read.
+result. ``CreditAccumulator.add_paper`` is the one credit path and holds
+the attribution rule; a single paper's split (``paper_shares``) is a
+one-paper table built by it. Credit is counted per denominator, as plain
+integers, and put over the lcm of the denominators seen only when the
+table is built. A ``Fraction`` per entry is built only when
+``ScoreTable.entries`` is read.
 Tables are keyed in sorted institution order for reproducible iteration.
 """
 
@@ -25,7 +28,7 @@ from .ingest import (
     AttributedPaper,
     PaperRecord,
     RowReader,
-    bucket_affiliations,
+    index_affiliations,
 )
 
 if TYPE_CHECKING:
@@ -122,78 +125,76 @@ class ScoreTable:
         )
 
 
-def credit_parts(flat: Sequence[str]) -> list[tuple[int, dict[str, None]]]:
-    """Group one paper's flat ``[author, institution, ...]`` ids by author.
-
-    This is the attribution rule. Each group is ``(denominator,
-    institutions)``: every institution in it earns ``1/denominator`` of the
-    paper, where ``denominator`` is the number of distinct authors times
-    that author's distinct institutions on the paper. Duplicate (author,
-    institution) pairs count once, and the UNKNOWN sentinel is credited
-    like any other institution, so a paper's parts sum to exactly 1.
-    """
-    by_author: dict[str, dict[str, None]] = {}
-    ids = iter(flat)
-    for author, institution in zip(ids, ids):
-        by_author.setdefault(author, {})[institution] = None
-    author_count = len(by_author)
-    return [
-        (author_count * len(institutions), institutions)
-        for institutions in by_author.values()
-    ]
-
-
 class CreditAccumulator:
-    """Exact running credit per institution for one year's table.
+    """Exact running credit for one year's table, counted per denominator.
 
-    Every sum is an integer numerator over one common denominator. The
-    common denominator grows to the ``math.lcm`` with a new denominator
-    only when the new one does not divide it, so almost every addition is
-    a plain integer addition.
+    ``amounts[denominator][institution]`` is the institution's credit in
+    units of ``1/denominator``, so every addition is a plain integer
+    addition. ``table()`` puts every amount over ``math.lcm`` of the
+    denominators seen (1 when none were), which makes the table the same
+    whatever the order or partition of the additions.
     """
 
-    __slots__ = ("year", "denominator", "numerators")
+    __slots__ = ("year", "amounts")
 
     def __init__(self, year: int) -> None:
         self.year = year
-        self.denominator = 1
-        self.numerators: dict[str, int] = {}
-
-    def _scale(self, denominator: int) -> int:
-        """Make the common denominator a multiple of ``denominator``; return the quotient."""
-        common = self.denominator
-        if common % denominator:
-            grown = math.lcm(common, denominator)
-            factor = grown // common
-            numerators = self.numerators
-            for other in numerators:
-                numerators[other] *= factor
-            self.denominator = common = grown
-        return common // denominator
+        self.amounts: dict[int, dict[str, int]] = {}
 
     def add(self, institution: str, numerator: int, denominator: int) -> None:
         """Add ``numerator/denominator`` to one institution's credit."""
-        scaled = numerator * self._scale(denominator)
-        self.numerators[institution] = self.numerators.get(institution, 0) + scaled
+        counts = self.amounts.setdefault(denominator, {})
+        counts[institution] = counts.get(institution, 0) + numerator
 
-    def add_paper(self, flat: Sequence[str]) -> None:
-        """Credit one paper from its flat ``[author, institution, ...]`` ids."""
-        numerators = self.numerators
-        for denominator, institutions in credit_parts(flat):
-            share = self._scale(denominator)
+    def add_paper(self, ids: list) -> None:
+        """Credit one paper from its join list ``[key, author, institution, ...]``.
+
+        This is the attribution rule. The head (the venue-year key) is not
+        read. Each of the paper's distinct authors holds an equal part,
+        split equally over that author's distinct institutions on the
+        paper, so each of them earns ``1/(authors * institutions)``.
+        Duplicate (author, institution) pairs count once, and the UNKNOWN
+        sentinel is credited like any other institution, so a paper's
+        credit sums to exactly 1.
+        """
+        by_author: dict[str, dict[str, None]] = {}
+        pairs = iter(ids)
+        next(pairs)
+        for author, institution in zip(pairs, pairs):
+            institutions = by_author.get(author)
+            if institutions is None:
+                by_author[author] = {institution: None}
+            else:
+                institutions[institution] = None
+        author_count = len(by_author)
+        amounts = self.amounts
+        for institutions in by_author.values():
+            denominator = author_count * len(institutions)
+            counts = amounts.get(denominator)
+            if counts is None:
+                counts = amounts[denominator] = {}
             for institution in institutions:
-                numerators[institution] = numerators.get(institution, 0) + share
+                counts[institution] = counts.get(institution, 0) + 1
 
     def table(self) -> ScoreTable:
-        numerators = dict(sorted(self.numerators.items()))
-        return ScoreTable.from_numerators(self.year, numerators, self.denominator)
+        denominator = math.lcm(*self.amounts)
+        numerators: dict[str, int] = {}
+        for part, counts in self.amounts.items():
+            factor = denominator // part
+            for institution, amount in counts.items():
+                numerators[institution] = numerators.get(institution, 0) + amount * factor
+        return ScoreTable.from_numerators(self.year, dict(sorted(numerators.items())), denominator)
 
 
 def paper_shares(paper: AttributedPaper) -> ScoreTable:
     """One paper's unit of credit split per the attribution rule, as a table."""
-    accumulator = CreditAccumulator(paper.paper.year)
+    record = paper.paper
+    accumulator = CreditAccumulator(record.year)
     accumulator.add_paper(
-        [name for row in paper.affiliations for name in (row.author_id, row.institution_id)]
+        [
+            (record.venue_id, record.year),
+            *(name for row in paper.affiliations for name in (row.author_id, row.institution_id)),
+        ]
     )
     return accumulator.table()
 
@@ -203,22 +204,28 @@ def score_venue_years(
     read_rows: RowReader,
     on_missing: Callable[[PaperRecord], None] | None = None,
 ) -> dict[tuple[str, int], ScoreTable]:
-    """Raw tables keyed by (venue, year) for every venue-year that has papers.
+    """Raw tables keyed by (venue, year) for every venue-year that has credit.
 
     ``papers`` is the filtered paper stream, and ``read_rows`` streams the
     affiliation rows of the paper ids it is given. The join
-    (``bucket_affiliations``) indexes the papers and buckets their rows;
-    each paper is then credited into its venue-year's accumulator straight
-    from its flat id list, which is freed as it goes. Filtered papers
-    without rows go to ``on_missing`` and earn no credit.
+    (``index_affiliations``) gives each paper one list headed by its
+    venue-year key; credit then walks the lists in paper-stream order and
+    counts each paper into its venue-year's accumulator. Filtered papers
+    without rows go to ``on_missing`` and earn no credit, so a venue-year
+    whose papers all lack rows has no table. The lists are dropped
+    together once every paper is credited.
     """
     accumulators: dict[tuple[str, int], CreditAccumulator] = {}
-    for paper, flat in bucket_affiliations(papers, read_rows, on_missing):
-        key = (paper.venue_id, paper.year)
+    for paper_id, ids in index_affiliations(papers, read_rows).items():
+        key = ids[0]
+        if len(ids) == 1:
+            if on_missing is not None:
+                on_missing(PaperRecord(paper_id, key[1], key[0]))
+            continue
         accumulator = accumulators.get(key)
         if accumulator is None:
-            accumulator = accumulators[key] = CreditAccumulator(paper.year)
-        accumulator.add_paper(flat)
+            accumulator = accumulators[key] = CreditAccumulator(key[1])
+        accumulator.add_paper(ids)
     return {key: accumulator.table() for key, accumulator in accumulators.items()}
 
 
@@ -305,9 +312,9 @@ def read_score_csv(path: str, year: int) -> ScoreTable:
 
     Every score on disk is a float, so a dyadic rational: the table puts
     each over the largest power-of-two denominator in the file. A bad
-    header, a score that is not a finite number >= 0, or an institution
-    listed twice raises ``MalformedFileError`` naming the file and the row
-    (the header is row 1).
+    header, an empty institution id, a score that is not a finite number
+    >= 0, or an institution listed twice raises ``MalformedFileError``
+    naming the file and the row (the header is row 1).
     """
     ratios: dict[str, tuple[int, int]] = {}
     with open(path, "r", encoding="utf-8", newline="\n") as src:
@@ -327,6 +334,8 @@ def read_score_csv(path: str, year: int) -> ScoreTable:
                 ) from None
             if ratio[0] < 0:
                 raise MalformedFileError(path, line_number, f"score {text!r} is negative")
+            if not institution:
+                raise MalformedFileError(path, line_number, "empty institution id")
             if institution in ratios:
                 raise MalformedFileError(
                     path, line_number, f"institution {institution!r} is listed twice"

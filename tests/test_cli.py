@@ -413,6 +413,9 @@ def test_exit_4_on_a_paper_id_listed_twice(tmp_path, capsys):
         ("aggregate", "scores_V0_2011.csv", 3, "IA,0.125"),
         ("evaluate", "ranking_V0_normalized_sum.csv", 2, "-7,IA,1.0"),
         ("evaluate", "ranking_V0_normalized_sum.csv", 3, "2,IA,0.5"),
+        ("aggregate", "scores_V0_2012.csv", 2, ",0.5"),
+        ("evaluate", "ranking_V0_normalized_sum.csv", 2, "1,,2.0"),
+        ("evaluate", "ranking_V0_normalized_sum.csv", 3, "2,IB,1e9"),
     ],
     ids=[
         "score-not-a-number",
@@ -423,6 +426,9 @@ def test_exit_4_on_a_paper_id_listed_twice(tmp_path, capsys):
         "score-institution-twice",
         "rank-not-the-row-position",
         "ranking-institution-twice",
+        "score-empty-institution",
+        "ranking-empty-institution",
+        "ranking-score-rises",
     ],
 )
 def test_exit_4_on_a_malformed_intermediate_file(tmp_path, capsys, command, name, row, content):
@@ -478,6 +484,20 @@ def test_score_summary_counts_the_papers_kept_by_the_filter(tmp_path, capsys):
     assert "papers: 11 rows, 0 skipped; " in err
     assert "; papers kept by the venue/year filter: 7; " in err
     assert "; filtered papers without affiliations: 1" in err
+
+
+def test_score_writes_an_empty_file_for_a_venue_year_without_rows(tmp_path, capsys):
+    cfg_path, out_dir = tiny_config(tmp_path)
+    _, affils = tiny_dumps(tmp_path)
+    with open(affils, encoding="utf-8") as src:
+        # P4-P6 are the 2012 papers.
+        kept = [line for line in src if line.split("\t")[0] not in {"P4", "P5", "P6"}]
+    with open(affils, "w", encoding="utf-8") as out:
+        out.writelines(kept)
+    assert main(["score", "--config", cfg_path]) == EXIT_OK
+    with open(os.path.join(out_dir, score_file_name("V0", 2012)), encoding="utf-8") as src:
+        assert src.read() == "institution_id,score\n"
+    assert "; filtered papers without affiliations: 3" in capsys.readouterr().err
 
 
 def test_score_runs_the_shared_scoring_path_once(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,12 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import as_streams, make_attributed, make_table, rows_of
-from instrank.ingest import UNKNOWN_INSTITUTION, AffiliationRow, PaperRecord, join_affiliations
+from instrank.ingest import (
+    UNKNOWN_INSTITUTION,
+    AffiliationRow,
+    DuplicatePaperIdError,
+    PaperRecord,
+    join_affiliations,
+)
 from instrank.scoring import (
     CreditAccumulator,
     ScoreTable,
     YearMismatchError,
-    credit_parts,
     drop_unknown,
     merge_partials,
     normalize,
@@ -137,21 +143,27 @@ def test_any_partitioning_merges_to_the_sequential_table():
         ]
 
 
-def test_credit_parts_follow_the_attribution_rule():
-    flat = ["a1", "A", "a1", "B", "a1", "A", "a2", "A"]
-    parts = [(denominator, list(institutions)) for denominator, institutions in credit_parts(flat)]
-    assert parts == [(4, ["A", "B"]), (2, ["A"])]
+def test_add_paper_follows_the_attribution_rule():
+    # a1 holds half, split over A and B (the repeated a1-A row counts once);
+    # a2's half goes to A. The head of the join list is not read.
+    accumulator = CreditAccumulator(2014)
+    accumulator.add_paper([("V0", 2014), "a1", "A", "a1", "B", "a1", "A", "a2", "A"])
+    assert accumulator.amounts == {4: {"A": 1, "B": 1}, 2: {"A": 1}}
+    assert paper_shares(
+        make_attributed([("a1", "A"), ("a1", "B"), ("a1", "A"), ("a2", "A")])
+    ) == make_table(2014, {"A": Fraction(3, 4), "B": Fraction(1, 4)})
 
 
-def test_accumulator_rescales_its_denominator_exactly():
+def test_accumulator_table_is_over_the_lcm_of_its_denominators():
     accumulator = CreditAccumulator(2014)
     # Three authors with one institution each: parts of 1/3.
-    accumulator.add_paper(["a1", "A", "a2", "B", "a3", "C"])
-    assert accumulator.denominator == 3
+    accumulator.add_paper([None, "a1", "A", "a2", "B", "a3", "C"])
+    assert accumulator.table().denominator == 3
     # Two authors, one with two institutions: parts of 1/2 and 1/4.
-    accumulator.add_paper(["a1", "A", "a2", "B", "a2", "D"])
-    assert accumulator.denominator == 12
+    accumulator.add_paper([None, "a1", "A", "a2", "B", "a2", "D"])
     table = accumulator.table()
+    assert table.denominator == 12
+    assert table.numerators == {"A": 10, "B": 7, "C": 4, "D": 3}
     assert table.entries == {
         "A": Fraction(5, 6),
         "B": Fraction(7, 12),
@@ -160,6 +172,107 @@ def test_accumulator_rescales_its_denominator_exactly():
     }
     assert list(table.entries) == ["A", "B", "C", "D"]
     assert table.year == 2014
+
+
+CREDIT_CALLS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add_paper"),
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=4),
+                    st.sampled_from(["A", "B", "C", UNKNOWN_INSTITUTION]),
+                ),
+                min_size=1,
+                max_size=8,
+            ),
+        ),
+        st.tuples(
+            st.just("add"),
+            st.sampled_from(["A", "B", "D"]),
+            st.integers(min_value=0, max_value=9),
+            st.sampled_from([1, 2, 3, 5, 7, 12, 35]),
+        ),
+    ),
+    max_size=20,
+)
+
+
+def credit(calls) -> ScoreTable:
+    accumulator = CreditAccumulator(2014)
+    for call in calls:
+        if call[0] == "add_paper":
+            accumulator.add_paper([None, *(name for a, i in call[1] for name in (f"a{a}", i))])
+        else:
+            accumulator.add(*call[1:])
+    return accumulator.table()
+
+
+@given(CREDIT_CALLS, st.data())
+@settings(max_examples=200, deadline=None)
+def test_any_order_or_partition_of_credit_calls_builds_one_table(calls, data):
+    # Every denominator the calls bring, and their exact sum per institution.
+    seen = set()
+    expected: dict[str, Fraction] = {}
+
+    def expect(institution: str, numerator: int, denominator: int) -> None:
+        seen.add(denominator)
+        expected[institution] = expected.get(institution, 0) + Fraction(numerator, denominator)
+
+    for call in calls:
+        if call[0] == "add_paper":
+            by_author: dict[int, set[str]] = {}
+            for author, institution in call[1]:
+                by_author.setdefault(author, set()).add(institution)
+            for institutions in by_author.values():
+                for institution in institutions:
+                    expect(institution, 1, len(by_author) * len(institutions))
+        else:
+            expect(*call[1:])
+
+    table = credit(calls)
+    assert table.denominator == math.lcm(*seen)
+    assert table.entries == expected
+    assert list(table.numerators) == sorted(expected)
+
+    order = data.draw(st.permutations(range(len(calls))))
+    permuted = credit([calls[i] for i in order])
+    assert list(permuted.numerators.items()) == list(table.numerators.items())
+    assert permuted.denominator == table.denominator
+
+    shard_count = data.draw(st.integers(min_value=1, max_value=4))
+    shards: list[list] = [[] for _ in range(shard_count)]
+    for call in calls:
+        shards[data.draw(st.integers(min_value=0, max_value=shard_count - 1))].append(call)
+    merged = merge_partials([credit(shard) for shard in shards])
+    assert list(merged.numerators.items()) == list(table.numerators.items())
+    assert merged.denominator == table.denominator
+
+
+def test_rowless_papers_go_to_on_missing_in_paper_stream_order():
+    papers = [
+        PaperRecord("P1", 2011, "V0"),
+        PaperRecord("P2", 2012, "V0"),  # no paper of V0 2012 has rows
+        PaperRecord("P3", 2011, "V0"),
+        PaperRecord("P4", 2011, "V1"),
+        PaperRecord("P5", 2012, "V0"),
+    ]
+    rows = [AffiliationRow("P4", "a1", "B"), AffiliationRow("P1", "a2", "A")]
+    missing: list[PaperRecord] = []
+    tables = score_venue_years(iter(papers), rows_of(rows), missing.append)
+    assert missing == [papers[1], papers[2], papers[4]]
+    assert all(type(record) is PaperRecord for record in missing)
+    assert list(tables) == [("V0", 2011), ("V1", 2011)]
+
+
+@pytest.mark.parametrize(
+    "second", [PaperRecord("P1", 2011, "V1"), PaperRecord("P1", 2012, "V0")], ids=["venue", "year"]
+)
+def test_a_paper_id_in_two_venue_years_is_rejected(second):
+    papers = [PaperRecord("P1", 2011, "V0"), PaperRecord("P2", 2011, "V0"), second]
+    rows = rows_of([AffiliationRow("P1", "a1", "A")])
+    with pytest.raises(DuplicatePaperIdError, match="'P1' appears twice"):
+        score_venue_years(iter(papers), rows)
 
 
 def paper_strategy(max_authors: int, max_institutions: int):

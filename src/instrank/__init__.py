@@ -36,14 +36,8 @@ from .ingest import (
     YearRange,
     filter_papers,
     join_affiliations,
-    open_table,
 )
-from .scoring import (
-    ScoreTable,
-    merge_partials,
-    normalize,
-    paper_shares,
-)
+from .scoring import ScoreTable, normalize, paper_shares
 
 __version__ = "0.1.0"
 
@@ -84,13 +78,11 @@ __all__ = [
     "filter_papers",
     "generate_corpus",
     "join_affiliations",
-    "merge_partials",
     "naive_score",
     "naive_topk",
     "ndcg_at_k",
     "normalize",
     "normalized_sum",
-    "open_table",
     "paper_shares",
     "run_aggregation",
     "to_ranking",

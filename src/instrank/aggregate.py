@@ -359,9 +359,10 @@ def write_ranking_csv(rank_list: RankList, path: str) -> None:
 def read_ranking_csv(path: str, label: str) -> RankList:
     """Read a file written by write_ranking_csv.
 
-    A bad header, rank or score, a rank that is not the row's position
-    (1, 2, ... down the file), an empty institution id, an institution
-    listed twice, or a score above the one before it raises
+    A bad header or rank, a score that is not a finite number >= 0, a
+    rank that is not the row's position (1, 2, ... down the file), an
+    empty institution id, an institution listed twice, or a score above
+    the one before it raises
     ``MalformedFileError`` naming the file and the row (the header is row 1).
     """
     items: list[RankedItem] = []
@@ -381,6 +382,10 @@ def read_ranking_csv(path: str, label: str) -> RankList:
                 item = RankedItem(int(rank_text), institution, float(score_text))
             except ValueError as exc:
                 raise MalformedFileError(path, line_number, str(exc)) from None
+            if not 0 <= item.score < math.inf:
+                raise MalformedFileError(
+                    path, line_number, f"score {score_text!r} is not a finite number >= 0"
+                )
             if item.rank != len(items) + 1:
                 raise MalformedFileError(
                     path, line_number, f"rank {item.rank} where {len(items) + 1} is due"

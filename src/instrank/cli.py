@@ -39,6 +39,8 @@ from .evaluate import (
     render_report_text,
 )
 from .ingest import (
+    MAX_YEAR,
+    MIN_YEAR,
     DuplicatePaperIdError,
     MalformedRowError,
     ParseStats,
@@ -127,6 +129,14 @@ class PipelineConfig:
             raise ConfigError(
                 f"training years {self.train_years.low}-{self.train_years.high} "
                 f"must precede the truth year {self.truth_year}"
+            )
+        # The papers reader skips every row outside these years, so a span
+        # beyond them could only score empty tables.
+        span = self.scored_years()
+        if span.low < MIN_YEAR or span.high > MAX_YEAR:
+            raise ConfigError(
+                f"scored years {span.low}-{span.high} (train_years through truth_year) "
+                f"must lie within {MIN_YEAR}-{MAX_YEAR}"
             )
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
@@ -321,7 +331,7 @@ def cmd_score(config: PipelineConfig) -> int:
         raise DuplicatePaperIdError(f"{config.papers_path}: {exc}") from exc
     for venue_id in config.venues:
         for year in span:
-            table = tables.get((venue_id, year)) or ScoreTable(year, {})
+            table = tables.get((venue_id, year)) or ScoreTable.from_numerators(year, {}, 1)
             write_score_csv(
                 table, os.path.join(config.output_dir, score_file_name(venue_id, year))
             )

@@ -6,8 +6,8 @@ quoting: a delimiter byte always splits fields. Files are never loaded
 whole; every reader yields records one line at a time so memory stays
 flat no matter how large the dump is.
 
-``_read_rows`` is the one reader, with one inline loop per table (papers,
-affiliations, raw rows): every row is checked and counted in place, with
+``_read_rows`` is the one reader, with one inline loop per table (papers
+and affiliations): every row is checked and counted in place, with
 no call per row, and a bad row goes to one skip-or-abort policy. The
 selection is pushed into the loops, so most of a whole-graph dump is
 validated and dropped without building a record: ``iter_papers`` takes
@@ -139,11 +139,6 @@ class AttributedPaper(NamedTuple):
     affiliations: tuple[AffiliationRow, ...]
 
 
-class RawRow(NamedTuple):
-    line_number: int
-    fields: list[str]
-
-
 # The join's source of affiliation rows: given the filtered paper ids, it
 # streams ``(paper_id, author_id, institution_id)`` tuples of those papers.
 RowReader = Callable[[Collection[str]], Iterable[tuple[str, str, str]]]
@@ -206,14 +201,14 @@ class YearRange:
 def _read_rows(
     path: str,
     schema: TableSchema,
-    table: Literal["papers", "affiliations", "raw"],
+    table: Literal["papers", "affiliations"],
     strict: bool,
     stats: ParseStats | None,
     venues: Collection[str] | None = None,
     years: YearRange | None = None,
     paper_ids: Collection[str] | None = None,
 ) -> Iterator[tuple]:
-    """The one line-reading loop per table: ``"papers"``, ``"affiliations"`` or ``"raw"``.
+    """The one line-reading loop per table: ``"papers"`` or ``"affiliations"``.
 
     Gzip is detected from the magic bytes, not the name. A declared header
     is consumed but still counted, so a headered file's first data row is
@@ -278,7 +273,7 @@ def _read_rows(
                     venue_id = fields[venue_col]
                     if low <= year <= high and (venues is None or venue_id in venues):
                         yield _new_tuple(PaperRecord, (paper_id, year, venue_id))
-            elif table == "affiliations":
+            else:
                 paper_col, author_col = schema.paper_id, schema.author_id
                 institution_col = schema.institution_id
                 needed = max(paper_col, author_col, institution_col) + 1
@@ -297,9 +292,6 @@ def _read_rows(
                         continue
                     if paper_ids is None or paper_id in paper_ids:
                         yield paper_id, author_id, fields[institution_col] or UNKNOWN_INSTITUTION
-            else:
-                for line_number, line in lines:
-                    yield _new_tuple(RawRow, (line_number, line.rstrip("\r\n").split(delimiter)))
         except (OSError, UnicodeDecodeError, EOFError) as exc:
             raise StreamError(path, line_number + 1, exc) from exc
         finally:
@@ -310,11 +302,6 @@ def _read_rows(
                 stats.parsed += rows - skipped - aborted
                 stats.skipped += skipped
                 stats.first_skipped = stats.first_skipped or first_skipped
-
-
-def open_table(path: str, schema: TableSchema) -> Iterator[RawRow]:
-    """Stream ``RawRow``s (line number, split fields) through the one reader, ``_read_rows``."""
-    return _read_rows(path, schema, "raw", False, None)
 
 
 def iter_papers(

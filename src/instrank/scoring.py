@@ -3,16 +3,15 @@
 Each paper carries one unit of credit, split equally over its distinct
 authors, then over each author's distinct institutions on that paper.
 Credit is exact: a table holds integer numerators over one common
-denominator, so accumulation is associative and any partitioning of the
-paper stream merges to a bit-identical table. ``ScoreTable`` is the one
+denominator, so accumulation is associative and any order of the paper
+stream gives a bit-identical table. ``ScoreTable`` is the one
 table type: it carries a year's credit through the score file, its
 read-back and aggregation, and with no year it holds an aggregated
-result. ``CreditAccumulator.add_paper`` is the one credit path and holds
-the attribution rule; a single paper's split (``paper_shares``) is a
-one-paper table built by it. Credit is counted per denominator, as plain
-integers, and put over the lcm of the denominators seen only when the
-table is built. A ``Fraction`` per entry is built only when
-``ScoreTable.entries`` is read.
+result. ``score_venue_years`` is the one credit path and holds the
+attribution rule; a single paper's split (``paper_shares``) is that path
+run on one paper. Credit is counted per denominator, as plain integers,
+and put over the lcm of the denominators seen only when the table is
+built. No ``Fraction`` is built anywhere on this path.
 Tables are keyed in sorted institution order for reproducible iteration.
 """
 
@@ -21,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .ingest import (
     UNKNOWN_INSTITUTION,
@@ -31,18 +30,11 @@ from .ingest import (
     index_affiliations,
 )
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 log = logging.getLogger(__name__)
 
 # perfbench/prepare.py still builds ``ScoreTable(year, entries, RAW)``;
 # the third argument is accepted and ignored.
 RAW = "raw"
-
-
-class YearMismatchError(ValueError):
-    """Partial tables for different years cannot be merged."""
 
 
 class MalformedFileError(ValueError):
@@ -63,17 +55,15 @@ class ScoreTable:
     ``ScoreTable(year, entries)`` takes exact values (``Fraction``, ``int``
     or ``float``) and puts them over their least common denominator; the
     third argument is ignored (see ``RAW``). ``from_numerators`` adopts
-    integers already over one positive denominator. ``entries`` is the
-    ``Fraction`` view, built on first use. Raw tables may carry the
-    UNKNOWN sentinel; ranking-grade outputs must not. Tables are not
-    modified once built.
+    integers already over one positive denominator. Two tables are equal
+    when they hold the same year, institutions and values, whatever their
+    denominators. Raw tables may carry the UNKNOWN sentinel;
+    ranking-grade outputs must not. Tables are not modified once built.
     """
 
-    __slots__ = ("year", "numerators", "denominator", "_entries")
+    __slots__ = ("year", "numerators", "denominator")
 
-    def __init__(
-        self, year: int | None, entries: Mapping[str, Fraction | float], tag: object = None
-    ) -> None:
+    def __init__(self, year: int | None, entries: Mapping[str, float], tag: object = None) -> None:
         ratios = {institution: value.as_integer_ratio() for institution, value in entries.items()}
         denominator = math.lcm(*(d for _, d in ratios.values()))
         self.year = year
@@ -81,7 +71,6 @@ class ScoreTable:
             institution: n * (denominator // d) for institution, (n, d) in ratios.items()
         }
         self.denominator = denominator
-        self._entries: dict[str, Fraction] | None = None
 
     @classmethod
     def from_numerators(
@@ -91,20 +80,7 @@ class ScoreTable:
         table.year = year
         table.numerators = numerators
         table.denominator = denominator
-        table._entries = None
         return table
-
-    @property
-    def entries(self) -> dict[str, Fraction]:
-        if self._entries is None:
-            from fractions import Fraction  # the pipeline never reads this view
-
-            denominator = self.denominator
-            self._entries = {
-                institution: Fraction(numerator, denominator)
-                for institution, numerator in self.numerators.items()
-            }
-        return self._entries
 
     @property
     def label(self) -> str:
@@ -114,7 +90,15 @@ class ScoreTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScoreTable):
             return NotImplemented
-        return self.year == other.year and self.entries == other.entries
+        mine, theirs = self.numerators, other.numerators
+        if self.year != other.year or mine.keys() != theirs.keys():
+            return False
+        # a/b == c/d exactly when a*d == c*b.
+        own_denominator, their_denominator = self.denominator, other.denominator
+        return all(
+            numerator * their_denominator == theirs[institution] * own_denominator
+            for institution, numerator in mine.items()
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -125,78 +109,20 @@ class ScoreTable:
         )
 
 
-class CreditAccumulator:
-    """Exact running credit for one year's table, counted per denominator.
+def _over_lcm(year: int, amounts: dict[int, dict[str, int]]) -> ScoreTable:
+    """One venue-year's table from ``amounts[denominator][institution]``.
 
-    ``amounts[denominator][institution]`` is the institution's credit in
-    units of ``1/denominator``, so every addition is a plain integer
-    addition. ``table()`` puts every amount over ``math.lcm`` of the
-    denominators seen (1 when none were), which makes the table the same
-    whatever the order or partition of the additions.
+    Each amount is credit in units of ``1/denominator``; every one is put
+    over ``math.lcm`` of the denominators (1 when there are none), so the
+    table is the same whatever order the papers were counted in.
     """
-
-    __slots__ = ("year", "amounts")
-
-    def __init__(self, year: int) -> None:
-        self.year = year
-        self.amounts: dict[int, dict[str, int]] = {}
-
-    def add(self, institution: str, numerator: int, denominator: int) -> None:
-        """Add ``numerator/denominator`` to one institution's credit."""
-        counts = self.amounts.setdefault(denominator, {})
-        counts[institution] = counts.get(institution, 0) + numerator
-
-    def add_paper(self, ids: list) -> None:
-        """Credit one paper from its join list ``[key, author, institution, ...]``.
-
-        This is the attribution rule. The head (the venue-year key) is not
-        read. Each of the paper's distinct authors holds an equal part,
-        split equally over that author's distinct institutions on the
-        paper, so each of them earns ``1/(authors * institutions)``.
-        Duplicate (author, institution) pairs count once, and the UNKNOWN
-        sentinel is credited like any other institution, so a paper's
-        credit sums to exactly 1.
-        """
-        by_author: dict[str, dict[str, None]] = {}
-        pairs = iter(ids)
-        next(pairs)
-        for author, institution in zip(pairs, pairs):
-            institutions = by_author.get(author)
-            if institutions is None:
-                by_author[author] = {institution: None}
-            else:
-                institutions[institution] = None
-        author_count = len(by_author)
-        amounts = self.amounts
-        for institutions in by_author.values():
-            denominator = author_count * len(institutions)
-            counts = amounts.get(denominator)
-            if counts is None:
-                counts = amounts[denominator] = {}
-            for institution in institutions:
-                counts[institution] = counts.get(institution, 0) + 1
-
-    def table(self) -> ScoreTable:
-        denominator = math.lcm(*self.amounts)
-        numerators: dict[str, int] = {}
-        for part, counts in self.amounts.items():
-            factor = denominator // part
-            for institution, amount in counts.items():
-                numerators[institution] = numerators.get(institution, 0) + amount * factor
-        return ScoreTable.from_numerators(self.year, dict(sorted(numerators.items())), denominator)
-
-
-def paper_shares(paper: AttributedPaper) -> ScoreTable:
-    """One paper's unit of credit split per the attribution rule, as a table."""
-    record = paper.paper
-    accumulator = CreditAccumulator(record.year)
-    accumulator.add_paper(
-        [
-            (record.venue_id, record.year),
-            *(name for row in paper.affiliations for name in (row.author_id, row.institution_id)),
-        ]
-    )
-    return accumulator.table()
+    denominator = math.lcm(*amounts)
+    numerators: dict[str, int] = {}
+    for part, counts in amounts.items():
+        factor = denominator // part
+        for institution, amount in counts.items():
+            numerators[institution] = numerators.get(institution, 0) + amount * factor
+    return ScoreTable.from_numerators(year, dict(sorted(numerators.items())), denominator)
 
 
 def score_venue_years(
@@ -208,40 +134,61 @@ def score_venue_years(
 
     ``papers`` is the filtered paper stream, and ``read_rows`` streams the
     affiliation rows of the paper ids it is given. The join
-    (``index_affiliations``) gives each paper one list headed by its
-    venue-year key; credit then walks the lists in paper-stream order and
-    counts each paper into its venue-year's accumulator. Filtered papers
-    without rows go to ``on_missing`` and earn no credit, so a venue-year
-    whose papers all lack rows has no table. The lists are dropped
-    together once every paper is credited.
+    (``index_affiliations``) gives each paper one list
+    ``[key, author, institution, ...]`` headed by its venue-year key.
+    Credit then walks the lists in paper-stream order and applies the
+    attribution rule: each of a paper's distinct authors holds an equal
+    part, split equally over that author's distinct institutions on the
+    paper, so each of them earns ``1/(authors * institutions)``. Duplicate
+    (author, institution) pairs count once, and the UNKNOWN sentinel is
+    credited like any other institution, so a paper's credit sums to
+    exactly 1. Credit is counted per venue-year and denominator as plain
+    integers, and each venue-year is put over the lcm of its denominators
+    once, at the end. Filtered papers without rows go to ``on_missing``
+    and earn no credit, so a venue-year whose papers all lack rows has no
+    table. The lists are dropped together once every paper is credited.
     """
-    accumulators: dict[tuple[str, int], CreditAccumulator] = {}
+    counted: dict[tuple[str, int], dict[int, dict[str, int]]] = {}
     for paper_id, ids in index_affiliations(papers, read_rows).items():
         key = ids[0]
         if len(ids) == 1:
             if on_missing is not None:
                 on_missing(PaperRecord(paper_id, key[1], key[0]))
             continue
-        accumulator = accumulators.get(key)
-        if accumulator is None:
-            accumulator = accumulators[key] = CreditAccumulator(key[1])
-        accumulator.add_paper(ids)
-    return {key: accumulator.table() for key, accumulator in accumulators.items()}
+        amounts = counted.get(key)
+        if amounts is None:
+            amounts = counted[key] = {}
+        by_author: dict[str, dict[str, None]] = {}
+        pairs = iter(ids)
+        next(pairs)
+        for author, institution in zip(pairs, pairs):
+            institutions = by_author.get(author)
+            if institutions is None:
+                by_author[author] = {institution: None}
+            else:
+                institutions[institution] = None
+        author_count = len(by_author)
+        for institutions in by_author.values():
+            denominator = author_count * len(institutions)
+            counts = amounts.get(denominator)
+            if counts is None:
+                counts = amounts[denominator] = {}
+            for institution in institutions:
+                counts[institution] = counts.get(institution, 0) + 1
+    return {key: _over_lcm(key[1], amounts) for key, amounts in counted.items()}
 
 
-def merge_partials(tables: Sequence[ScoreTable]) -> ScoreTable:
-    """Pointwise-sum partial tables from any partitioning of the stream."""
-    if not tables:
-        raise ValueError("nothing to merge")
-    accumulator = CreditAccumulator(tables[0].year)
-    for table in tables:
-        if table.year != accumulator.year:
-            raise YearMismatchError(
-                f"cannot merge year {table.year} into {accumulator.year}"
-            )
-        for institution, numerator in table.numerators.items():
-            accumulator.add(institution, numerator, table.denominator)
-    return accumulator.table()
+def paper_shares(paper: AttributedPaper) -> ScoreTable:
+    """One paper's unit of credit split per the attribution rule, as a table.
+
+    This is ``score_venue_years`` on the one paper; a paper with no rows
+    gets an empty table.
+    """
+    record = paper.paper
+    tables = score_venue_years([record], lambda _paper_ids: paper.affiliations)
+    return tables.get((record.venue_id, record.year)) or ScoreTable.from_numerators(
+        record.year, {}, 1
+    )
 
 
 def normalize(table: ScoreTable) -> ScoreTable:

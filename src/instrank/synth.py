@@ -247,13 +247,13 @@ def naive_topk(tables: Sequence[ScoreTable], k: int) -> RankList:
     universe: set[str] = set()
     for table in tables:
         universe.update(
-            inst for inst in table.entries if inst != UNKNOWN_INSTITUTION
+            inst for inst in table.numerators if inst != UNKNOWN_INSTITUTION
         )
     normalized: list[dict[str, Fraction]] = []
     for table in tables:
         entries = {
-            inst: value
-            for inst, value in table.entries.items()
+            inst: Fraction(numerator, table.denominator)
+            for inst, numerator in table.numerators.items()
             if inst != UNKNOWN_INSTITUTION
         }
         top = max(entries.values(), default=Fraction(0))

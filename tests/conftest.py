@@ -47,6 +47,14 @@ def make_table(year: int, entries: dict) -> ScoreTable:
     return ScoreTable(year, dict(sorted(exact.items())))
 
 
+def exact(table: ScoreTable) -> dict[str, Fraction]:
+    """A table's scores as ``Fraction``s, for reference computations."""
+    return {
+        institution: Fraction(numerator, table.denominator)
+        for institution, numerator in table.numerators.items()
+    }
+
+
 def make_rank_list(label: str, pairs: list[tuple[str, object]]) -> RankList:
     """Build a RankList from (institution_id, score) pairs already in order."""
     items = tuple(

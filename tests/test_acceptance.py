@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import make_rank_list, make_table
+from conftest import exact, make_rank_list, make_table
 from instrank.aggregate import (
     AggregationSpec,
     YearTables,
@@ -53,7 +53,6 @@ from instrank.ingest import (
 )
 from instrank.scoring import (
     ScoreTable,
-    merge_partials,
     paper_shares,
     read_score_csv,
     score_file_name,
@@ -109,9 +108,10 @@ def test_report_layout_matches_the_golden_file(announce):
 
 def assert_bitwise_equal(mine: ScoreTable, reference: ScoreTable) -> None:
     assert mine.year == reference.year
-    assert list(mine.entries.items()) == list(reference.entries.items())
-    assert [float(v) for v in mine.entries.values()] == [
-        float(v) for v in reference.entries.values()
+    assert mine == reference
+    assert list(mine.numerators) == list(reference.numerators)
+    assert [n / mine.denominator for n in mine.numerators.values()] == [
+        n / reference.denominator for n in reference.numerators.values()
     ]
 
 
@@ -171,12 +171,14 @@ def test_streaming_scores_equal_the_naive_oracle(announce):
                         assert (mine is None) == (year not in reference)
                         if mine is not None:
                             assert_bitwise_equal(mine, reference[year])
+                # The realized truth pools every venue of the year.
                 assert corpus.truth.realized is not None
+                papers, read_rows = streams()
+                pooled = score_venue_years(
+                    (paper._replace(venue_id="*") for paper in papers), read_rows
+                )
                 for year in span:
-                    merged = merge_partials(
-                        [table for (_, y), table in streamed.items() if y == year]
-                    )
-                    assert_bitwise_equal(merged, corpus.truth.realized[year])
+                    assert_bitwise_equal(pooled[("*", year)], corpus.truth.realized[year])
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"oracle equivalence took {elapsed:.1f}s"
 
@@ -197,7 +199,7 @@ def test_fagin_always_returns_the_naive_top_k(announce):
                     if rng.random() < 0.9
                 }
                 tables.append(make_table(year, entries))
-            union = {inst for table in tables for inst in table.entries}
+            union = {inst for table in tables for inst in table.numerators}
             if not union:
                 tables[0] = make_table(2011, {universe[0]: 1})
                 union = {universe[0]}
@@ -271,8 +273,8 @@ def test_borda_permutation_invariance(announce):
             shuffled = lists[:]
             rng.shuffle(shuffled)
             for variant, p in BORDA_CASES:
-                direct = borda_aggregate(lists, variant, p=p).entries
-                reordered = borda_aggregate(shuffled, variant, p=p).entries
+                direct = borda_aggregate(lists, variant, p=p)
+                reordered = borda_aggregate(shuffled, variant, p=p)
                 assert direct == reordered
 
 
@@ -366,7 +368,7 @@ def test_normalized_sum_scale_invariance(announce):
                         table.year,
                         {
                             inst: value * factor
-                            for inst, value in table.entries.items()
+                            for inst, value in exact(table).items()
                         },
                     )
                     if index == target
@@ -374,9 +376,9 @@ def test_normalized_sum_scale_invariance(announce):
                     for index, table in enumerate(tables)
                 ]
                 rescaled = normalized_sum(scaled)
-                assert rescaled.entries == baseline.entries
-                assert [float(v) for v in rescaled.entries.values()] == [
-                    float(v) for v in baseline.entries.values()
+                assert rescaled == baseline
+                assert [n / rescaled.denominator for n in rescaled.numerators.values()] == [
+                    n / baseline.denominator for n in baseline.numerators.values()
                 ]
 
 
@@ -393,10 +395,10 @@ def test_share_conservation_at_scale(announce):
                     rows.append(
                         AffiliationRow(paper.paper_id, author_id, rng.choice(pool))
                     )
-            shares = paper_shares(AttributedPaper(paper, tuple(rows))).entries
-            total = sum(shares.values(), Fraction(0))
-            assert total == 1
-            assert abs(math.fsum(float(a) for a in shares.values()) - 1.0) < 1e-9
+            shares = paper_shares(AttributedPaper(paper, tuple(rows)))
+            assert sum(shares.numerators.values()) == shares.denominator
+            floats = (n / shares.denominator for n in shares.numerators.values())
+            assert abs(math.fsum(floats) - 1.0) < 1e-9
 
 
 def test_memory_stays_bounded_on_a_gigabyte_corpus(announce, tmp_path):
@@ -455,7 +457,7 @@ def test_memory_stays_bounded_on_a_gigabyte_corpus(announce, tmp_path):
         table = read_score_csv(
             os.path.join(str(out_dir), score_file_name("V0", 2011)), 2011
         )
-        assert table.entries
+        assert table.numerators
 
 
 def test_pipeline_selects_a_consistent_winner(announce, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rank_list, make_table
+from conftest import exact, make_rank_list, make_table
 from instrank.aggregate import (
     AggregationSpec,
     InvalidPError,
@@ -27,7 +27,7 @@ from instrank.aggregate import (
     write_ranking_json,
 )
 from instrank.ingest import UNKNOWN_INSTITUTION
-from instrank.scoring import normalize
+from instrank.scoring import MalformedFileError, normalize
 from instrank.synth import naive_topk
 
 
@@ -115,7 +115,7 @@ def test_borda_p_norm_overflow_raises_invalid_p():
         borda_aggregate(lists, "p_norm", p=10_000)
     with pytest.raises(InvalidPError, match="p=inf is too large"):
         borda_aggregate(lists, "p_norm", p=math.inf)
-    assert borda_aggregate(lists, "p_norm", p=1000).entries["A"] == 2.0**1000
+    assert borda_aggregate(lists, "p_norm", p=1000).numerators["A"] == 2**1000
 
 
 def test_spec_labels():
@@ -132,7 +132,7 @@ def test_normalized_sum_two_years_hand_computed():
     final = normalized_sum(
         [make_table(2011, {"A": 2, "B": 1}), make_table(2012, {"A": 1, "B": 4})]
     )
-    assert final.entries == {"A": Fraction(5, 4), "B": Fraction(3, 2)}
+    assert final == make_table(None, {"A": Fraction(5, 4), "B": Fraction(3, 2)})
     assert ranked_ids(to_ranking(final)) == ["B", "A"]
 
 
@@ -140,15 +140,15 @@ def test_normalized_sum_absent_year_contributes_nothing():
     final = normalized_sum(
         [make_table(2011, {"A": 2}), make_table(2012, {"A": 1, "B": 2})]
     )
-    assert final.entries == {"A": Fraction(3, 2), "B": Fraction(1)}
+    assert final == make_table(None, {"A": Fraction(3, 2), "B": 1})
 
 
 def test_normalized_sum_skips_all_zero_years_but_keeps_their_institutions():
     zero = make_table(2011, {"A": 0, "C": 0})
     final = normalized_sum([zero, make_table(2012, {"A": 1})])
-    assert final.entries == {"A": Fraction(1), "C": Fraction(0)}
+    assert final == make_table(None, {"A": 1, "C": 0})
     # A year that is all zero adds 0, also when it is the only one.
-    assert normalized_sum([zero]).entries == {"A": Fraction(0), "C": Fraction(0)}
+    assert normalized_sum([zero]) == make_table(None, {"A": 0, "C": 0})
 
 
 def test_normalized_sum_rejects_no_years_like_run_aggregation():
@@ -163,7 +163,7 @@ def test_normalized_sum_rejects_no_years_like_run_aggregation():
 def test_normalized_sum_single_year_equals_that_years_normalization():
     table = make_table(2014, {"A": 5, "B": 2, "C": 4})
     final = normalized_sum([table])
-    assert final.entries == normalize(table).entries
+    assert exact(final) == exact(normalize(table))
 
 
 # --- borda --------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_borda_sum_identical_lists_keep_the_order():
     lists = [make_rank_list(str(year), [("A", 3), ("B", 2), ("C", 1)]) for year in (1, 2, 3)]
     final = borda_aggregate(lists, "sum")
     assert ranked_ids(to_ranking(final)) == ["A", "B", "C"]
-    assert final.entries == {"A": Fraction(9), "B": Fraction(6), "C": Fraction(3)}
+    assert final == make_table(None, {"A": 9, "B": 6, "C": 3})
 
 
 def test_borda_sum_opposite_lists_tie_and_fall_back_to_id_order():
@@ -188,7 +188,7 @@ def test_borda_sum_opposite_lists_tie_and_fall_back_to_id_order():
         make_rank_list("b", [("C", 3), ("B", 2), ("A", 1)]),
     ]
     final = borda_aggregate(lists, "sum")
-    assert final.entries == {"A": Fraction(4), "B": Fraction(4), "C": Fraction(4)}
+    assert final == make_table(None, {"A": 4, "B": 4, "C": 4})
     assert ranked_ids(to_ranking(final)) == ["A", "B", "C"]
 
 
@@ -199,7 +199,7 @@ def test_borda_absent_institutions_take_zero_points():
     ]
     final = borda_aggregate(lists, "sum")
     # A: 2 + 0; B: 1 + ... second list has one entry so B takes 1 point there.
-    assert final.entries == {"A": Fraction(2), "B": Fraction(2)}
+    assert final == make_table(None, {"A": 2, "B": 2})
 
 
 def test_borda_median_and_geometric_mean_and_p_norm_hand_cases():
@@ -207,12 +207,11 @@ def test_borda_median_and_geometric_mean_and_p_norm_hand_cases():
         make_rank_list("a", [("A", 2), ("B", 1)]),
         make_rank_list("b", [("A", 2), ("B", 1)]),
     ]
-    assert borda_aggregate(lists, "median").entries == {"A": 2, "B": 1}
-    geo = borda_aggregate(lists, "geometric_mean").entries
-    assert geo["A"] == pytest.approx(2.0)
-    assert geo["B"] == pytest.approx(1.0)
-    p2 = borda_aggregate(lists, "p_norm", p=2).entries
-    assert p2 == {"A": 4.0, "B": 1.0}
+    assert borda_aggregate(lists, "median") == make_table(None, {"A": 2, "B": 1})
+    geo = exact(borda_aggregate(lists, "geometric_mean"))
+    assert float(geo["A"]) == pytest.approx(2.0)
+    assert float(geo["B"]) == pytest.approx(1.0)
+    assert borda_aggregate(lists, "p_norm", p=2) == make_table(None, {"A": 4.0, "B": 1.0})
 
 
 def test_borda_median_splits_even_counts():
@@ -220,7 +219,7 @@ def test_borda_median_splits_even_counts():
         make_rank_list("a", [("A", 2), ("B", 1)]),
         make_rank_list("b", [("B", 2), ("A", 1)]),
     ]
-    assert borda_aggregate(lists, "median").entries == {"A": 1.5, "B": 1.5}
+    assert borda_aggregate(lists, "median") == make_table(None, {"A": 1.5, "B": 1.5})
 
 
 def test_borda_geometric_mean_zeroes_on_any_absence():
@@ -229,8 +228,8 @@ def test_borda_geometric_mean_zeroes_on_any_absence():
         make_rank_list("b", [("A", 1)]),
     ]
     final = borda_aggregate(lists, "geometric_mean")
-    assert final.entries["B"] == 0.0
-    assert final.entries["A"] > 0
+    assert final.numerators["B"] == 0
+    assert final.numerators["A"] > 0
 
 
 def test_borda_p_norm_at_one_orders_like_sum():
@@ -318,7 +317,7 @@ def test_fagin_matches_naive_on_random_tables():
             }
             tables.append(make_table(year, entries))
         k = rng.randint(1, max(1, len(universe)))
-        all_ids = {inst for table in tables for inst in table.entries}
+        all_ids = {inst for table in tables for inst in table.numerators}
         if k > len(all_ids):
             k = max(1, len(all_ids))
         if not all_ids:
@@ -444,7 +443,7 @@ def test_year_order_never_matters():
         for text in ("normalized_sum", "borda:sum", "borda:median", "borda:geometric_mean", "borda:p_norm:2.5", "fagin:3"):
             spec = AggregationSpec.parse(text)
             if spec.method == "fagin":
-                ids = {inst for table in tables for inst in table.entries}
+                ids = {inst for table in tables for inst in table.numerators}
                 if len(ids) < spec.fagin_k:
                     continue
             a = run_aggregation(spec, tables)
@@ -476,6 +475,29 @@ def test_ranking_csv_tolerates_commas_in_institution_ids(tmp_path):
     back = read_ranking_csv(str(path), "again")
     assert ranked_ids(back) == ["Dept, Univ", "B"]
     assert [item.score for item in back.items] == [2.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "rows, bad_row, bad_score",
+    [
+        (["1,A,nan", "2,B,inf", "3,C,-5.0"], 2, "nan"),
+        (["1,A,inf", "2,B,1.0"], 2, "inf"),
+        (["1,A,2.0", "2,B,-5.0"], 3, "-5.0"),
+        (["1,A,-0.5"], 2, "-0.5"),
+    ],
+    ids=["nan-first", "infinite", "negative-last", "negative-only"],
+)
+def test_read_ranking_csv_rejects_non_finite_and_negative_scores(
+    tmp_path, rows, bad_row, bad_score
+):
+    path = tmp_path / "ranking.csv"
+    path.write_text(
+        "rank,institution_id,score\n" + "".join(row + "\n" for row in rows), encoding="utf-8"
+    )
+    with pytest.raises(MalformedFileError) as info:
+        read_ranking_csv(str(path), "bad")
+    assert info.value.line_number == bad_row
+    assert info.value.reason == f"score {bad_score!r} is not a finite number >= 0"
 
 
 def test_ranking_json_echoes_the_spec(tmp_path):
@@ -575,7 +597,7 @@ def reference_ranking(years: list[dict], spec: AggregationSpec) -> list:
         return reference_order(totals)
     if spec.method == "borda":
         lists = [make_rank_list(str(i), reference_order(e)) for i, e in enumerate(normalized)]
-        return reference_order(borda_aggregate(lists, spec.borda_variant, spec.p).entries)
+        return reference_order(exact(borda_aggregate(lists, spec.borda_variant, spec.p)))
     universe = {inst for entries in normalized for inst in entries}
     means = {
         inst: math.fsum(float(entries.get(inst, 0)) for entries in normalized) / len(normalized)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import exact, make_table
 from instrank.aggregate import ranking_file_name, read_ranking_csv, run_aggregation
 from instrank import aggregate, cli, scoring
 from instrank.cli import (
@@ -416,6 +417,9 @@ def test_exit_4_on_a_paper_id_listed_twice(tmp_path, capsys):
         ("aggregate", "scores_V0_2012.csv", 2, ",0.5"),
         ("evaluate", "ranking_V0_normalized_sum.csv", 2, "1,,2.0"),
         ("evaluate", "ranking_V0_normalized_sum.csv", 3, "2,IB,1e9"),
+        ("evaluate", "ranking_V0_normalized_sum.csv", 2, "1,IA,nan"),
+        ("evaluate", "ranking_V0_normalized_sum.csv", 2, "1,IA,inf"),
+        ("evaluate", "ranking_V0_normalized_sum.csv", 3, "2,IB,-5.0"),
     ],
     ids=[
         "score-not-a-number",
@@ -429,6 +433,9 @@ def test_exit_4_on_a_paper_id_listed_twice(tmp_path, capsys):
         "score-empty-institution",
         "ranking-empty-institution",
         "ranking-score-rises",
+        "ranking-score-nan",
+        "ranking-score-infinite",
+        "ranking-score-negative",
     ],
 )
 def test_exit_4_on_a_malformed_intermediate_file(tmp_path, capsys, command, name, row, content):
@@ -467,7 +474,7 @@ def test_score_writes_a_file_for_every_venue_year(tmp_path, capsys):
     for year in (2011, 2012, 2013):
         path = os.path.join(out_dir, score_file_name("V0", year))
         table = read_score_csv(path, year)
-        assert table.entries == {"IA": Fraction(2), "IB": Fraction(1)}
+        assert table == make_table(year, {"IA": 2, "IB": 1})
     err = capsys.readouterr().err
     assert "papers: 9 rows, 0 skipped" in err
     assert "filtered papers without affiliations: 0" in err
@@ -513,7 +520,7 @@ def test_score_runs_the_shared_scoring_path_once(tmp_path, monkeypatch):
     assert main(["score", "--config", cfg_path]) == EXIT_OK
     assert len(calls) == 1
     table = read_score_csv(os.path.join(out_dir, score_file_name("V0", 2011)), 2011)
-    assert table.entries == {"IA": Fraction(2), "IB": Fraction(1)}
+    assert table == make_table(2011, {"IA": 2, "IB": 1})
 
 
 def test_score_summary_names_the_first_skipped_row(tmp_path, capsys):
@@ -548,7 +555,7 @@ def test_score_keeps_a_lone_carriage_return_inside_an_institution_id(tmp_path, c
     assert "affiliations: 2 rows, 0 skipped; " in capsys.readouterr().err
     path = out_dir / score_file_name("V0", 2011)
     assert path.read_bytes() == b"institution_id,score\nI1\rjunk,1.0\nI2,1.0\n"
-    assert read_score_csv(str(path), 2011).entries == {"I1\rjunk": 1, "I2": 1}
+    assert read_score_csv(str(path), 2011) == make_table(2011, {"I1\rjunk": 1, "I2": 1})
     assert main(["aggregate", "--config", cfg_path]) == EXIT_OK
     ranking = read_ranking_csv(
         str(out_dir / ranking_file_name("V0", "normalized_sum")), "normalized_sum"
@@ -563,6 +570,17 @@ def test_an_empty_venue_set_exits_2_and_writes_nothing(tmp_path, capsys):
             assert main([command, "--config", cfg_path]) == EXIT_CONFIG
             assert "no venues configured" in capsys.readouterr().err
         assert not os.path.exists(out_dir)
+
+
+@pytest.mark.parametrize(
+    "override", ["selection.truth_year=2300", "selection.train_years=1850-1900"]
+)
+def test_years_outside_the_readable_span_exit_2_and_write_nothing(tmp_path, capsys, override):
+    cfg_path, out_dir = tiny_config(tmp_path)
+    for command in ("score", "aggregate", "evaluate", "pipeline"):
+        assert main([command, "--config", cfg_path, "--set", override]) == EXIT_CONFIG
+        assert "must lie within 1900-2100" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
 
 
 def test_score_agrees_with_the_naive_oracle_per_venue(tmp_path):
@@ -599,10 +617,10 @@ def test_score_agrees_with_the_naive_oracle_per_venue(tmp_path):
             table = read_score_csv(path, year)
             expected = {
                 inst: Fraction(float(value))
-                for inst, value in reference[year].entries.items()
+                for inst, value in exact(reference[year]).items()
                 if inst != UNKNOWN_INSTITUTION
             }
-            assert table.entries == expected
+            assert table == make_table(year, expected)
 
 
 # --- aggregate ----------------------------------------------------------
@@ -935,3 +953,17 @@ def test_the_cli_loads_no_module_the_pipeline_does_not_run():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["", "generate_corpus CorpusParams"]
+
+
+def test_every_name_in_the_package_all_resolves():
+    import instrank
+
+    assert len(instrank.__all__) == len(set(instrank.__all__))
+    missing = [name for name in instrank.__all__ if getattr(instrank, name, None) is None]
+    assert missing == []
+    # The generator and its oracles are listed and load on first access.
+    assert set(instrank._SYNTH_NAMES) <= set(instrank.__all__)
+    for name in ("merge_partials", "open_table"):
+        assert name not in instrank.__all__
+        with pytest.raises(AttributeError):
+            getattr(instrank, name)

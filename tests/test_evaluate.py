@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_table
+from conftest import exact, make_table
 from instrank.aggregate import AggregationSpec
 from instrank.evaluate import (
     EvalReport,
@@ -211,7 +211,7 @@ def test_ndcg_against_table_truth_equals_the_fraction_reference(
     truth = GroundTruth.from_score_table(table)
     ranking = order[:length]
     try:
-        expected = reference_ndcg(ranking, table.entries, k)
+        expected = reference_ndcg(ranking, exact(table), k)
     except ZeroIdealError:
         with pytest.raises(ZeroIdealError):
             ndcg_at_k(ranking, truth, k)

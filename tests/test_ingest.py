@@ -16,7 +16,6 @@ from instrank.ingest import (
     MalformedRowError,
     PaperRecord,
     ParseStats,
-    RawRow,
     StreamError,
     TableSchema,
     YearRange,
@@ -24,7 +23,6 @@ from instrank.ingest import (
     iter_affiliations,
     iter_papers,
     join_affiliations,
-    open_table,
 )
 
 PAPERS = TableSchema.papers_default()
@@ -71,50 +69,53 @@ def test_year_range_parse_and_membership():
         YearRange(2015, 2011)
 
 
-# --- open_table --------------------------------------------------------
+# --- the reader: gzip, headers, stream failures ------------------------
 
 
-def test_open_table_yields_numbered_split_rows(tmp_path):
-    path = write_papers(tmp_path / "t.tsv", ["a\tb", "c\td"])
-    rows = list(open_table(path, AFFILS))
-    assert rows == [RawRow(1, ["a", "b"]), RawRow(2, ["c", "d"])]
+def test_iter_affiliations_yields_rows_in_file_order(tmp_path):
+    path = write_papers(tmp_path / "t.tsv", ["a\tb\tc", "d\te\tf"])
+    rows = list(iter_affiliations(path, AFFILS, strict=True))
+    assert rows == [("a", "b", "c"), ("d", "e", "f")]
 
 
-def test_open_table_counts_the_consumed_header(tmp_path):
+def test_iter_affiliations_counts_the_consumed_header(tmp_path):
     schema = TableSchema(paper_id=0, author_id=1, institution_id=2, has_header=True)
-    path = write_papers(tmp_path / "t.tsv", ["pid\taid\tiid", "a\tb\tc"])
-    rows = list(open_table(path, schema))
-    assert rows == [RawRow(2, ["a", "b", "c"])]
+    path = write_papers(tmp_path / "t.tsv", ["pid\taid\tiid", "a\tb\tc", "short"])
+    stats = ParseStats()
+    rows = list(iter_affiliations(path, schema, stats=stats))
+    assert rows == [("a", "b", "c")]
+    # The header is row 1, so the first data row is row 2 and the short one row 3.
+    assert stats == ParseStats(rows=2, parsed=1, skipped=1, first_skipped=3)
 
 
-def test_open_table_sniffs_gzip_by_magic_not_name(tmp_path):
+def test_iter_affiliations_sniffs_gzip_by_magic_not_name(tmp_path):
     path = tmp_path / "t.tsv"  # no .gz suffix on purpose
-    path.write_bytes(gzip.compress(b"a\tb\nc\td\n"))
-    rows = list(open_table(str(path), AFFILS))
-    assert [row.fields for row in rows] == [["a", "b"], ["c", "d"]]
+    path.write_bytes(gzip.compress(b"a\tb\tc\nd\te\tf\n"))
+    rows = list(iter_affiliations(str(path), AFFILS))
+    assert rows == [("a", "b", "c"), ("d", "e", "f")]
 
 
-def test_open_table_missing_file_raises_before_iteration(tmp_path):
+def test_iter_affiliations_missing_file_raises_before_iteration(tmp_path):
     with pytest.raises(FileNotFoundError):
-        iterator = open_table(str(tmp_path / "absent.tsv"), AFFILS)
+        iterator = iter_affiliations(str(tmp_path / "absent.tsv"), AFFILS)
         next(iterator)
 
 
-def test_open_table_wraps_mid_stream_decode_failures(tmp_path):
+def test_iter_affiliations_wraps_mid_stream_decode_failures(tmp_path):
     path = tmp_path / "t.tsv"
-    path.write_bytes(b"good\trow\n\xff\xfe broken\n")
+    path.write_bytes(b"good\trow\tI\n\xff\xfe broken\n")
     with pytest.raises(StreamError) as info:
-        list(open_table(str(path), AFFILS))
+        list(iter_affiliations(str(path), AFFILS))
     assert info.value.path == str(path)
     assert isinstance(info.value, OSError)
 
 
-def test_open_table_wraps_truncated_gzip(tmp_path):
+def test_iter_affiliations_wraps_truncated_gzip(tmp_path):
     path = tmp_path / "t.tsv"
-    payload = gzip.compress(b"a\tb\n" * 200)
+    payload = gzip.compress(b"a\tb\tc\n" * 200)
     path.write_bytes(payload[: len(payload) // 2])
     with pytest.raises(StreamError):
-        list(open_table(str(path), AFFILS))
+        list(iter_affiliations(str(path), AFFILS))
 
 
 # --- row rules ----------------------------------------------------------

@@ -94,6 +94,9 @@ def test_score_venue_years_sums_the_credit_of_its_papers():
 
 def test_accumulate_empty_stream_gives_empty_table():
     assert score_venue_years([], rows_of([])) == {}
+
+
+def test_a_paper_without_rows_splits_into_an_empty_table():
     # A paper with no rows earns no credit: its split is an empty table.
     table = paper_shares(make_attributed([]))
     assert (table.year, table.numerators, table.denominator) == (2014, {}, 1)

@@ -340,7 +340,7 @@ def run_aggregation(
     if spec.method == METHOD_BORDA:
         final = borda_aggregate(year_tables.rankings, spec.borda_variant, spec.p)
         return to_ranking(final, label=spec.label)
-    top = fagin_topk(year_tables.normalized, spec.fagin_k or DEFAULT_TOP_K)
+    top = fagin_topk(year_tables.normalized, spec.fagin_k)
     return RankList(spec.label, top.items)
 
 

@@ -76,15 +76,24 @@ DELIMITER_NAMES = {"tab": "\t", "\\t": "\t", "comma": ",", "space": " ", "pipe":
 
 # Every key a config file or --set may name, by section; anything else is
 # rejected, so a misspelt key cannot be silently ignored.
-_TABLE_KEYS = {"paper_id", "delimiter", "has_header"}
+_TABLE_KEYS = {"delimiter", "has_header"}
 CONFIG_KEYS = {
     "inputs": {"papers", "affiliations"},
     "selection": {"venues", "train_years", "truth_year"},
-    "papers_table": _TABLE_KEYS | {"year", "venue_id"},
-    "affiliations_table": _TABLE_KEYS | {"author_id", "institution_id"},
+    "papers_table": _TABLE_KEYS | {"paper_id", "year", "venue_id"},
+    "affiliations_table": _TABLE_KEYS | {"paper_id", "author_id", "institution_id"},
     "aggregation": {"methods", "k"},
     "run": {"strict"},
     "output": {"dir"},
+}
+
+# Flags that stand for one config key each, by argparse dest; they are
+# applied after every --set, so a flag wins.
+SHORTHANDS = {
+    "k": "aggregation.k",
+    "strict": "run.strict",
+    "output_dir": "output.dir",
+    "method": "aggregation.methods",
 }
 
 
@@ -102,10 +111,10 @@ class PipelineConfig:
         venues: list[str],
         train_years: YearRange,
         truth_year: int,
-        specs: list[AggregationSpec] | None = None,
-        k: int = 20,
-        output_dir: str = "out",
-        strict: bool = False,
+        specs: list[AggregationSpec],
+        k: int,
+        output_dir: str,
+        strict: bool,
     ) -> None:
         self.papers_path = papers_path
         self.affiliations_path = affiliations_path
@@ -114,15 +123,10 @@ class PipelineConfig:
         self.venues = venues
         self.train_years = train_years
         self.truth_year = truth_year
-        self.specs = [] if specs is None else specs
+        self.specs = specs
         self.k = k
         self.output_dir = output_dir
         self.strict = strict
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PipelineConfig):
-            return NotImplemented
-        return vars(self) == vars(other)
 
     def validate(self) -> None:
         if self.truth_year <= self.train_years.high:
@@ -175,46 +179,37 @@ def _parse_delimiter(text: str) -> str:
     return DELIMITER_NAMES.get(text.strip().lower(), text)
 
 
-def _parse_bool(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _schema_from_section(
-    section: configparser.SectionProxy | None, default: TableSchema, kind: str
+    parser: configparser.ConfigParser, name: str, default: TableSchema
 ) -> TableSchema:
-    if section is None:
+    """The section's table layout; an absent column key keeps the default ordinal."""
+    if name not in parser:
         return default
+    section = parser[name]
     try:
-        common = {
-            "delimiter": _parse_delimiter(section.get("delimiter", "tab")),
-            "has_header": _parse_bool(section.get("has_header", "false")),
-        }
-        if kind == "papers":
-            return TableSchema(
-                paper_id=section.getint("paper_id", default.paper_id),
-                year=section.getint("year", default.year),
-                venue_id=section.getint("venue_id", default.venue_id),
-                **common,
-            )
         return TableSchema(
-            paper_id=section.getint("paper_id", default.paper_id),
-            author_id=section.getint("author_id", default.author_id),
-            institution_id=section.getint("institution_id", default.institution_id),
-            **common,
+            delimiter=_parse_delimiter(section.get("delimiter", "tab")),
+            has_header=section.getboolean("has_header", False),
+            **{
+                column: section.getint(column, getattr(default, column))
+                for column in CONFIG_KEYS[name] - _TABLE_KEYS
+            },
         )
     except ValueError as exc:
-        raise ConfigError(f"bad {kind} table schema: {exc}") from exc
+        raise ConfigError(f"bad [{name}] section: {exc}") from exc
 
 
 def load_config(path: str, overrides: Sequence[str] = ()) -> PipelineConfig:
-    """Read an INI config file, applying ``section.key=value`` overrides."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    loaded = parser.read(path, encoding="utf-8")
+    """Read an INI config file, applying ``section.key=value`` overrides in order.
+
+    Values are taken literally (no ``%`` interpolation). Every default lives
+    here.
+    """
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    try:
+        loaded = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {path}: {exc}") from exc
     if not loaded:
         raise ConfigError(f"cannot read config file {path!r}")
     for override in overrides:
@@ -242,16 +237,6 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> PipelineConfig:
         truth_year = int(selection["truth_year"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"config {path}: {exc!r}") from exc
-    papers_schema = _schema_from_section(
-        parser["papers_table"] if "papers_table" in parser else None,
-        TableSchema.papers_default(),
-        "papers",
-    )
-    affiliations_schema = _schema_from_section(
-        parser["affiliations_table"] if "affiliations_table" in parser else None,
-        TableSchema.affiliations_default(),
-        "affiliations",
-    )
     methods_text = parser.get("aggregation", "methods", fallback=DEFAULT_METHODS)
     try:
         specs = [
@@ -263,11 +248,15 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> PipelineConfig:
         strict = parser.getboolean("run", "strict", fallback=False)
     except ValueError as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
-    config = PipelineConfig(
+    return PipelineConfig(
         papers_path=papers_path,
         affiliations_path=affiliations_path,
-        papers_schema=papers_schema,
-        affiliations_schema=affiliations_schema,
+        papers_schema=_schema_from_section(
+            parser, "papers_table", TableSchema.papers_default()
+        ),
+        affiliations_schema=_schema_from_section(
+            parser, "affiliations_table", TableSchema.affiliations_default()
+        ),
         venues=venues,
         train_years=train_years,
         truth_year=truth_year,
@@ -276,7 +265,6 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> PipelineConfig:
         output_dir=parser.get("output", "dir", fallback="out"),
         strict=strict,
     )
-    return config
 
 
 def _describe_rows(stats: ParseStats) -> str:
@@ -364,15 +352,10 @@ def _aggregate(spec: AggregationSpec, years: YearTables, venue_id: str) -> RankL
         raise type(exc)(f"venue {venue_id!r}, method {spec.label}: {exc}") from exc
 
 
-def _rank_venue(
-    config: PipelineConfig,
-    venue_id: str,
-    specs: Sequence[AggregationSpec],
-    years: YearTables,
-) -> dict[str, RankList]:
+def _rank_venue(config: PipelineConfig, venue_id: str, years: YearTables) -> dict[str, RankList]:
     """Aggregate one venue's training years with every spec and write each ranking."""
     rankings = {}
-    for spec in specs:
+    for spec in config.specs:
         ranking = _aggregate(spec, years, venue_id)
         base = os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label))
         write_ranking_csv(ranking, base)
@@ -381,18 +364,11 @@ def _rank_venue(
     return rankings
 
 
-def cmd_aggregate(config: PipelineConfig, method: str | None = None) -> int:
+def cmd_aggregate(config: PipelineConfig) -> int:
     """Aggregate the training-year score files into final rankings."""
-    if method is None:
-        specs = config.specs
-    else:
-        try:
-            specs = [AggregationSpec.parse(method)]
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     for venue_id in config.venues:
         tables = _read_tables(config, venue_id, config.train_years)
-        _rank_venue(config, venue_id, specs, YearTables(list(tables.values())))
+        _rank_venue(config, venue_id, YearTables(list(tables.values())))
     return EXIT_OK
 
 
@@ -447,7 +423,7 @@ def cmd_pipeline(config: PipelineConfig) -> int:
         tables = _read_tables(config, venue_id, config.scored_years())
         years = years_by_venue[venue_id] = YearTables(list(tables.values()))
         training = years.through(config.train_years.high)
-        rankings_by_venue[venue_id] = _rank_venue(config, venue_id, config.specs, training)
+        rankings_by_venue[venue_id] = _rank_venue(config, venue_id, training)
         truth_by_venue[venue_id] = GroundTruth.from_score_table(tables[config.truth_year])
     report = evaluate_rankings(rankings_by_venue, truth_by_venue, config.k)
     _write_report(config, report)
@@ -544,25 +520,16 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="SECTION.KEY=VALUE",
             help="override any config key",
         )
-        sub.add_argument("--k", type=int, default=None, help="evaluation cutoff")
-        sub.add_argument("--strict", action="store_true", help="abort on malformed rows")
-        sub.add_argument("--output-dir", default=None)
+        # Shorthands for config keys; see SHORTHANDS.
+        sub.add_argument("--k", type=int, help="evaluation cutoff")
+        sub.add_argument(
+            "--strict", action="store_const", const="true", help="abort on malformed rows"
+        )
+        sub.add_argument("--output-dir")
         if name == "aggregate":
-            sub.add_argument("--method", default=None, help="run a single method")
+            sub.add_argument("--method", help="run only these methods")
 
     return parser
-
-
-def _configured(args: argparse.Namespace) -> PipelineConfig:
-    config = load_config(args.config, args.set)
-    if args.k is not None:
-        config.k = args.k
-    if args.strict:
-        config.strict = True
-    if args.output_dir is not None:
-        config.output_dir = args.output_dir
-    config.validate()
-    return config
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -572,11 +539,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "synth":
             return cmd_synth(args)
-        config = _configured(args)
+        shorthands = [
+            f"{key}={value}"
+            for dest, key in SHORTHANDS.items()
+            if (value := getattr(args, dest, None)) is not None
+        ]
+        config = load_config(args.config, [*args.set, *shorthands])
+        config.validate()
         if args.command == "score":
             return cmd_score(config)
         if args.command == "aggregate":
-            return cmd_aggregate(config, args.method)
+            return cmd_aggregate(config)
         if args.command == "evaluate":
             cmd_evaluate(config)
             return EXIT_OK

@@ -150,6 +150,69 @@ def test_validate_rejects_truth_year_inside_training(tmp_path):
         config.validate()
 
 
+@pytest.mark.parametrize(
+    "command, flag, key, value, other",
+    [
+        ("evaluate", ["--k", "3"], "aggregation.k", "3", "7"),
+        ("score", ["--strict"], "run.strict", "true", "false"),
+        ("pipeline", ["--output-dir", "elsewhere"], "output.dir", "elsewhere", "other"),
+        (
+            "aggregate",
+            ["--method", "borda:median, fagin:2"],
+            "aggregation.methods",
+            "borda:median, fagin:2",
+            "normalized_sum",
+        ),
+    ],
+    ids=["k", "strict", "output-dir", "method"],
+)
+def test_a_shorthand_flag_sets_its_config_key_and_wins_over_set(
+    tmp_path, monkeypatch, command, flag, key, value, other
+):
+    cfg_path, _ = tiny_config(tmp_path)
+    seen = []
+
+    def record(config):
+        seen.append(vars(config))
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, f"cmd_{command}", record)
+    for args in (
+        flag,
+        ["--set", f"{key}={value}"],
+        ["--set", f"{key}={other}", *flag],
+        [*flag, "--set", f"{key}={other}"],
+    ):
+        assert main([command, "--config", cfg_path, *args]) == EXIT_OK
+    assert seen[1:] == [seen[0]] * 3
+    assert seen[0] != vars(load_config(cfg_path, [f"{key}={other}"]))
+
+
+def test_a_percent_sign_in_a_path_is_taken_literally(tmp_path, capsys):
+    def written(out_dir):
+        return {
+            name: open(os.path.join(out_dir, name), "rb").read()
+            for name in os.listdir(out_dir)
+        }
+
+    cfg_path, out_dir = tiny_config(tmp_path)
+    assert main(["pipeline", "--config", cfg_path]) == EXIT_OK
+    expected = written(out_dir)
+    report = capsys.readouterr().out
+    odd_inputs = tmp_path / "in%2"
+    odd_inputs.mkdir()
+    odd_cfg_path, odd_out_dir = tiny_config(odd_inputs)
+    runs = [
+        ([odd_cfg_path], odd_out_dir),
+        ([cfg_path, "--set", f"output.dir={tmp_path}/set%2"], f"{tmp_path}/set%2"),
+        ([cfg_path, "--output-dir", f"{tmp_path}/flag%(x)s"], f"{tmp_path}/flag%(x)s"),
+    ]
+    for args, run_out_dir in runs:
+        assert main(["pipeline", "--config", *args]) == EXIT_OK
+        assert written(run_out_dir) == expected
+        assert capsys.readouterr().out == report
+
+
 # --- exit codes ---------------------------------------------------------
 
 
@@ -157,6 +220,27 @@ def test_exit_2_on_config_error(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[inputs]\n", encoding="utf-8")
     assert main(["score", "--config", str(bad)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"papers = x\n",
+        b"[inputs]\npapers = x\n[inputs]\n",
+        b"[inputs]\npapers = x\npapers = y\n",
+        b"[inputs]\npapers = \xff\n",
+    ],
+    ids=["no-section-header", "section-twice", "key-twice", "not-utf-8"],
+)
+def test_exit_2_on_a_malformed_config_file(tmp_path, capsys, content):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(content)
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", "--config", str(bad), "--output-dir", str(out_dir)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {bad}: ")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_jobs_flag_is_a_usage_error(tmp_path):

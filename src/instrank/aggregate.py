@@ -5,9 +5,12 @@ aggregation families read that view: a normalized score sum over the
 years, positional (Borda-style) point counts with several combining
 variants, and Fagin-style top-k by mean normalized score. A normalized
 year is its integer numerators over the year's top numerator, so sums
-and orderings are integer arithmetic. All of them rank higher values
-first and break score ties by institution id ascending, so every output
-is deterministic.
+and orderings are integer arithmetic; the normalized sum is
+``scoring.over_lcm`` over the years. All of them rank higher values
+first and break score ties by institution id ascending
+(``scoring.order_by_score``), so every output is deterministic. A
+ranking file is read back through ``scoring.read_checked_rows``, the
+score file's reader, plus the checks only a ranking needs.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Sequence
 
+from .ingest import MalformedRowError
 from .scoring import (
-    MalformedFileError,
     ScoreTable,
     drop_unknown,
     normalize,
     order_by_score,
+    over_lcm,
+    read_checked_rows,
 )
 
 METHOD_NORMALIZED_SUM = "normalized_sum"
@@ -213,14 +218,9 @@ def normalized_sum(year_tables: YearTables | Sequence[ScoreTable]) -> ScoreTable
     """
     if not isinstance(year_tables, YearTables):
         year_tables = YearTables(year_tables)
-    tables = year_tables.normalized
-    common = math.lcm(*(table.denominator for table in tables))
-    totals: dict[str, int] = {}
-    for table in tables:
-        factor = common // table.denominator
-        for institution, numerator in table.numerators.items():
-            totals[institution] = totals.get(institution, 0) + numerator * factor
-    return ScoreTable.from_numerators(None, dict(sorted(totals.items())), common)
+    return over_lcm(
+        None, [(table.denominator, table.numerators) for table in year_tables.normalized]
+    )
 
 
 def borda_scores(rank_list: RankList) -> dict[str, int]:
@@ -316,10 +316,9 @@ def fagin_topk(tables: Sequence[ScoreTable], k: int) -> RankList:
         institution: math.fsum(year.get(institution, 0.0) for year in values) / len(tables)
         for institution in universe
     }
-    ordered = sorted(means, key=lambda inst: (-means[inst], inst))[:k]
     items = tuple(
-        RankedItem(position, institution, means[institution])
-        for position, institution in enumerate(ordered, start=1)
+        RankedItem(position, institution, mean)
+        for position, (institution, mean) in enumerate(order_by_score(means)[:k], start=1)
     )
     return RankList("fagin", items)
 
@@ -359,49 +358,28 @@ def write_ranking_csv(rank_list: RankList, path: str) -> None:
 def read_ranking_csv(path: str, label: str) -> RankList:
     """Read a file written by write_ranking_csv.
 
-    A bad header or rank, a score that is not a finite number >= 0, a
-    rank that is not the row's position (1, 2, ... down the file), an
-    empty institution id, an institution listed twice, or a score above
-    the one before it raises
-    ``MalformedFileError`` naming the file and the row (the header is row 1).
+    The rows are checked by ``scoring.read_checked_rows``. On top of that,
+    a rank that is not an integer or not the row's position (1, 2, ...
+    down the file), or a score above the one before it, raises
+    ``MalformedRowError`` naming the file and the row.
     """
     items: list[RankedItem] = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="\n") as src:
-        header = src.readline()
-        if header.strip() != "rank,institution_id,score":
-            raise MalformedFileError(path, 1, f"not a ranking header: {header.strip()!r}")
-        for line_number, line in enumerate(src, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            # Institution ids may contain commas; rank and score cannot.
-            rank_text, _, rest = line.partition(",")
-            institution, _, score_text = rest.rpartition(",")
-            try:
-                item = RankedItem(int(rank_text), institution, float(score_text))
-            except ValueError as exc:
-                raise MalformedFileError(path, line_number, str(exc)) from None
-            if not 0 <= item.score < math.inf:
-                raise MalformedFileError(
-                    path, line_number, f"score {score_text!r} is not a finite number >= 0"
-                )
-            if item.rank != len(items) + 1:
-                raise MalformedFileError(
-                    path, line_number, f"rank {item.rank} where {len(items) + 1} is due"
-                )
-            if not institution:
-                raise MalformedFileError(path, line_number, "empty institution id")
-            if institution in seen:
-                raise MalformedFileError(
-                    path, line_number, f"institution {institution!r} is listed twice"
-                )
-            if items and item.score > items[-1].score:
-                raise MalformedFileError(
-                    path, line_number, f"score {score_text} is above the score before it"
-                )
-            seen.add(institution)
-            items.append(item)
+    for line_number, rank_text, institution, score_text, score in read_checked_rows(
+        path, "rank,institution_id,score", "ranking"
+    ):
+        try:
+            rank = int(rank_text)
+        except ValueError as exc:
+            raise MalformedRowError(path, line_number, str(exc)) from None
+        if rank != len(items) + 1:
+            raise MalformedRowError(
+                path, line_number, f"rank {rank} where {len(items) + 1} is due"
+            )
+        if items and score > items[-1].score:
+            raise MalformedRowError(
+                path, line_number, f"score {score_text} is above the score before it"
+            )
+        items.append(RankedItem(rank, institution, score))
     return RankList(label, tuple(items))
 
 

@@ -52,7 +52,6 @@ from .ingest import (
     join_affiliations,  # noqa: F401 - perfbench/traced.py wraps it on this module
 )
 from .scoring import (
-    MalformedFileError,
     ScoreTable,
     paper_shares,  # noqa: F401 - perfbench/traced.py wraps it on this module
     read_score_csv,
@@ -213,14 +212,17 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> PipelineConfig:
     if not loaded:
         raise ConfigError(f"cannot read config file {path!r}")
     for override in overrides:
-        try:
-            target, value = override.split("=", 1)
-            section, key = target.split(".", 1)
-        except ValueError:
+        target, equals, value = override.partition("=")
+        section, dot, key = target.partition(".")
+        # An empty section name would write into configparser's defaults.
+        if not (equals and dot and section):
             raise ConfigError(f"override must look like section.key=value: {override!r}")
         if section not in parser:
             parser.add_section(section)
         parser[section][key] = value
+    # configparser copies [DEFAULT] keys into every section; name them where they came from.
+    if parser.defaults():
+        raise ConfigError(f"config {path}: unknown section [{parser.default_section}]")
     for section in parser.sections():
         if section not in CONFIG_KEYS:
             raise ConfigError(f"config {path}: unknown section [{section}]")
@@ -375,12 +377,10 @@ def cmd_aggregate(config: PipelineConfig) -> int:
 def _build_report(config: PipelineConfig) -> EvalReport:
     rankings_by_venue = {}
     truth_by_venue = {}
+    truth_year = config.truth_year
     for venue_id in config.venues:
-        truth_table = read_score_csv(
-            os.path.join(config.output_dir, score_file_name(venue_id, config.truth_year)),
-            config.truth_year,
-        )
-        truth_by_venue[venue_id] = GroundTruth.from_score_table(truth_table)
+        truth = _read_tables(config, venue_id, YearRange(truth_year, truth_year))
+        truth_by_venue[venue_id] = GroundTruth.from_score_table(truth[truth_year])
         rankings_by_venue[venue_id] = {
             spec.label: read_ranking_csv(
                 os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label)),
@@ -561,7 +561,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InvalidPError, KTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MalformedRowError, MalformedFileError, DuplicatePaperIdError) as exc:
+    except (MalformedRowError, DuplicatePaperIdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ZeroIdealError as exc:

@@ -98,16 +98,11 @@ class TableSchema:
         self.delimiter = delimiter
         self.has_header = has_header
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
+    # Value equality, so two configs loaded alike compare equal; a schema is never hashed.
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TableSchema):
             return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @classmethod
     def papers_default(cls) -> "TableSchema":

@@ -11,8 +11,12 @@ result. ``score_venue_years`` is the one credit path and holds the
 attribution rule; a single paper's split (``paper_shares``) is that path
 run on one paper. Credit is counted per denominator, as plain integers,
 and put over the lcm of the denominators seen only when the table is
-built. No ``Fraction`` is built anywhere on this path.
+built; ``over_lcm`` is that one sum, which aggregation's normalized sum
+shares. No ``Fraction`` is built anywhere on this path.
 Tables are keyed in sorted institution order for reproducible iteration.
+Score and ranking files are read back through one checked row reader
+(``read_checked_rows``), and a bad row raises ``ingest.MalformedRowError``,
+the same error as a bad dump row.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ from __future__ import annotations
 import logging
 import math
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .ingest import (
     UNKNOWN_INSTITUTION,
     AttributedPaper,
+    MalformedRowError,
     PaperRecord,
     RowReader,
     index_affiliations,
@@ -35,16 +40,6 @@ log = logging.getLogger(__name__)
 # perfbench/prepare.py still builds ``ScoreTable(year, entries, RAW)``;
 # the third argument is accepted and ignored.
 RAW = "raw"
-
-
-class MalformedFileError(ValueError):
-    """A score or ranking file row that cannot be read back."""
-
-    def __init__(self, path: str, line_number: int, reason: str):
-        super().__init__(f"{path}: row {line_number}: {reason}")
-        self.path = path
-        self.line_number = line_number
-        self.reason = reason
 
 
 class ScoreTable:
@@ -109,18 +104,18 @@ class ScoreTable:
         )
 
 
-def _over_lcm(year: int, amounts: dict[int, dict[str, int]]) -> ScoreTable:
-    """One venue-year's table from ``amounts[denominator][institution]``.
+def over_lcm(year: int | None, parts: Collection[tuple[int, Mapping[str, int]]]) -> ScoreTable:
+    """One table summing ``parts``, each a denominator and integer amounts over it.
 
-    Each amount is credit in units of ``1/denominator``; every one is put
-    over ``math.lcm`` of the denominators (1 when there are none), so the
-    table is the same whatever order the papers were counted in.
+    Every amount is put over ``math.lcm`` of the denominators (1 when there
+    are none) and an institution's amounts are added, so the table is the
+    same whatever order the parts come in. Institutions are in id order.
     """
-    denominator = math.lcm(*amounts)
+    denominator = math.lcm(*(part for part, _ in parts))
     numerators: dict[str, int] = {}
-    for part, counts in amounts.items():
+    for part, amounts in parts:
         factor = denominator // part
-        for institution, amount in counts.items():
+        for institution, amount in amounts.items():
             numerators[institution] = numerators.get(institution, 0) + amount * factor
     return ScoreTable.from_numerators(year, dict(sorted(numerators.items())), denominator)
 
@@ -175,7 +170,7 @@ def score_venue_years(
                 counts = amounts[denominator] = {}
             for institution in institutions:
                 counts[institution] = counts.get(institution, 0) + 1
-    return {key: _over_lcm(key[1], amounts) for key, amounts in counted.items()}
+    return {key: over_lcm(key[1], amounts.items()) for key, amounts in counted.items()}
 
 
 def paper_shares(paper: AttributedPaper) -> ScoreTable:
@@ -254,42 +249,62 @@ def write_score_csv(table: ScoreTable, path: str) -> None:
         )
 
 
-def read_score_csv(path: str, year: int) -> ScoreTable:
-    """Read a table written by write_score_csv back into exact form.
+def read_checked_rows(
+    path: str, header: str, what: str
+) -> Iterator[tuple[int, str, str, str, float]]:
+    """Yield ``(row, lead, institution, score text, score)`` per row of a score or ranking file.
 
-    Every score on disk is a float, so a dyadic rational: the table puts
-    each over the largest power-of-two denominator in the file. A bad
-    header, an empty institution id, a score that is not a finite number
-    >= 0, or an institution listed twice raises ``MalformedFileError``
-    naming the file and the row (the header is row 1).
+    ``header`` is the file's first line. When it has a column before
+    ``institution_id`` (a ranking's rank), ``lead`` is the text before the
+    row's first comma, else it is empty; the institution id is the rest up
+    to the last comma, so it may hold commas. Blank lines are skipped. A
+    bad header (``what`` names the kind of file), a score that is not a
+    finite number >= 0, an empty institution id, or an institution listed
+    twice raises ``MalformedRowError`` naming the file and the row (the
+    header is row 1).
     """
-    ratios: dict[str, tuple[int, int]] = {}
+    has_lead = not header.startswith("institution_id,")
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="\n") as src:
-        header = src.readline()
-        if header.strip() != "institution_id,score":
-            raise MalformedFileError(path, 1, f"not a score table header: {header.strip()!r}")
+        first = src.readline().strip()
+        if first != header:
+            raise MalformedRowError(path, 1, f"not a {what} header: {first!r}")
         for line_number, line in enumerate(src, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
+            lead = ""
+            if has_lead:
+                lead, _, line = line.partition(",")
             institution, _, text = line.rpartition(",")
             try:
-                ratio = float(text).as_integer_ratio()
-            except (ValueError, OverflowError):
-                raise MalformedFileError(
-                    path, line_number, f"score {text!r} is not a finite number"
-                ) from None
-            if ratio[0] < 0:
-                raise MalformedFileError(path, line_number, f"score {text!r} is negative")
+                score = float(text)
+            except ValueError:
+                score = math.nan
+            if not 0 <= score < math.inf:
+                raise MalformedRowError(
+                    path, line_number, f"score {text!r} is not a finite number >= 0"
+                )
             if not institution:
-                raise MalformedFileError(path, line_number, "empty institution id")
-            if institution in ratios:
-                raise MalformedFileError(
+                raise MalformedRowError(path, line_number, "empty institution id")
+            if institution in seen:
+                raise MalformedRowError(
                     path, line_number, f"institution {institution!r} is listed twice"
                 )
-            ratios[institution] = ratio
-    denominator = max((d for _, d in ratios.values()), default=1)
-    numerators = {
-        institution: n * (denominator // d) for institution, (n, d) in sorted(ratios.items())
+            seen.add(institution)
+            yield line_number, lead, institution, text, score
+
+
+def read_score_csv(path: str, year: int) -> ScoreTable:
+    """Read a table written by write_score_csv back into exact form.
+
+    Every score on disk is a float, so a dyadic rational, and the table
+    holds it exactly. The rows are checked by ``read_checked_rows``.
+    """
+    scores = {
+        institution: score
+        for _, _, institution, _, score in read_checked_rows(
+            path, "institution_id,score", "score table"
+        )
     }
-    return ScoreTable.from_numerators(year, numerators, denominator)
+    return ScoreTable(year, dict(sorted(scores.items())))

@@ -26,8 +26,8 @@ from instrank.aggregate import (
     write_ranking_csv,
     write_ranking_json,
 )
-from instrank.ingest import UNKNOWN_INSTITUTION
-from instrank.scoring import MalformedFileError, normalize
+from instrank.ingest import UNKNOWN_INSTITUTION, MalformedRowError
+from instrank.scoring import normalize, read_score_csv
 from instrank.synth import naive_topk
 
 
@@ -494,10 +494,27 @@ def test_read_ranking_csv_rejects_non_finite_and_negative_scores(
     path.write_text(
         "rank,institution_id,score\n" + "".join(row + "\n" for row in rows), encoding="utf-8"
     )
-    with pytest.raises(MalformedFileError) as info:
+    with pytest.raises(MalformedRowError) as info:
         read_ranking_csv(str(path), "bad")
     assert info.value.line_number == bad_row
     assert info.value.reason == f"score {bad_score!r} is not a finite number >= 0"
+
+
+@pytest.mark.parametrize("bad_score", ["nan", "inf", "-1.0", "abc"])
+def test_a_bad_score_reads_the_same_in_a_score_file_and_a_ranking_file(tmp_path, bad_score):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(f"institution_id,score\nA,2.0\nB,{bad_score}\n", encoding="utf-8")
+    ranking = tmp_path / "ranking.csv"
+    ranking.write_text(
+        f"rank,institution_id,score\n1,A,2.0\n2,B,{bad_score}\n", encoding="utf-8"
+    )
+    with pytest.raises(MalformedRowError) as from_scores:
+        read_score_csv(str(scores), 2014)
+    with pytest.raises(MalformedRowError) as from_ranking:
+        read_ranking_csv(str(ranking), "bad")
+    for info, path in ((from_scores, scores), (from_ranking, ranking)):
+        assert (info.value.path, info.value.line_number) == (str(path), 3)
+        assert info.value.reason == f"score {bad_score!r} is not a finite number >= 0"
 
 
 def test_ranking_json_echoes_the_spec(tmp_path):

@@ -257,6 +257,9 @@ def test_jobs_flag_is_a_usage_error(tmp_path):
         ("\n[run]\njobs = 4\n", [], "unknown key 'jobs' in section [run]"),
         ("", ["run.jbos=2"], "unknown key 'jbos' in section [run]"),
         ("", ["aggregation.kk=3"], "unknown key 'kk' in section [aggregation]"),
+        ("\n[DEFAULT]\njobs = 4\n", [], "unknown section [DEFAULT]"),
+        ("", ["DEFAULT.jobs=4"], "unknown section [DEFAULT]"),
+        ("", [".jobs=4"], "override must look like section.key=value: '.jobs=4'"),
     ],
 )
 def test_exit_2_on_an_unknown_config_section_or_key(

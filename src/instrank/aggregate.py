@@ -6,19 +6,19 @@ years, positional (Borda-style) point counts with several combining
 variants, and Fagin-style top-k by mean normalized score. A normalized
 year is its integer numerators over the year's top numerator, so sums
 and orderings are integer arithmetic; the normalized sum is
-``scoring.over_lcm`` over the years. All of them rank higher values
-first and break score ties by institution id ascending
-(``scoring.order_by_score``), so every output is deterministic. A
-ranking file is read back through ``scoring.read_checked_rows``, the
-score file's reader, plus the checks only a ranking needs.
+``scoring.over_lcm`` over the years. A ranking (``RankList``) is its
+items in order; its ranks are numbered when it is written. One builder
+(``_ranked``, over ``scoring.order_by_score``) makes every ranking:
+higher values first, score ties by institution id ascending. A ranking
+file is read back through ``scoring.read_checked_rows``, the score
+file's reader, plus the checks only a ranking needs.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .ingest import MalformedRowError
 from .scoring import (
@@ -49,15 +49,13 @@ class InvalidPError(ValueError):
 
 
 class RankedItem(NamedTuple):
-    rank: int
     institution_id: str
     score: float
 
 
 class RankList(NamedTuple):
-    """Items in rank order 1..n, scores non-increasing, ids unique."""
+    """Items best first, scores non-increasing, ids unique; rank is position + 1."""
 
-    label: str
     items: tuple[RankedItem, ...]
 
     def ids(self) -> list[str]:
@@ -161,22 +159,19 @@ class AggregationSpec:
         raise ValueError(f"unknown aggregation method {name!r}")
 
 
-def to_ranking(table: ScoreTable, label: str | None = None) -> RankList:
-    """Order a table into ranks 1..n, highest score first, ties by id ascending.
+def _ranked(scores: Mapping[str, float], denominator: int = 1, k: int | None = None) -> RankList:
+    """The one ranking builder: ``order_by_score`` cut at ``k``, scores over ``denominator``."""
+    ordered = order_by_score(scores)[:k]
+    return RankList(tuple(RankedItem(inst, value / denominator) for inst, value in ordered))
 
-    The sort compares the table's integer numerators; each item's score is
-    the float of its exact value. The UNKNOWN sentinel is dropped first.
-    The label defaults to the table's own (its year, or ``aggregate``).
+
+def to_ranking(table: ScoreTable) -> RankList:
+    """The table without the UNKNOWN sentinel, ordered by its integer numerators.
+
+    Each item's score is the float of its exact value.
     """
     visible = drop_unknown(table)
-    denominator = visible.denominator
-    items = tuple(
-        RankedItem(position, institution, numerator / denominator)
-        for position, (institution, numerator) in enumerate(
-            order_by_score(visible.numerators), start=1
-        )
-    )
-    return RankList(table.label if label is None else label, items)
+    return _ranked(visible.numerators, visible.denominator)
 
 
 class YearTables:
@@ -186,25 +181,33 @@ class YearTables:
     1 up front: a normalized year is the year's numerators over its top
     numerator, so building it copies nothing. ``normalized`` is the one
     view every method reads. The yearly rankings the positional methods
-    start from are built from it on first use, and both are shared by
-    every spec aggregated over the same years; ``through`` shares the
-    views with a shorter span.
+    start from are built from it on first use. ``through`` shares both the
+    views and the rankings with a shorter span, so each year is ranked
+    once however many spans and specs read it.
     """
 
     def __init__(self, tables: Sequence[ScoreTable]) -> None:
         if not tables:
             raise ValueError("no year tables to aggregate")
         self.normalized = [normalize(drop_unknown(table)) for table in tables]
+        # Yearly rankings by the id of their view, shared with ``through``
+        # heads; a lookup only ever names a view its caller holds.
+        self._rankings: dict[int, RankList] = {}
 
     def through(self, year: int) -> "YearTables":
-        """The years up to ``year``, sharing these normalized views."""
+        """The years up to ``year``, sharing these views and their rankings."""
         head = object.__new__(YearTables)
         head.normalized = [table for table in self.normalized if table.year <= year]
+        head._rankings = self._rankings
         return head
 
-    @cached_property
+    @property
     def rankings(self) -> list[RankList]:
-        return [to_ranking(table) for table in self.normalized]
+        built = self._rankings
+        for table in self.normalized:
+            if id(table) not in built:
+                built[id(table)] = to_ranking(table)
+        return [built[id(table)] for table in self.normalized]
 
 
 def normalized_sum(year_tables: YearTables | Sequence[ScoreTable]) -> ScoreTable:
@@ -224,17 +227,17 @@ def normalized_sum(year_tables: YearTables | Sequence[ScoreTable]) -> ScoreTable
 
 
 def borda_scores(rank_list: RankList) -> dict[str, int]:
-    """Positional points for one list: n for rank 1 down to 1 for rank n."""
+    """Positional points for one list: n for the first item down to 1 for the last."""
     n = len(rank_list.items)
-    return {item.institution_id: n - item.rank + 1 for item in rank_list.items}
+    return {item.institution_id: n - position for position, item in enumerate(rank_list.items)}
 
 
 def borda_aggregate(
     rank_lists: Sequence[RankList],
     variant: str = "sum",
     p: float | None = None,
-) -> ScoreTable:
-    """Combine per-list positional points across lists.
+) -> RankList:
+    """Rank by per-list positional points combined across lists.
 
     Institutions absent from a list take 0 points there. Variants:
 
@@ -244,16 +247,16 @@ def borda_aggregate(
     - ``p_norm``: mean of the points raised to ``p``; at p=1 this is the
       sum scaled by 1/L, so it orders identically to ``sum``.
 
-    Point values are small integers and float reductions go through
-    ``math.fsum``, so results do not depend on list order. A ``p`` so large
-    that a point count raised to it overflows a float raises
-    ``InvalidPError``.
+    Each item's score is its combined points. Point values are small
+    integers and float reductions go through ``math.fsum``, so results do
+    not depend on list order. A ``p`` so large that a point count raised
+    to it overflows a float raises ``InvalidPError``.
     """
     if not rank_lists:
         raise ValueError("no rank lists to aggregate")
     check_borda(variant, p)
     points = [borda_scores(rl) for rl in rank_lists]
-    universe = sorted({institution for pts in points for institution in pts})
+    universe = {institution for pts in points for institution in pts}
     count = len(rank_lists)
     if variant == "sum":
         combine = sum
@@ -269,21 +272,22 @@ def borda_aggregate(
     else:
 
         def combine(values):
-            return math.fsum(float(v) ** p for v in values) / count
+            total = math.fsum(float(v) ** p for v in values)
+            if total == math.inf:  # p = inf raises nothing on its own
+                raise OverflowError
+            return total / count
 
     try:
-        return ScoreTable(
-            None,
-            {
-                institution: combine([pts.get(institution, 0) for pts in points])
-                for institution in universe
-            },
-        )
+        combined = {
+            institution: combine([pts.get(institution, 0) for pts in points])
+            for institution in universe
+        }
     except OverflowError:
         raise InvalidPError(
             f"p={p:g} is too large: point counts up to {len(universe)} "
             "raised to p overflow a float"
         ) from None
+    return _ranked(combined)
 
 
 def fagin_topk(tables: Sequence[ScoreTable], k: int) -> RankList:
@@ -293,7 +297,7 @@ def fagin_topk(tables: Sequence[ScoreTable], k: int) -> RankList:
     Fagin's threshold algorithm returns over the yearly lists padded to
     one universe, computed directly rather than by a sorted-access walk.
 
-    Returns ranks 1..k by mean descending, id ascending.
+    Returns k items by mean descending, id ascending.
     """
     if not tables:
         raise ValueError("no year tables given")
@@ -316,11 +320,7 @@ def fagin_topk(tables: Sequence[ScoreTable], k: int) -> RankList:
         institution: math.fsum(year.get(institution, 0.0) for year in values) / len(tables)
         for institution in universe
     }
-    items = tuple(
-        RankedItem(position, institution, mean)
-        for position, (institution, mean) in enumerate(order_by_score(means)[:k], start=1)
-    )
-    return RankList("fagin", items)
+    return _ranked(means, k=k)
 
 
 def run_aggregation(
@@ -335,12 +335,10 @@ def run_aggregation(
     if not isinstance(year_tables, YearTables):
         year_tables = YearTables(year_tables)
     if spec.method == METHOD_NORMALIZED_SUM:
-        return to_ranking(normalized_sum(year_tables), label=spec.label)
+        return to_ranking(normalized_sum(year_tables))
     if spec.method == METHOD_BORDA:
-        final = borda_aggregate(year_tables.rankings, spec.borda_variant, spec.p)
-        return to_ranking(final, label=spec.label)
-    top = fagin_topk(year_tables.normalized, spec.fagin_k)
-    return RankList(spec.label, top.items)
+        return borda_aggregate(year_tables.rankings, spec.borda_variant, spec.p)
+    return fagin_topk(year_tables.normalized, spec.fagin_k)
 
 
 def ranking_file_name(venue_id: str, label: str) -> str:
@@ -348,14 +346,14 @@ def ranking_file_name(venue_id: str, label: str) -> str:
 
 
 def write_ranking_csv(rank_list: RankList, path: str) -> None:
-    """Write ``rank,institution_id,score`` in rank order."""
+    """Write ``rank,institution_id,score`` in order, ranks 1, 2, ... down the file."""
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write("rank,institution_id,score\n")
-        for item in rank_list.items:
-            out.write(f"{item.rank},{item.institution_id},{float(item.score)!r}\n")
+        for rank, (institution, score) in enumerate(rank_list.items, start=1):
+            out.write(f"{rank},{institution},{float(score)!r}\n")
 
 
-def read_ranking_csv(path: str, label: str) -> RankList:
+def read_ranking_csv(path: str) -> RankList:
     """Read a file written by write_ranking_csv.
 
     The rows are checked by ``scoring.read_checked_rows``. On top of that,
@@ -379,8 +377,8 @@ def read_ranking_csv(path: str, label: str) -> RankList:
             raise MalformedRowError(
                 path, line_number, f"score {score_text} is above the score before it"
             )
-        items.append(RankedItem(rank, institution, score))
-    return RankList(label, tuple(items))
+        items.append(RankedItem(institution, score))
+    return RankList(tuple(items))
 
 
 def _json_number(value: float | int | None) -> str:
@@ -413,10 +411,10 @@ def write_ranking_json(rank_list: RankList, spec: AggregationSpec, path: str) ->
         ("label", string(spec.label)),
     )
     items = ",\n".join(
-        f'    {{\n      "rank": {item.rank!r},\n'
-        f'      "institution_id": {string(item.institution_id)},\n'
-        f'      "score": {_json_number(float(item.score))}\n    }}'
-        for item in rank_list.items
+        f'    {{\n      "rank": {rank},\n'
+        f'      "institution_id": {string(institution)},\n'
+        f'      "score": {_json_number(float(score))}\n    }}'
+        for rank, (institution, score) in enumerate(rank_list.items, start=1)
     )
     fields = ",\n".join(f'    "{key}": {value}' for key, value in method)
     listed = f"[\n{items}\n  ]" if items else "[]"

@@ -383,8 +383,7 @@ def _build_report(config: PipelineConfig) -> EvalReport:
         truth_by_venue[venue_id] = GroundTruth.from_score_table(truth[truth_year])
         rankings_by_venue[venue_id] = {
             spec.label: read_ranking_csv(
-                os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label)),
-                spec.label,
+                os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label))
             )
             for spec in config.specs
         }
@@ -410,10 +409,10 @@ def cmd_evaluate(config: PipelineConfig) -> EvalReport:
 def cmd_pipeline(config: PipelineConfig) -> int:
     """score, aggregate, evaluate, then predict the year after the truth year.
 
-    Each score file is read back once and each venue-year normalized once;
-    everything after that runs on those views in memory: every venue's
-    rankings are written first, then the report, then the predictions,
-    which aggregate every scored year.
+    Each score file is read back once and each venue-year normalized and
+    ranked once; everything after that runs on those views in memory: every
+    venue's rankings are written first, then the report, then the
+    predictions, which aggregate every scored year.
     """
     cmd_score(config)
     years_by_venue = {}

@@ -8,7 +8,7 @@ The ideal ordering for the same truth normalizes the metric into [0, 1].
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .aggregate import AggregationSpec, RankList, YearTables, run_aggregation
 from .scoring import ScoreTable, drop_unknown, order_by_score
@@ -60,14 +60,8 @@ class GroundTruth:
         )
 
 
-def _ranked_ids(ranking: RankList | Iterable[str]) -> list[str]:
-    if isinstance(ranking, RankList):
-        return ranking.ids()
-    return list(ranking)
-
-
-def dcg_at_k(ranking: RankList | Iterable[str], truth: GroundTruth, k: int) -> float:
-    """Discounted cumulative gain of the first k predictions.
+def dcg_at_k(ids: Sequence[str], truth: GroundTruth, k: int) -> float:
+    """Discounted cumulative gain of the first k ranked ids.
 
     Position i (1-based) contributes gain / log2(i + 1); rankings shorter
     than k simply stop early.
@@ -75,7 +69,7 @@ def dcg_at_k(ranking: RankList | Iterable[str], truth: GroundTruth, k: int) -> f
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     gains = []
-    for position, institution in enumerate(_ranked_ids(ranking)[:k], start=1):
+    for position, institution in enumerate(ids[:k], start=1):
         value = float(truth.relevance.get(institution, 0.0))
         if value:
             gains.append(value / math.log2(position + 1))
@@ -87,14 +81,14 @@ def ideal_dcg_at_k(truth: GroundTruth, k: int) -> float:
     return dcg_at_k(truth.ideal, truth, k)
 
 
-def ndcg_at_k(ranking: RankList | Iterable[str], truth: GroundTruth, k: int) -> float:
+def ndcg_at_k(ids: Sequence[str], truth: GroundTruth, k: int) -> float:
     """Normalized DCG in [0, 1]; undefined (not 0) for all-zero truth."""
     ideal = ideal_dcg_at_k(truth, k)
     if ideal == 0:
         raise ZeroIdealError(
             f"year {truth.year}: no positive relevance, NDCG undefined"
         )
-    return dcg_at_k(ranking, truth, k) / ideal
+    return dcg_at_k(ids, truth, k) / ideal
 
 
 class EvalRow(NamedTuple):
@@ -128,7 +122,7 @@ def evaluate_rankings(
             raise MissingTruthError(venue_id)
         truth = truth_by_venue[venue_id]
         values = {
-            label: ndcg_at_k(ranking, truth, k) for label, ranking in rankings.items()
+            label: ndcg_at_k(ranking.ids(), truth, k) for label, ranking in rankings.items()
         }
         winner = max(values, key=values.get)
         rows.append(EvalRow(venue_id, values, winner))
@@ -151,16 +145,15 @@ def evaluate_protocol(
     return evaluate_rankings(rankings_by_venue, truth_by_venue, k)
 
 
-def render_report_text(report: EvalReport, title: str | None = None) -> str:
+def render_report_text(report: EvalReport) -> str:
     """Lay the report out as an aligned text table, one venue per row.
 
-    The winning value per venue is starred. Values print with three
-    decimals.
+    The title names the cutoff and the venues, and the winning value per
+    venue is starred. Values print with three decimals.
     """
     labels = report.method_labels
-    if title is None:
-        venues = ", ".join(row.venue_id for row in report.rows)
-        title = f"NDCG@{report.k} values for {venues}"
+    venues = ", ".join(row.venue_id for row in report.rows)
+    title = f"NDCG@{report.k} values for {venues}"
     header = ["Conf. Name"] + labels
     grid = [header]
     for row in report.rows:

@@ -6,17 +6,19 @@ Credit is exact: a table holds integer numerators over one common
 denominator, so accumulation is associative and any order of the paper
 stream gives a bit-identical table. ``ScoreTable`` is the one
 table type: it carries a year's credit through the score file, its
-read-back and aggregation, and with no year it holds an aggregated
-result. ``score_venue_years`` is the one credit path and holds the
+read-back and aggregation, and with no year it holds the normalized
+sum. ``score_venue_years`` is the one credit path and holds the
 attribution rule; a single paper's split (``paper_shares``) is that path
 run on one paper. Credit is counted per denominator, as plain integers,
 and put over the lcm of the denominators seen only when the table is
 built; ``over_lcm`` is that one sum, which aggregation's normalized sum
 shares. No ``Fraction`` is built anywhere on this path.
 Tables are keyed in sorted institution order for reproducible iteration.
-Score and ranking files are read back through one checked row reader
-(``read_checked_rows``), and a bad row raises ``ingest.MalformedRowError``,
-the same error as a bad dump row.
+``order_by_score`` is the one ordering of a score file and of every
+ranking. Score and ranking files are read back through one checked row
+reader (``read_checked_rows``), which decodes each row on its own, so a
+bad row, bad bytes included, raises ``ingest.MalformedRowError`` naming
+it, the same error as a bad dump row.
 """
 
 from __future__ import annotations
@@ -46,10 +48,9 @@ class ScoreTable:
     """Institution scores ``numerators[i] / denominator`` for one year.
 
     With ``year`` ``None`` the table is an aggregated result over several
-    years, and its ranking's default label is ``aggregate``.
-    ``ScoreTable(year, entries)`` takes exact values (``Fraction``, ``int``
-    or ``float``) and puts them over their least common denominator; the
-    third argument is ignored (see ``RAW``). ``from_numerators`` adopts
+    years. ``ScoreTable(year, entries)`` takes exact values (``Fraction``,
+    ``int`` or ``float``) and puts them over their least common denominator;
+    the third argument is ignored (see ``RAW``). ``from_numerators`` adopts
     integers already over one positive denominator. Two tables are equal
     when they hold the same year, institutions and values, whatever their
     denominators. Raw tables may carry the UNKNOWN sentinel;
@@ -76,11 +77,6 @@ class ScoreTable:
         table.numerators = numerators
         table.denominator = denominator
         return table
-
-    @property
-    def label(self) -> str:
-        """The default label of this table's ranking."""
-        return "aggregate" if self.year is None else str(self.year)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScoreTable):
@@ -198,7 +194,7 @@ def normalize(table: ScoreTable) -> ScoreTable:
     if top is None:
         return ScoreTable.from_numerators(table.year, {}, 1)
     if top <= 0:
-        log.warning("table %s: no score above zero, normalization is a no-op", table.label)
+        log.warning("year %s: no score above zero, normalization is a no-op", table.year)
         return table
     return ScoreTable.from_numerators(table.year, numerators, top)
 
@@ -258,19 +254,26 @@ def read_checked_rows(
     ``institution_id`` (a ranking's rank), ``lead`` is the text before the
     row's first comma, else it is empty; the institution id is the rest up
     to the last comma, so it may hold commas. Blank lines are skipped. A
-    bad header (``what`` names the kind of file), a score that is not a
-    finite number >= 0, an empty institution id, or an institution listed
-    twice raises ``MalformedRowError`` naming the file and the row (the
-    header is row 1).
+    row that is not UTF-8, a bad header (``what`` names the kind of file),
+    a score that is not a finite number >= 0, an empty institution id, or
+    an institution listed twice raises ``MalformedRowError`` naming the
+    file and the row (the header is row 1).
     """
     has_lead = not header.startswith("institution_id,")
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="\n") as src:
-        first = src.readline().strip()
+
+    def decode(raw: bytes, line_number: int) -> str:
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedRowError(path, line_number, f"not UTF-8: {exc}") from None
+
+    with open(path, "rb") as src:
+        first = decode(src.readline(), 1).strip()
         if first != header:
             raise MalformedRowError(path, 1, f"not a {what} header: {first!r}")
-        for line_number, line in enumerate(src, start=2):
-            line = line.rstrip("\n")
+        for line_number, raw in enumerate(src, start=2):
+            line = decode(raw, line_number).rstrip("\n")
             if not line:
                 continue
             lead = ""

@@ -66,6 +66,14 @@ class CorpusParams:
             raise InvalidParamsError("unknown_rate must be in [0, 1)")
         if self.filler_width < 0:
             raise InvalidParamsError("filler_width must be >= 0")
+        # Sampling draws from each year's weights, so their total must be finite.
+        for year in self.years:
+            total = sum(planted_weights(self, year))
+            if not math.isfinite(total):
+                raise InvalidParamsError(
+                    f"drift {self.strength_drift!r} gives {year} "
+                    f"a total planted weight of {total!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -268,8 +276,4 @@ def naive_topk(tables: Sequence[ScoreTable], k: int) -> RankList:
         for inst in universe
     }
     ordered = sorted(means, key=lambda inst: (-means[inst], inst))[:k]
-    items = tuple(
-        RankedItem(position, inst, means[inst])
-        for position, inst in enumerate(ordered, start=1)
-    )
-    return RankList("naive_topk", items)
+    return RankList(tuple(RankedItem(inst, means[inst]) for inst in ordered))

@@ -55,10 +55,6 @@ def exact(table: ScoreTable) -> dict[str, Fraction]:
     }
 
 
-def make_rank_list(label: str, pairs: list[tuple[str, object]]) -> RankList:
+def make_rank_list(pairs: list[tuple[str, object]]) -> RankList:
     """Build a RankList from (institution_id, score) pairs already in order."""
-    items = tuple(
-        RankedItem(position, institution, score)
-        for position, (institution, score) in enumerate(pairs, start=1)
-    )
-    return RankList(label, items)
+    return RankList(tuple(RankedItem(institution, score) for institution, score in pairs))

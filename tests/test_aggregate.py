@@ -40,8 +40,7 @@ def ranked_ids(rank_list: RankList) -> list[str]:
 
 def test_to_ranking_orders_by_score_then_id():
     ranking = to_ranking(make_table(2014, {"A": 3, "C": 2, "B": 1}))
-    assert ranked_ids(ranking) == ["A", "C", "B"]
-    assert [item.rank for item in ranking.items] == [1, 2, 3]
+    assert ranking.items == (("A", 3.0), ("C", 2.0), ("B", 1.0))
 
 
 def test_to_ranking_breaks_ties_by_id_ascending():
@@ -64,9 +63,6 @@ def test_to_ranking_matches_plain_sort_on_random_tables():
         ranking = to_ranking(make_table(2014, entries))
         expected = sorted(entries, key=lambda inst: (-entries[inst], inst))
         assert ranked_ids(ranking) == expected
-        assert [item.rank for item in ranking.items] == list(
-            range(1, len(expected) + 1)
-        )
 
 
 # --- AggregationSpec ----------------------------------------------------
@@ -110,12 +106,12 @@ def test_spec_parse_rejects_a_non_finite_p():
 
 
 def test_borda_p_norm_overflow_raises_invalid_p():
-    lists = [make_rank_list("a", [("A", 2), ("B", 1)])]
+    lists = [make_rank_list([("A", 2), ("B", 1)])]
     with pytest.raises(InvalidPError, match="p=10000 is too large"):
         borda_aggregate(lists, "p_norm", p=10_000)
     with pytest.raises(InvalidPError, match="p=inf is too large"):
         borda_aggregate(lists, "p_norm", p=math.inf)
-    assert borda_aggregate(lists, "p_norm", p=1000).numerators["A"] == 2**1000
+    assert borda_aggregate(lists, "p_norm", p=1000).items[0] == ("A", 2.0**1000)
 
 
 def test_spec_labels():
@@ -171,65 +167,63 @@ def test_normalized_sum_single_year_equals_that_years_normalization():
 
 def test_borda_points_for_three_items():
     # Three entries: 3 points for the first preference, 2, then 1.
-    points = borda_scores(make_rank_list("y", [("A", 9), ("B", 5), ("C", 2)]))
+    points = borda_scores(make_rank_list([("A", 9), ("B", 5), ("C", 2)]))
     assert points == {"A": 3, "B": 2, "C": 1}
 
 
 def test_borda_sum_identical_lists_keep_the_order():
-    lists = [make_rank_list(str(year), [("A", 3), ("B", 2), ("C", 1)]) for year in (1, 2, 3)]
+    lists = [make_rank_list([("A", 3), ("B", 2), ("C", 1)])] * 3
     final = borda_aggregate(lists, "sum")
-    assert ranked_ids(to_ranking(final)) == ["A", "B", "C"]
-    assert final == make_table(None, {"A": 9, "B": 6, "C": 3})
+    assert final.items == (("A", 9), ("B", 6), ("C", 3))
 
 
 def test_borda_sum_opposite_lists_tie_and_fall_back_to_id_order():
     lists = [
-        make_rank_list("a", [("A", 3), ("B", 2), ("C", 1)]),
-        make_rank_list("b", [("C", 3), ("B", 2), ("A", 1)]),
+        make_rank_list([("A", 3), ("B", 2), ("C", 1)]),
+        make_rank_list([("C", 3), ("B", 2), ("A", 1)]),
     ]
     final = borda_aggregate(lists, "sum")
-    assert final == make_table(None, {"A": 4, "B": 4, "C": 4})
-    assert ranked_ids(to_ranking(final)) == ["A", "B", "C"]
+    assert final.items == (("A", 4), ("B", 4), ("C", 4))
 
 
 def test_borda_absent_institutions_take_zero_points():
     lists = [
-        make_rank_list("a", [("A", 2), ("B", 1)]),
-        make_rank_list("b", [("B", 2)]),
+        make_rank_list([("A", 2), ("B", 1)]),
+        make_rank_list([("B", 2)]),
     ]
     final = borda_aggregate(lists, "sum")
     # A: 2 + 0; B: 1 + ... second list has one entry so B takes 1 point there.
-    assert final == make_table(None, {"A": 2, "B": 2})
+    assert final.items == (("A", 2), ("B", 2))
 
 
 def test_borda_median_and_geometric_mean_and_p_norm_hand_cases():
     lists = [
-        make_rank_list("a", [("A", 2), ("B", 1)]),
-        make_rank_list("b", [("A", 2), ("B", 1)]),
+        make_rank_list([("A", 2), ("B", 1)]),
+        make_rank_list([("A", 2), ("B", 1)]),
     ]
-    assert borda_aggregate(lists, "median") == make_table(None, {"A": 2, "B": 1})
-    geo = exact(borda_aggregate(lists, "geometric_mean"))
-    assert float(geo["A"]) == pytest.approx(2.0)
-    assert float(geo["B"]) == pytest.approx(1.0)
-    assert borda_aggregate(lists, "p_norm", p=2) == make_table(None, {"A": 4.0, "B": 1.0})
+    assert borda_aggregate(lists, "median").items == (("A", 2), ("B", 1))
+    geo = dict(borda_aggregate(lists, "geometric_mean").items)
+    assert geo["A"] == pytest.approx(2.0)
+    assert geo["B"] == pytest.approx(1.0)
+    assert borda_aggregate(lists, "p_norm", p=2).items == (("A", 4.0), ("B", 1.0))
 
 
 def test_borda_median_splits_even_counts():
     lists = [
-        make_rank_list("a", [("A", 2), ("B", 1)]),
-        make_rank_list("b", [("B", 2), ("A", 1)]),
+        make_rank_list([("A", 2), ("B", 1)]),
+        make_rank_list([("B", 2), ("A", 1)]),
     ]
-    assert borda_aggregate(lists, "median") == make_table(None, {"A": 1.5, "B": 1.5})
+    assert borda_aggregate(lists, "median").items == (("A", 1.5), ("B", 1.5))
 
 
 def test_borda_geometric_mean_zeroes_on_any_absence():
     lists = [
-        make_rank_list("a", [("A", 2), ("B", 1)]),
-        make_rank_list("b", [("A", 1)]),
+        make_rank_list([("A", 2), ("B", 1)]),
+        make_rank_list([("A", 1)]),
     ]
-    final = borda_aggregate(lists, "geometric_mean")
-    assert final.numerators["B"] == 0
-    assert final.numerators["A"] > 0
+    final = dict(borda_aggregate(lists, "geometric_mean").items)
+    assert final["B"] == 0
+    assert final["A"] > 0
 
 
 def test_borda_p_norm_at_one_orders_like_sum():
@@ -241,12 +235,12 @@ def test_borda_p_norm_at_one_orders_like_sum():
             members = [inst for inst in universe if rng.random() < 0.8]
             rng.shuffle(members)
             lists.append(
-                make_rank_list(str(l), [(inst, len(members) - i) for i, inst in enumerate(members)])
+                make_rank_list([(inst, len(members) - i) for i, inst in enumerate(members)])
             )
         if not any(rl.items for rl in lists):
             continue
-        by_sum = to_ranking(borda_aggregate(lists, "sum"))
-        by_p1 = to_ranking(borda_aggregate(lists, "p_norm", p=1))
+        by_sum = borda_aggregate(lists, "sum")
+        by_p1 = borda_aggregate(lists, "p_norm", p=1)
         assert ranked_ids(by_sum) == ranked_ids(by_p1)
 
 
@@ -254,9 +248,9 @@ def test_borda_rejects_empty_input_and_bad_variant():
     with pytest.raises(ValueError):
         borda_aggregate([], "sum")
     with pytest.raises(ValueError):
-        borda_aggregate([make_rank_list("a", [("A", 1)])], "midrange")
+        borda_aggregate([make_rank_list([("A", 1)])], "midrange")
     with pytest.raises(InvalidPError):
-        borda_aggregate([make_rank_list("a", [("A", 1)])], "p_norm", p=None)
+        borda_aggregate([make_rank_list([("A", 1)])], "p_norm", p=None)
 
 
 # --- fagin --------------------------------------------------------------
@@ -278,7 +272,6 @@ def test_fagin_full_k_gives_the_complete_ranking():
     ]
     top = fagin_topk(tables, 3)
     assert ranked_ids(top) == ["A", "C", "B"]
-    assert [item.rank for item in top.items] == [1, 2, 3]
 
 
 def test_fagin_rejects_k_beyond_universe():
@@ -336,7 +329,6 @@ def test_run_aggregation_single_year_normalized_sum_keeps_year_order():
     table = make_table(2014, {"A": 5, "B": 2, "C": 4})
     ranking = run_aggregation(AggregationSpec("normalized_sum"), [table])
     assert ranked_ids(ranking) == ranked_ids(to_ranking(table))
-    assert ranking.label == "normalized_sum"
 
 
 def test_run_aggregation_rejects_empty_input():
@@ -461,7 +453,7 @@ def test_ranking_csv_roundtrip_and_determinism(tmp_path):
     assert path.read_text(encoding="utf-8") == (
         "rank,institution_id,score\n1,A,2.0\n2,B,1.0\n"
     )
-    back = read_ranking_csv(str(path), "again")
+    back = read_ranking_csv(str(path))
     assert ranked_ids(back) == ["A", "B"]
     twice = tmp_path / "ranking2.csv"
     write_ranking_csv(ranking, str(twice))
@@ -472,7 +464,7 @@ def test_ranking_csv_tolerates_commas_in_institution_ids(tmp_path):
     ranking = to_ranking(make_table(2014, {"Dept, Univ": 2, "B": 1}))
     path = tmp_path / "ranking.csv"
     write_ranking_csv(ranking, str(path))
-    back = read_ranking_csv(str(path), "again")
+    back = read_ranking_csv(str(path))
     assert ranked_ids(back) == ["Dept, Univ", "B"]
     assert [item.score for item in back.items] == [2.0, 1.0]
 
@@ -495,7 +487,7 @@ def test_read_ranking_csv_rejects_non_finite_and_negative_scores(
         "rank,institution_id,score\n" + "".join(row + "\n" for row in rows), encoding="utf-8"
     )
     with pytest.raises(MalformedRowError) as info:
-        read_ranking_csv(str(path), "bad")
+        read_ranking_csv(str(path))
     assert info.value.line_number == bad_row
     assert info.value.reason == f"score {bad_score!r} is not a finite number >= 0"
 
@@ -511,10 +503,31 @@ def test_a_bad_score_reads_the_same_in_a_score_file_and_a_ranking_file(tmp_path,
     with pytest.raises(MalformedRowError) as from_scores:
         read_score_csv(str(scores), 2014)
     with pytest.raises(MalformedRowError) as from_ranking:
-        read_ranking_csv(str(ranking), "bad")
+        read_ranking_csv(str(ranking))
     for info, path in ((from_scores, scores), (from_ranking, ranking)):
         assert (info.value.path, info.value.line_number) == (str(path), 3)
         assert info.value.reason == f"score {bad_score!r} is not a finite number >= 0"
+
+
+@pytest.mark.parametrize("row", [1, 3])
+def test_bytes_that_are_not_utf8_read_the_same_in_a_score_file_and_a_ranking_file(tmp_path, row):
+    # A later bad score is not reached: the first bad row is the one named.
+    scores = [b"institution_id,score", b"A,2.0", b"B,1.0", b"C,nan"]
+    ranking = [b"rank,institution_id,score", b"1,A,2.0", b"2,B,1.0", b"3,C,nan"]
+    for lines in (scores, ranking):
+        lines[row - 1] = lines[row - 1].replace(b",", b"\xff\xfe,", 1)
+    (tmp_path / "scores.csv").write_bytes(b"\n".join(scores) + b"\n")
+    (tmp_path / "ranking.csv").write_bytes(b"\n".join(ranking) + b"\n")
+    readers = (
+        (lambda path: read_score_csv(path, 2014), "scores.csv"),
+        (read_ranking_csv, "ranking.csv"),
+    )
+    for read, name in readers:
+        path = str(tmp_path / name)
+        with pytest.raises(MalformedRowError) as info:
+            read(path)
+        assert (info.value.path, info.value.line_number) == (path, row)
+        assert info.value.reason.startswith("not UTF-8: ")
 
 
 def test_ranking_json_echoes_the_spec(tmp_path):
@@ -545,8 +558,8 @@ def reference_ranking_json(rank_list: RankList, spec: AggregationSpec) -> bytes:
             "label": spec.label,
         },
         "items": [
-            {"rank": item.rank, "institution_id": item.institution_id, "score": float(item.score)}
-            for item in rank_list.items
+            {"rank": rank, "institution_id": item.institution_id, "score": float(item.score)}
+            for rank, item in enumerate(rank_list.items, start=1)
         ],
     }
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
@@ -574,7 +587,7 @@ tricky_ids = st.text(alphabet='"\\,\x00\x1f\x7f\n\t é€😀aZ', max_size=8) | 
 )
 @settings(max_examples=300, deadline=None)
 def test_ranking_json_writes_the_bytes_of_json_dump(tmp_path_factory, spec, pairs):
-    ranking = make_rank_list(spec.label, pairs)
+    ranking = make_rank_list(pairs)
     path = tmp_path_factory.mktemp("json") / "ranking.json"
     write_ranking_json(ranking, spec, str(path))
     assert path.read_bytes() == reference_ranking_json(ranking, spec)
@@ -583,8 +596,8 @@ def test_ranking_json_writes_the_bytes_of_json_dump(tmp_path_factory, spec, pair
 def test_an_empty_ranking_json_writes_an_empty_items_list(tmp_path):
     spec = AggregationSpec.parse("borda:p_norm:2.5")
     path = tmp_path / "ranking.json"
-    write_ranking_json(RankList(spec.label, ()), spec, str(path))
-    assert path.read_bytes() == reference_ranking_json(RankList(spec.label, ()), spec)
+    write_ranking_json(RankList(()), spec, str(path))
+    assert path.read_bytes() == reference_ranking_json(RankList(()), spec)
     assert b'"items": []\n}\n' in path.read_bytes()
 
 
@@ -613,8 +626,8 @@ def reference_ranking(years: list[dict], spec: AggregationSpec) -> list:
                 totals[inst] = totals.get(inst, 0) + value
         return reference_order(totals)
     if spec.method == "borda":
-        lists = [make_rank_list(str(i), reference_order(e)) for i, e in enumerate(normalized)]
-        return reference_order(exact(borda_aggregate(lists, spec.borda_variant, spec.p)))
+        lists = [make_rank_list(reference_order(entries)) for entries in normalized]
+        return list(borda_aggregate(lists, spec.borda_variant, spec.p).items)
     universe = {inst for entries in normalized for inst in entries}
     means = {
         inst: math.fsum(float(entries.get(inst, 0)) for entries in normalized) / len(normalized)

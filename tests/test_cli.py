@@ -541,6 +541,31 @@ def test_exit_4_on_a_malformed_intermediate_file(tmp_path, capsys, command, name
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("aggregate", "scores_V0_2011.csv"),
+        ("evaluate", "scores_V0_2013.csv"),
+        ("evaluate", "ranking_V0_normalized_sum.csv"),
+    ],
+)
+def test_exit_4_on_an_intermediate_file_that_is_not_utf8(tmp_path, capsys, command, name):
+    cfg_path, out_dir = tiny_config(tmp_path)
+    assert main(["pipeline", "--config", cfg_path]) == EXIT_OK
+    path = os.path.join(out_dir, name)
+    with open(path, "rb") as src:
+        lines = src.read().split(b"\n")
+    head, _, score = lines[1].rpartition(b",")
+    lines[1] = head + b"\xff\xfe," + score
+    with open(path, "wb") as out:
+        out.write(b"\n".join(lines))
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: row 2: not UTF-8: ")
+    assert "Traceback" not in err
+
+
 def test_exit_5_on_all_zero_truth_year(tmp_path):
     # Truth year 2014 has no papers, so its score table is empty.
     cfg_path, _ = tiny_config(
@@ -644,9 +669,7 @@ def test_score_keeps_a_lone_carriage_return_inside_an_institution_id(tmp_path, c
     assert path.read_bytes() == b"institution_id,score\nI1\rjunk,1.0\nI2,1.0\n"
     assert read_score_csv(str(path), 2011) == make_table(2011, {"I1\rjunk": 1, "I2": 1})
     assert main(["aggregate", "--config", cfg_path]) == EXIT_OK
-    ranking = read_ranking_csv(
-        str(out_dir / ranking_file_name("V0", "normalized_sum")), "normalized_sum"
-    )
+    ranking = read_ranking_csv(str(out_dir / ranking_file_name("V0", "normalized_sum")))
     assert ranking.ids() == ["I1\rjunk", "I2"]
 
 
@@ -722,10 +745,7 @@ def test_aggregate_single_year_matches_the_score_order(tmp_path):
     )
     assert main(["score", "--config", cfg_path]) == EXIT_OK
     assert main(["aggregate", "--config", cfg_path]) == EXIT_OK
-    ranking = read_ranking_csv(
-        os.path.join(out_dir, ranking_file_name("V0", "normalized_sum")),
-        "normalized_sum",
-    )
+    ranking = read_ranking_csv(os.path.join(out_dir, ranking_file_name("V0", "normalized_sum")))
     assert ranking.ids() == ["IA", "IB"]
     assert [item.score for item in ranking.items] == [1.0, 0.5]
 
@@ -849,7 +869,7 @@ def test_pipeline_prediction_recomputes_from_the_winning_method(tmp_path):
         for year in (2011, 2012, 2013)
     ]
     expected = run_aggregation(winning_spec, tables)
-    written = read_ranking_csv(os.path.join(out_dir, "prediction_V0.csv"), "p")
+    written = read_ranking_csv(os.path.join(out_dir, "prediction_V0.csv"))
     assert written.ids() == expected.ids()
 
 
@@ -888,6 +908,44 @@ def test_pipeline_normalizes_each_venue_year_once(tmp_path, monkeypatch):
     # Training and prediction share one view per venue-year.
     assert sorted(built) == sorted(list(range(2011, 2015)) * 2)
     assert os.path.exists(os.path.join(out_dir, "prediction_V1.csv"))
+
+
+def test_pipeline_ranks_each_venue_year_once(tmp_path, monkeypatch):
+    # Both methods are borda, so the winner's prediction reads every scored
+    # year's ranking, and the training rankings must be the same objects.
+    params = CorpusParams(
+        num_institutions=9,
+        num_authors=70,
+        num_venues=2,
+        years=YearRange(2011, 2014),
+        papers_per_venue_year=20,
+        rng_seed=5,
+    )
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    corpus = generate_corpus(params, str(corpus_dir), compute_realized=False)
+    cfg_path = write_config(
+        tmp_path / "run.ini",
+        corpus.papers_path,
+        corpus.affiliations_path,
+        str(tmp_path / "out"),
+        venues="V0, V1",
+        train="2011-2013",
+        truth="2014",
+        extra="\n[aggregation]\nmethods = borda:sum, borda:median\nk = 3\n",
+    )
+    real_to_ranking = aggregate.to_ranking
+    ranked = []
+
+    def counting_to_ranking(table, *args, **kwargs):
+        if table.year is not None:
+            ranked.append(table.year)
+        return real_to_ranking(table, *args, **kwargs)
+
+    monkeypatch.setattr(aggregate, "to_ranking", counting_to_ranking)
+    assert main(["pipeline", "--config", cfg_path]) == EXIT_OK
+    # Two venues times four scored years.
+    assert sorted(ranked) == sorted(list(range(2011, 2015)) * 2)
 
 
 def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch):
@@ -996,6 +1054,16 @@ def test_synth_command_rejects_bad_params(tmp_path):
         ["synth", "--out", str(tmp_path), "--institutions", "0"]
     )
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("drift", ["nan", "inf", "1e308"])
+def test_synth_command_rejects_a_drift_that_overflows_the_weights(tmp_path, capsys, drift):
+    out_dir = tmp_path / "corpus"
+    assert main(["synth", "--out", str(out_dir), "--drift", drift]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: drift {float(drift)!r} gives ")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_synth_no_truth_skips_the_oracle(tmp_path):

@@ -320,11 +320,6 @@ def test_text_report_layout():
     )
 
 
-def test_text_report_takes_an_explicit_title():
-    text = render_report_text(sample_report(), title="Custom heading")
-    assert text.startswith("Custom heading\n")
-
-
 def test_csv_report_keeps_full_precision():
     text = render_report_csv(sample_report())
     lines = text.splitlines()

@@ -420,12 +420,16 @@ def test_normalize_all_zero_passes_through_with_warning(caplog):
     assert any("zero" in message for message in caplog.messages)
 
 
-def test_normalize_warning_names_the_table_by_its_label(caplog):
+def test_normalize_warning_names_the_year(caplog):
     # An aggregated table has no year; its warning once failed to format.
     with caplog.at_level("WARNING"):
         table = normalize(ScoreTable(None, {"a": 0}))
+        normalize(ScoreTable(2014, {"a": 0}))
     assert table.numerators == {"a": 0}
-    assert caplog.messages == ["table aggregate: no score above zero, normalization is a no-op"]
+    assert caplog.messages == [
+        "year None: no score above zero, normalization is a no-op",
+        "year 2014: no score above zero, normalization is a no-op",
+    ]
 
 
 def test_normalize_empty_table():

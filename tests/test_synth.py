@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -58,6 +59,18 @@ def test_params_validation():
         small_params(unknown_rate=1.0)
     with pytest.raises(InvalidParamsError):
         small_params(filler_width=-1)
+
+
+@pytest.mark.parametrize("drift", [math.nan, math.inf, -math.inf, 1e308])
+def test_a_drift_whose_weights_do_not_total_a_finite_number_is_rejected(drift):
+    # Sampling would fail later with "Total of weights must be finite".
+    with pytest.raises(InvalidParamsError, match=re.escape(f"drift {drift!r} gives ")):
+        small_params(strength_drift=drift)
+
+
+def test_a_large_finite_drift_still_generates():
+    params = small_params(strength_drift=1e300)
+    assert sum(1 for _ in iter_corpus(params)) == 2 * 2 * 30
 
 
 def test_institution_ids_are_zero_padded_and_sortable():
@@ -233,7 +246,6 @@ def test_naive_topk_normalizes_pads_and_cuts():
     # Means: A (1 + 0)/2, B (0.5 + 1)/2, C (0 + 1)/2.
     assert ids == ["B", "A"]
     assert ranking.items[0].score == pytest.approx(0.75)
-    assert ranking.label == "naive_topk"
 
 
 def test_naive_topk_drops_unknown():

@@ -15,6 +15,7 @@ from .aggregate import (
     borda_scores,
     fagin_topk,
     normalized_sum,
+    rank_venue,
     run_aggregation,
     to_ranking,
 )
@@ -23,7 +24,6 @@ from .evaluate import (
     EvalRow,
     GroundTruth,
     dcg_at_k,
-    evaluate_protocol,
     evaluate_rankings,
     ndcg_at_k,
 )
@@ -72,7 +72,6 @@ __all__ = [
     "borda_aggregate",
     "borda_scores",
     "dcg_at_k",
-    "evaluate_protocol",
     "evaluate_rankings",
     "fagin_topk",
     "filter_papers",
@@ -84,6 +83,7 @@ __all__ = [
     "normalize",
     "normalized_sum",
     "paper_shares",
+    "rank_venue",
     "run_aggregation",
     "to_ranking",
 ]

@@ -210,7 +210,7 @@ class YearTables:
         return [built[id(table)] for table in self.normalized]
 
 
-def normalized_sum(year_tables: YearTables | Sequence[ScoreTable]) -> ScoreTable:
+def normalized_sum(year_tables: YearTables) -> ScoreTable:
     """Sum each institution's normalized scores over the years.
 
     Years where an institution is absent contribute nothing, and an
@@ -219,8 +219,6 @@ def normalized_sum(year_tables: YearTables | Sequence[ScoreTable]) -> ScoreTable
     rescaling any year's raw scores by a positive constant leaves the
     result bit-identical.
     """
-    if not isinstance(year_tables, YearTables):
-        year_tables = YearTables(year_tables)
     return over_lcm(
         None, [(table.denominator, table.numerators) for table in year_tables.normalized]
     )
@@ -323,22 +321,34 @@ def fagin_topk(tables: Sequence[ScoreTable], k: int) -> RankList:
     return _ranked(means, k=k)
 
 
-def run_aggregation(
-    spec: AggregationSpec, year_tables: YearTables | Sequence[ScoreTable]
-) -> RankList:
-    """Aggregate per-year raw tables into one final ranking.
+def run_aggregation(spec: AggregationSpec, year_tables: YearTables) -> RankList:
+    """Aggregate one venue's years into one final ranking.
 
     Every method reads the normalized years; the positional methods read
-    them as yearly rankings. The UNKNOWN sentinel never takes part. Pass a
-    ``YearTables`` to share the normalized years between several specs.
+    them as yearly rankings. The UNKNOWN sentinel never takes part.
     """
-    if not isinstance(year_tables, YearTables):
-        year_tables = YearTables(year_tables)
     if spec.method == METHOD_NORMALIZED_SUM:
         return to_ranking(normalized_sum(year_tables))
     if spec.method == METHOD_BORDA:
         return borda_aggregate(year_tables.rankings, spec.borda_variant, spec.p)
     return fagin_topk(year_tables.normalized, spec.fagin_k)
+
+
+def rank_venue(
+    venue_id: str, years: YearTables, specs: Sequence[AggregationSpec]
+) -> dict[str, RankList]:
+    """Each spec's ranking of one venue's years, by label in spec order.
+
+    A spec that does not fit the data raises its ``KTooLargeError`` or
+    ``InvalidPError`` again, named by venue and method.
+    """
+    rankings = {}
+    for spec in specs:
+        try:
+            rankings[spec.label] = run_aggregation(spec, years)
+        except (KTooLargeError, InvalidPError) as exc:
+            raise type(exc)(f"venue {venue_id!r}, method {spec.label}: {exc}") from exc
+    return rankings
 
 
 def ranking_file_name(venue_id: str, label: str) -> str:

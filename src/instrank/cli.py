@@ -23,9 +23,10 @@ from .aggregate import (
     KTooLargeError,
     RankList,
     YearTables,
+    rank_venue,
     ranking_file_name,
     read_ranking_csv,
-    run_aggregation,
+    run_aggregation,  # noqa: F401 - perfbench/traced.py wraps it on this module
     write_ranking_csv,
     write_ranking_json,
 )
@@ -346,31 +347,21 @@ def _read_tables(
     }
 
 
-def _aggregate(spec: AggregationSpec, years: YearTables, venue_id: str) -> RankList:
-    """``run_aggregation``; a spec that does not fit the data is named by venue and method."""
-    try:
-        return run_aggregation(spec, years)
-    except (KTooLargeError, InvalidPError) as exc:
-        raise type(exc)(f"venue {venue_id!r}, method {spec.label}: {exc}") from exc
-
-
-def _rank_venue(config: PipelineConfig, venue_id: str, years: YearTables) -> dict[str, RankList]:
-    """Aggregate one venue's training years with every spec and write each ranking."""
-    rankings = {}
+def _write_rankings(config: PipelineConfig, venue_id: str, rankings: dict[str, RankList]) -> None:
+    """Write one venue's ranking of every spec as CSV and JSON."""
     for spec in config.specs:
-        ranking = _aggregate(spec, years, venue_id)
+        ranking = rankings[spec.label]
         base = os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label))
         write_ranking_csv(ranking, base)
         write_ranking_json(ranking, spec, base[: -len(".csv")] + ".json")
-        rankings[spec.label] = ranking
-    return rankings
 
 
 def cmd_aggregate(config: PipelineConfig) -> int:
     """Aggregate the training-year score files into final rankings."""
     for venue_id in config.venues:
         tables = _read_tables(config, venue_id, config.train_years)
-        _rank_venue(config, venue_id, YearTables(list(tables.values())))
+        years = YearTables(list(tables.values()))
+        _write_rankings(config, venue_id, rank_venue(venue_id, years, config.specs))
     return EXIT_OK
 
 
@@ -399,11 +390,10 @@ def _write_report(config: PipelineConfig, report: EvalReport) -> None:
     sys.stdout.write(text)
 
 
-def cmd_evaluate(config: PipelineConfig) -> EvalReport:
+def cmd_evaluate(config: PipelineConfig) -> int:
     """Score every configured method's ranking files against the held-out year."""
-    report = _build_report(config)
-    _write_report(config, report)
-    return report
+    _write_report(config, _build_report(config))
+    return EXIT_OK
 
 
 def cmd_pipeline(config: PipelineConfig) -> int:
@@ -422,18 +412,16 @@ def cmd_pipeline(config: PipelineConfig) -> int:
         tables = _read_tables(config, venue_id, config.scored_years())
         years = years_by_venue[venue_id] = YearTables(list(tables.values()))
         training = years.through(config.train_years.high)
-        rankings_by_venue[venue_id] = _rank_venue(config, venue_id, training)
+        rankings = rankings_by_venue[venue_id] = rank_venue(venue_id, training, config.specs)
+        _write_rankings(config, venue_id, rankings)
         truth_by_venue[venue_id] = GroundTruth.from_score_table(tables[config.truth_year])
     report = evaluate_rankings(rankings_by_venue, truth_by_venue, config.k)
     _write_report(config, report)
-    by_label = {spec.label: spec for spec in config.specs}
     for row in report.rows:
-        venue_id = row.venue_id
-        prediction = _aggregate(by_label[row.winner], years_by_venue[venue_id], venue_id)
-        write_ranking_csv(
-            prediction,
-            os.path.join(config.output_dir, f"prediction_{venue_id}.csv"),
-        )
+        venue_id, label = row.venue_id, row.winner
+        winner = [spec for spec in config.specs if spec.label == label]
+        prediction = rank_venue(venue_id, years_by_venue[venue_id], winner)[label]
+        write_ranking_csv(prediction, os.path.join(config.output_dir, f"prediction_{venue_id}.csv"))
     return EXIT_OK
 
 
@@ -550,8 +538,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "aggregate":
             return cmd_aggregate(config)
         if args.command == "evaluate":
-            cmd_evaluate(config)
-            return EXIT_OK
+            return cmd_evaluate(config)
         return cmd_pipeline(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

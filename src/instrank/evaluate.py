@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, NamedTuple, Sequence
 
-from .aggregate import AggregationSpec, RankList, YearTables, run_aggregation
+from .aggregate import RankList
 from .scoring import ScoreTable, drop_unknown, order_by_score
 
 
@@ -127,22 +127,6 @@ def evaluate_rankings(
         winner = max(values, key=values.get)
         rows.append(EvalRow(venue_id, values, winner))
     return EvalReport(k, rows)
-
-
-def evaluate_protocol(
-    tables_by_venue: Mapping[str, Sequence[ScoreTable]],
-    truth_by_venue: Mapping[str, GroundTruth],
-    specs: Sequence[AggregationSpec],
-    k: int,
-) -> EvalReport:
-    """Aggregate each venue's training years with every spec, then evaluate."""
-    rankings_by_venue = {}
-    for venue_id, tables in tables_by_venue.items():
-        years = YearTables(tables)
-        rankings_by_venue[venue_id] = {
-            spec.label: run_aggregation(spec, years) for spec in specs
-        }
-    return evaluate_rankings(rankings_by_venue, truth_by_venue, k)
 
 
 def render_report_text(report: EvalReport) -> str:

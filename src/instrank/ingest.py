@@ -48,10 +48,11 @@ class MalformedRowError(ValueError):
 
 
 class StreamError(OSError):
-    """An I/O or decoding failure partway through a file."""
+    """An I/O failure partway through a file, or a row that is not UTF-8."""
 
     def __init__(self, path: str, line_number: int, cause: Exception):
-        super().__init__(f"{path}: read failed near row {line_number}: {cause}")
+        what = "not UTF-8 at" if isinstance(cause, UnicodeDecodeError) else "read failed near"
+        super().__init__(f"{path}: {what} row {line_number}: {cause}")
         self.path = path
         self.line_number = line_number
 
@@ -213,7 +214,7 @@ def _read_rows(
     selection (``venues`` and ``years`` for papers, ``paper_ids`` for
     affiliations; None keeps all) become records. A missing file raises
     FileNotFoundError on the first ``next``; mid-stream failures raise
-    StreamError with the row reached.
+    StreamError with the row reached, or with the row that is not UTF-8.
     """
     with open(path, "rb") as raw:
         source = raw
@@ -287,7 +288,20 @@ def _read_rows(
                         continue
                     if paper_ids is None or paper_id in paper_ids:
                         yield paper_id, author_id, fields[institution_col] or UNKNOWN_INSTITUTION
-        except (OSError, UnicodeDecodeError, EOFError) as exc:
+        except UnicodeDecodeError as exc:
+            # The text reader decodes ahead in chunks, so its error names no
+            # row: decode the rows again from the start to find it.
+            number = 0
+            try:
+                source.seek(0)
+                for number, line in enumerate(source, 1):
+                    line.decode("utf-8")
+            except UnicodeDecodeError as row_exc:
+                raise StreamError(path, number, row_exc) from exc
+            except (OSError, EOFError) as read_exc:
+                raise StreamError(path, number + 1, read_exc) from exc
+            raise StreamError(path, number + 1, exc) from exc
+        except (OSError, EOFError) as exc:
             raise StreamError(path, line_number + 1, exc) from exc
         finally:
             # Counted once, not per row; a strict abort's row is read, not parsed.

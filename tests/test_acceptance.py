@@ -26,18 +26,19 @@ from instrank.aggregate import (
     YearTables,
     borda_aggregate,
     normalized_sum,
+    rank_venue,
     ranking_file_name,
     read_ranking_csv,
     run_aggregation,
-    to_ranking,
 )
 from instrank.cli import EXIT_OK, load_config, main
 from instrank.evaluate import (
     EvalReport,
     EvalRow,
     GroundTruth,
-    evaluate_protocol,
+    evaluate_rankings,
     ndcg_at_k,
+    render_report_csv,
     render_report_text,
 )
 from instrank.ingest import (
@@ -204,7 +205,7 @@ def test_fagin_always_returns_the_naive_top_k(announce):
                 tables[0] = make_table(2011, {universe[0]: 1})
                 union = {universe[0]}
             k = rng.randint(1, min(50, len(union)))
-            mine = run_aggregation(AggregationSpec("fagin", fagin_k=k), tables)
+            mine = run_aggregation(AggregationSpec("fagin", fagin_k=k), YearTables(tables))
             reference = naive_topk(tables, k)
             assert {i.institution_id for i in mine.items} == {
                 i.institution_id for i in reference.items
@@ -347,7 +348,7 @@ def test_normalized_sum_scale_invariance(announce):
                     if rng.random() < 0.9
                 }
                 tables.append(make_table(year, entries))
-            baseline = normalized_sum(tables)
+            baseline = normalized_sum(YearTables(tables))
             for constant in (1e-6, 3, 1e6):
                 target = rng.randrange(len(tables))
                 factor = Fraction(constant)
@@ -363,7 +364,7 @@ def test_normalized_sum_scale_invariance(announce):
                     else table
                     for index, table in enumerate(tables)
                 ]
-                rescaled = normalized_sum(scaled)
+                rescaled = normalized_sum(YearTables(scaled))
                 assert rescaled == baseline
                 assert [n / rescaled.denominator for n in rescaled.numerators.values()] == [
                     n / baseline.denominator for n in baseline.numerators.values()
@@ -513,7 +514,7 @@ def test_pipeline_selects_a_consistent_winner(announce, tmp_path):
                 )
                 for year in range(2011, 2016)
             ]
-            expected = run_aggregation(winning_spec, tables)
+            expected = run_aggregation(winning_spec, YearTables(tables))
             prediction = open(out_dir / f"prediction_{venue}.csv", encoding="utf-8")
             got_ids = [
                 line.split(",")[1] for line in prediction.read().splitlines()[1:]
@@ -522,7 +523,7 @@ def test_pipeline_selects_a_consistent_winner(announce, tmp_path):
 
 
 def test_pipeline_files_equal_the_in_memory_protocol(announce, tmp_path):
-    with announce("pipeline rankings and report equal evaluate_protocol over the score files"):
+    with announce("pipeline rankings and report equal rank_venue and evaluate_rankings"):
         params = CorpusParams(
             num_institutions=40,
             num_authors=600,
@@ -559,24 +560,22 @@ def test_pipeline_files_equal_the_in_memory_protocol(announce, tmp_path):
         def read_back(venue: str, year: int) -> ScoreTable:
             return read_score_csv(str(out_dir / score_file_name(venue, year)), year)
 
-        tables = {
-            venue: [read_back(venue, year) for year in config.train_years]
+        rankings = {
+            venue: rank_venue(
+                venue,
+                YearTables([read_back(venue, year) for year in config.train_years]),
+                config.specs,
+            )
             for venue in config.venues
         }
         truth = {
             venue: GroundTruth.from_score_table(read_back(venue, config.truth_year))
             for venue in config.venues
         }
-        report = evaluate_protocol(tables, truth, config.specs, config.k)
-        expected_csv = [f"venue,method,ndcg@{config.k}"] + [
-            f"{row.venue_id},{label},{value!r}"
-            for row in report.rows
-            for label, value in row.values.items()
-        ]
-        written_csv = (out_dir / "report.csv").read_text(encoding="utf-8").splitlines()
-        assert written_csv == expected_csv
+        report = evaluate_rankings(rankings, truth, config.k)
+        assert (out_dir / "report.csv").read_text(encoding="utf-8") == render_report_csv(report)
+        assert (out_dir / "report.txt").read_text(encoding="utf-8") == render_report_text(report)
         for venue in config.venues:
-            years = YearTables(tables[venue])
             for spec in config.specs:
                 written = read_ranking_csv(str(out_dir / ranking_file_name(venue, spec.label)))
-                assert written.ids() == run_aggregation(spec, years).ids()
+                assert written.ids() == rankings[venue][spec.label].ids()

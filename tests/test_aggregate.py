@@ -16,10 +16,12 @@ from instrank.aggregate import (
     InvalidPError,
     KTooLargeError,
     RankList,
+    YearTables,
     borda_aggregate,
     borda_scores,
     fagin_topk,
     normalized_sum,
+    rank_venue,
     read_ranking_csv,
     run_aggregation,
     to_ranking,
@@ -126,7 +128,7 @@ def test_spec_labels():
 def test_normalized_sum_two_years_hand_computed():
     # Year one: A 2/2, B 1/2. Year two: A 1/4, B 4/4.
     final = normalized_sum(
-        [make_table(2011, {"A": 2, "B": 1}), make_table(2012, {"A": 1, "B": 4})]
+        YearTables([make_table(2011, {"A": 2, "B": 1}), make_table(2012, {"A": 1, "B": 4})])
     )
     assert final == make_table(None, {"A": Fraction(5, 4), "B": Fraction(3, 2)})
     assert ranked_ids(to_ranking(final)) == ["B", "A"]
@@ -134,31 +136,31 @@ def test_normalized_sum_two_years_hand_computed():
 
 def test_normalized_sum_absent_year_contributes_nothing():
     final = normalized_sum(
-        [make_table(2011, {"A": 2}), make_table(2012, {"A": 1, "B": 2})]
+        YearTables([make_table(2011, {"A": 2}), make_table(2012, {"A": 1, "B": 2})])
     )
     assert final == make_table(None, {"A": Fraction(3, 2), "B": 1})
 
 
 def test_normalized_sum_skips_all_zero_years_but_keeps_their_institutions():
     zero = make_table(2011, {"A": 0, "C": 0})
-    final = normalized_sum([zero, make_table(2012, {"A": 1})])
+    final = normalized_sum(YearTables([zero, make_table(2012, {"A": 1})]))
     assert final == make_table(None, {"A": 1, "C": 0})
     # A year that is all zero adds 0, also when it is the only one.
-    assert normalized_sum([zero]) == make_table(None, {"A": 0, "C": 0})
+    assert normalized_sum(YearTables([zero])) == make_table(None, {"A": 0, "C": 0})
 
 
 def test_normalized_sum_rejects_no_years_like_run_aggregation():
     with pytest.raises(ValueError) as direct:
-        normalized_sum([])
+        normalized_sum(YearTables([]))
     with pytest.raises(ValueError) as dispatched:
-        run_aggregation(AggregationSpec("normalized_sum"), [])
+        run_aggregation(AggregationSpec("normalized_sum"), YearTables([]))
     assert type(direct.value) is type(dispatched.value)
     assert str(direct.value) == str(dispatched.value) == "no year tables to aggregate"
 
 
 def test_normalized_sum_single_year_equals_that_years_normalization():
     table = make_table(2014, {"A": 5, "B": 2, "C": 4})
-    final = normalized_sum([table])
+    final = normalized_sum(YearTables([table]))
     assert exact(final) == exact(normalize(table))
 
 
@@ -316,7 +318,7 @@ def test_fagin_matches_naive_on_random_tables():
         if not all_ids:
             continue
         spec = AggregationSpec("fagin", fagin_k=k)
-        mine = run_aggregation(spec, tables)
+        mine = run_aggregation(spec, YearTables(tables))
         reference = naive_topk(tables, k)
         assert set(ranked_ids(mine)) == set(ranked_ids(reference))
         assert ranked_ids(mine) == ranked_ids(reference)
@@ -327,13 +329,13 @@ def test_fagin_matches_naive_on_random_tables():
 
 def test_run_aggregation_single_year_normalized_sum_keeps_year_order():
     table = make_table(2014, {"A": 5, "B": 2, "C": 4})
-    ranking = run_aggregation(AggregationSpec("normalized_sum"), [table])
+    ranking = run_aggregation(AggregationSpec("normalized_sum"), YearTables([table]))
     assert ranked_ids(ranking) == ranked_ids(to_ranking(table))
 
 
 def test_run_aggregation_rejects_empty_input():
     with pytest.raises(ValueError):
-        run_aggregation(AggregationSpec("normalized_sum"), [])
+        run_aggregation(AggregationSpec("normalized_sum"), YearTables([]))
 
 
 def test_run_aggregation_excludes_unknown_everywhere():
@@ -343,7 +345,7 @@ def test_run_aggregation_excludes_unknown_everywhere():
     ]
     for method in ("normalized_sum", "borda", "fagin"):
         spec = AggregationSpec(method, fagin_k=2 if method == "fagin" else None)
-        ranking = run_aggregation(spec, tables)
+        ranking = run_aggregation(spec, YearTables(tables))
         assert UNKNOWN_INSTITUTION not in ranked_ids(ranking)
 
 
@@ -370,7 +372,7 @@ def test_year_tables_build_the_yearly_rankings_once_for_every_spec(monkeypatch):
             "fagin:5",
         )
     ]
-    separate = [run_aggregation(spec, tables) for spec in specs]
+    separate = [run_aggregation(spec, YearTables(tables)) for spec in specs]
     calls = []
     counted = aggregate.normalize
 
@@ -379,10 +381,34 @@ def test_year_tables_build_the_yearly_rankings_once_for_every_spec(monkeypatch):
         return counted(table)
 
     monkeypatch.setattr(aggregate, "normalize", counting_normalize)
-    years = aggregate.YearTables(tables)
+    years = YearTables(tables)
     shared = [run_aggregation(spec, years) for spec in specs]
     assert calls == [2011, 2012, 2013]
     assert shared == separate
+
+
+def test_rank_venue_ranks_every_spec_by_label_in_spec_order():
+    years = YearTables([make_table(2011, {"A": 3, "B": 1}), make_table(2012, {"A": 1, "B": 2})])
+    specs = [AggregationSpec.parse(text) for text in ("fagin:1", "borda:median", "normalized_sum")]
+    rankings = rank_venue("V0", years, specs)
+    assert list(rankings) == ["fagin", "borda_median", "normalized_sum"]
+    assert rankings == {spec.label: run_aggregation(spec, years) for spec in specs}
+
+
+@pytest.mark.parametrize(
+    "text, error, reason",
+    [
+        ("fagin:3", KTooLargeError, "k=3 exceeds universe of 2"),
+        ("borda:p_norm:10000", InvalidPError, "p=10000 is too large"),
+    ],
+)
+def test_rank_venue_names_the_venue_and_method_of_a_spec_that_does_not_fit(text, error, reason):
+    years = YearTables([make_table(2011, {"A": 3, "B": 1})])
+    specs = [AggregationSpec.parse("normalized_sum"), AggregationSpec.parse(text)]
+    with pytest.raises(error) as info:
+        rank_venue("V7", years, specs)
+    label = specs[1].label
+    assert str(info.value).startswith(f"venue 'V7', method {label}: {reason}")
 
 
 def test_spec_text_names_the_spec_as_written():
@@ -413,9 +439,9 @@ def test_unanimity_identical_years_keep_their_order():
                 variant or "sum",
                 p=2.0 if variant == "p_norm" else None,
             )
-            assert ranked_ids(run_aggregation(spec, tables)) == base
+            assert ranked_ids(run_aggregation(spec, YearTables(tables))) == base
         fagin = AggregationSpec("fagin", fagin_k=len(entries))
-        assert ranked_ids(run_aggregation(fagin, tables)) == base
+        assert ranked_ids(run_aggregation(fagin, YearTables(tables))) == base
 
 
 def test_year_order_never_matters():
@@ -438,8 +464,8 @@ def test_year_order_never_matters():
                 ids = {inst for table in tables for inst in table.numerators}
                 if len(ids) < spec.fagin_k:
                     continue
-            a = run_aggregation(spec, tables)
-            b = run_aggregation(spec, shuffled)
+            a = run_aggregation(spec, YearTables(tables))
+            b = run_aggregation(spec, YearTables(shuffled))
             assert a.items == b.items
 
 
@@ -535,7 +561,7 @@ def test_ranking_json_echoes_the_spec(tmp_path):
 
     spec = AggregationSpec.parse("fagin:5")
     tables = [make_table(2011, {f"I{i}": i + 1 for i in range(6)})]
-    ranking = run_aggregation(spec, tables)
+    ranking = run_aggregation(spec, YearTables(tables))
     path = tmp_path / "ranking.json"
     write_ranking_json(ranking, spec, str(path))
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -666,7 +692,7 @@ def test_integer_aggregation_matches_the_fraction_reference(years):
     for spec in specs:
         if spec.method == "fagin" and len(universe) < spec.fagin_k:
             continue
-        ranking = run_aggregation(spec, tables)
+        ranking = run_aggregation(spec, YearTables(tables))
         assert [(item.institution_id, repr(float(item.score))) for item in ranking.items] == [
             (inst, repr(float(value))) for inst, value in reference_ranking(years, spec)
         ], spec.label

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import exact, make_table
-from instrank.aggregate import ranking_file_name, read_ranking_csv, run_aggregation
+from instrank.aggregate import YearTables, ranking_file_name, read_ranking_csv, run_aggregation
 from instrank import aggregate, cli, scoring
 from instrank.cli import (
     EXIT_CONFIG,
@@ -372,6 +372,51 @@ def test_exit_2_names_the_venue_when_the_prediction_overflows(tmp_path, capsys):
     )
     assert (out_dir / "report.txt").exists()
     assert not (out_dir / "prediction_V0.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["aggregate", "pipeline"])
+def test_a_venue_whose_spec_fails_leaves_no_ranking_of_its_own(tmp_path, capsys, command):
+    # V0 credits three institutions every year and V1 two, so fagin:3 fits
+    # V0 only. Every spec of a venue is ranked before any of them is written.
+    credited = [
+        (venue, year, inst)
+        for year in (2011, 2012, 2013)
+        for venue, insts in (("V0", ("IA", "IB", "IC")), ("V1", ("IA", "IB")))
+        for inst in insts
+    ]
+    papers = tmp_path / "papers.txt"
+    affils = tmp_path / "affils.txt"
+    papers.write_text(
+        "".join(
+            f"P{n}\t\t\t{year}\t\t\t\t\t{venue}\n" for n, (venue, year, _) in enumerate(credited)
+        ),
+        encoding="utf-8",
+    )
+    affils.write_text(
+        "".join(f"P{n}\tA{n}\t{inst}\n" for n, (_, _, inst) in enumerate(credited)),
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    cfg_path = write_config(
+        tmp_path / "run.ini",
+        str(papers),
+        str(affils),
+        str(out_dir),
+        venues="V0, V1",
+        extra="\n[aggregation]\nmethods = normalized_sum, fagin:3\n",
+    )
+    assert main(["score", "--config", cfg_path]) == EXIT_OK
+    assert main([command, "--config", cfg_path]) == EXIT_CONFIG
+    assert (
+        "error: venue 'V1', method fagin: k=3 exceeds universe of 2"
+        in capsys.readouterr().err
+    )
+    assert sorted(name for name in os.listdir(out_dir) if name.startswith("ranking_")) == [
+        f"ranking_V0_{label}.{kind}"
+        for label in ("fagin", "normalized_sum")
+        for kind in ("csv", "json")
+    ]
+    assert not (out_dir / "report.txt").exists()
 
 
 @pytest.mark.parametrize(
@@ -868,7 +913,7 @@ def test_pipeline_prediction_recomputes_from_the_winning_method(tmp_path):
         read_score_csv(os.path.join(out_dir, score_file_name("V0", year)), year)
         for year in (2011, 2012, 2013)
     ]
-    expected = run_aggregation(winning_spec, tables)
+    expected = run_aggregation(winning_spec, YearTables(tables))
     written = read_ranking_csv(os.path.join(out_dir, "prediction_V0.csv"))
     assert written.ids() == expected.ids()
 
@@ -949,6 +994,8 @@ def test_pipeline_ranks_each_venue_year_once(tmp_path, monkeypatch):
 
 
 def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch):
+    # The tier-1 form of the CI diff -r: score, aggregate and evaluate run as
+    # separate commands, each reading back the files the one before it wrote.
     params = CorpusParams(
         num_institutions=30,
         num_authors=300,
@@ -994,10 +1041,14 @@ def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch)
         outputs[out_name] = {
             name: open(os.path.join(out_dir, name), "rb").read()
             for name in sorted(os.listdir(out_dir))
-            if name.startswith(("ranking_", "report."))
         }
-    assert len(outputs["stages"]) == 3 * 6 * 2 + 2
-    assert outputs["pipeline"] == outputs["stages"]
+    predictions = {name for name in outputs["pipeline"] if name.startswith("prediction_")}
+    assert len(predictions) == 3
+    # Score files, a CSV and a JSON ranking per venue and method, and the report.
+    assert len(outputs["stages"]) == 3 * 5 + 3 * 6 * 2 + 2
+    assert {
+        name: data for name, data in outputs["pipeline"].items() if name not in predictions
+    } == outputs["stages"]
     # The pipeline reads each score file it wrote exactly once.
     assert sorted(reads) == sorted(
         score_file_name(venue, year) for venue in ("V0", "V1", "V2") for year in range(2011, 2016)

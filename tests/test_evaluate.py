@@ -1,4 +1,4 @@
-"""NDCG math and the multi-venue evaluation protocol."""
+"""NDCG math and the evaluation protocol: ``rank_venue``, then ``evaluate_rankings``."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact, make_table
-from instrank.aggregate import AggregationSpec
+from instrank.aggregate import AggregationSpec, YearTables, rank_venue, run_aggregation
 from instrank.evaluate import (
     EvalReport,
     EvalRow,
@@ -20,7 +20,7 @@ from instrank.evaluate import (
     MissingTruthError,
     ZeroIdealError,
     dcg_at_k,
-    evaluate_protocol,
+    evaluate_rankings,
     ideal_dcg_at_k,
     ndcg_at_k,
     render_report_csv,
@@ -240,10 +240,19 @@ def two_venue_inputs():
     return tables_by_venue, truth_by_venue
 
 
+def run_protocol(tables_by_venue, truth_by_venue, specs, k):
+    """What ``pipeline`` runs on its read-back tables: rank every venue, then grade."""
+    rankings = {
+        venue: rank_venue(venue, YearTables(tables), specs)
+        for venue, tables in tables_by_venue.items()
+    }
+    return evaluate_rankings(rankings, truth_by_venue, k)
+
+
 def test_protocol_scores_every_venue_and_spec():
     tables, truth = two_venue_inputs()
     specs = [AggregationSpec.parse("normalized_sum"), AggregationSpec.parse("borda")]
-    report = evaluate_protocol(tables, truth, specs, k=2)
+    report = run_protocol(tables, truth, specs, k=2)
     assert [row.venue_id for row in report.rows] == ["V0", "V1"]
     assert report.method_labels == ["normalized_sum", "borda_sum"]
     for row in report.rows:
@@ -255,7 +264,7 @@ def test_protocol_scores_every_venue_and_spec():
 def test_protocol_tie_goes_to_the_first_spec():
     tables, truth = two_venue_inputs()
     specs = [AggregationSpec.parse("borda"), AggregationSpec.parse("normalized_sum")]
-    report = evaluate_protocol(tables, truth, specs, k=2)
+    report = run_protocol(tables, truth, specs, k=2)
     assert all(row.winner == "borda_sum" for row in report.rows)
 
 
@@ -263,7 +272,7 @@ def test_protocol_requires_truth_for_every_venue():
     tables, truth = two_venue_inputs()
     del truth["V1"]
     with pytest.raises(MissingTruthError):
-        evaluate_protocol(tables, truth, [AggregationSpec.parse("borda")], k=2)
+        run_protocol(tables, truth, [AggregationSpec.parse("borda")], k=2)
 
 
 def test_protocol_winner_matches_direct_recomputation():
@@ -287,8 +296,12 @@ def test_protocol_winner_matches_direct_recomputation():
             for year in (2011, 2012, 2013)
         ]
         truth = GroundTruth(2014, {inst: rng.random() for inst in universe})
-        report = evaluate_protocol({"V": tables}, {"V": truth}, specs, k=3)
+        report = run_protocol({"V": tables}, {"V": truth}, specs, k=3)
         row = report.rows[0]
+        assert row.values == {
+            spec.label: ndcg_at_k(run_aggregation(spec, YearTables(tables)).ids(), truth, 3)
+            for spec in specs
+        }
         best = max(row.values.values())
         assert row.values[row.winner] == best
         first_at_best = next(

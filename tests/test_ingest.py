@@ -110,6 +110,48 @@ def test_iter_affiliations_wraps_mid_stream_decode_failures(tmp_path):
     assert isinstance(info.value, OSError)
 
 
+@pytest.mark.parametrize("table", ["papers", "affiliations"])
+@pytest.mark.parametrize("compressed", [False, True], ids=["plain", "gzip"])
+@pytest.mark.parametrize("has_header", [False, True], ids=["no-header", "header"])
+def test_a_row_that_is_not_utf8_is_named_exactly(tmp_path, table, compressed, has_header):
+    # The text reader decodes ahead in 8 KB chunks, so the chunk that fails
+    # to decode starts long before the bad row.
+    rows = [
+        paper_line(f"P{n}") if table == "papers" else f"P{n}\tA{n}\tI{n % 9}"
+        for n in range(675)
+    ]
+    if has_header:
+        rows.insert(0, "header")
+    lines = [row.encode("utf-8") for row in rows]
+    lines[149] += b"\xff\xfe"
+    payload = b"".join(line + b"\n" for line in lines)
+    path = tmp_path / "dump.tsv"
+    path.write_bytes(gzip.compress(payload) if compressed else payload)
+    if table == "papers":
+        schema = TableSchema(0, year=3, venue_id=8, has_header=has_header)
+        read = iter_papers
+    else:
+        schema = TableSchema(0, author_id=1, institution_id=2, has_header=has_header)
+        read = iter_affiliations
+    with pytest.raises(StreamError) as info:
+        list(read(str(path), schema))
+    # The row counts from the file's first line, a header included.
+    assert info.value.line_number == 150
+    assert str(info.value).startswith(f"{path}: not UTF-8 at row 150: ")
+
+
+def test_a_truncated_gzip_ending_in_bytes_that_are_not_utf8_is_a_read_failure(tmp_path):
+    # The bytes fail to decode first; the row they are on ends where the
+    # truncated stream does, so the row-by-row search reports the read failure.
+    payload = b"".join(b"P%d\tA\tI\n" % n for n in range(3000)) + b"P\tA\tI\xff"
+    path = tmp_path / "t.tsv"
+    path.write_bytes(gzip.compress(payload)[:-4])
+    with pytest.raises(StreamError) as info:
+        list(iter_affiliations(str(path), AFFILS))
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
+    assert str(info.value).startswith(f"{path}: read failed near row 3001: ")
+
+
 def test_iter_affiliations_wraps_truncated_gzip(tmp_path):
     path = tmp_path / "t.tsv"
     payload = gzip.compress(b"a\tb\tc\n" * 200)

@@ -22,7 +22,6 @@ from .aggregate import (
 from .evaluate import (
     EvalReport,
     EvalRow,
-    GroundTruth,
     dcg_at_k,
     evaluate_rankings,
     ndcg_at_k,
@@ -43,7 +42,7 @@ __version__ = "0.1.0"
 
 # The corpus generator and its oracles load on first access, so running a
 # pipeline never imports them.
-_SYNTH_NAMES = ("CorpusParams", "PlantedTruth", "generate_corpus", "naive_score", "naive_topk")
+_SYNTH_NAMES = ("CorpusParams", "generate_corpus", "naive_score", "naive_topk")
 
 
 def __getattr__(name: str):
@@ -60,9 +59,7 @@ __all__ = [
     "CorpusParams",
     "EvalReport",
     "EvalRow",
-    "GroundTruth",
     "PaperRecord",
-    "PlantedTruth",
     "RankList",
     "RankedItem",
     "ScoreTable",

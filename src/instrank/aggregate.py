@@ -175,39 +175,28 @@ def to_ranking(table: ScoreTable) -> RankList:
 
 
 class YearTables:
-    """One venue's per-year tables, normalized once for any number of specs.
+    """One venue's per-year tables, in year order, normalized and ranked once, up front.
 
     The UNKNOWN sentinel is dropped and every year scaled to a maximum of
-    1 up front: a normalized year is the year's numerators over its top
-    numerator, so building it copies nothing. ``normalized`` is the one
-    view every method reads. The yearly rankings the positional methods
-    start from are built from it on first use. ``through`` shares both the
-    views and the rankings with a shorter span, so each year is ranked
-    once however many spans and specs read it.
+    1: a normalized year is the year's numerators over its top numerator,
+    so building it copies nothing. ``normalized`` is the one view every
+    method reads, and ``rankings`` holds each normalized year's ranking,
+    which the positional methods start from. ``through`` slices both
+    lists, so each year is ranked once however many spans and specs read it.
     """
 
     def __init__(self, tables: Sequence[ScoreTable]) -> None:
         if not tables:
             raise ValueError("no year tables to aggregate")
         self.normalized = [normalize(drop_unknown(table)) for table in tables]
-        # Yearly rankings by the id of their view, shared with ``through``
-        # heads; a lookup only ever names a view its caller holds.
-        self._rankings: dict[int, RankList] = {}
+        self.rankings = [to_ranking(table) for table in self.normalized]
 
     def through(self, year: int) -> "YearTables":
-        """The years up to ``year``, sharing these views and their rankings."""
+        """The leading years up to ``year``, sharing these views and their rankings."""
+        count = sum(table.year <= year for table in self.normalized)
         head = object.__new__(YearTables)
-        head.normalized = [table for table in self.normalized if table.year <= year]
-        head._rankings = self._rankings
+        head.normalized, head.rankings = self.normalized[:count], self.rankings[:count]
         return head
-
-    @property
-    def rankings(self) -> list[RankList]:
-        built = self._rankings
-        for table in self.normalized:
-            if id(table) not in built:
-                built[id(table)] = to_ranking(table)
-        return [built[id(table)] for table in self.normalized]
 
 
 def normalized_sum(year_tables: YearTables) -> ScoreTable:

@@ -27,12 +27,12 @@ from .aggregate import (
     ranking_file_name,
     read_ranking_csv,
     run_aggregation,  # noqa: F401 - perfbench/traced.py wraps it on this module
+    to_ranking,
     write_ranking_csv,
     write_ranking_json,
 )
 from .evaluate import (
     EvalReport,
-    GroundTruth,
     ZeroIdealError,
     evaluate_rankings,
     ndcg_at_k,  # noqa: F401 - perfbench/traced.py wraps it on this module
@@ -371,7 +371,7 @@ def _build_report(config: PipelineConfig) -> EvalReport:
     truth_year = config.truth_year
     for venue_id in config.venues:
         truth = _read_tables(config, venue_id, YearRange(truth_year, truth_year))
-        truth_by_venue[venue_id] = GroundTruth.from_score_table(truth[truth_year])
+        truth_by_venue[venue_id] = to_ranking(truth[truth_year])
         rankings_by_venue[venue_id] = {
             spec.label: read_ranking_csv(
                 os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label))
@@ -414,7 +414,7 @@ def cmd_pipeline(config: PipelineConfig) -> int:
         training = years.through(config.train_years.high)
         rankings = rankings_by_venue[venue_id] = rank_venue(venue_id, training, config.specs)
         _write_rankings(config, venue_id, rankings)
-        truth_by_venue[venue_id] = GroundTruth.from_score_table(tables[config.truth_year])
+        truth_by_venue[venue_id] = to_ranking(tables[config.truth_year])
     report = evaluate_rankings(rankings_by_venue, truth_by_venue, config.k)
     _write_report(config, report)
     for row in report.rows:
@@ -456,8 +456,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     generated = generate_corpus(params, args.out, compute_realized=not args.no_truth)
     emitted = [generated.papers_path, generated.affiliations_path]
-    if generated.truth.realized is not None:
-        for year, table in generated.truth.realized.items():
+    if generated.realized is not None:
+        for year, table in generated.realized.items():
             path = os.path.join(args.out, f"truth_{year}.csv")
             write_score_csv(table, path)
             emitted.append(path)

@@ -1,8 +1,9 @@
 """Ranking quality measured as NDCG against a held-out year.
 
-Gains are the held-out year's scores taken linearly, as the floats the
-score file stores; an item missing from the truth contributes nothing.
-The ideal ordering for the same truth normalizes the metric into [0, 1].
+The truth is the held-out year as a ranking, ``to_ranking(table)``: its
+scores are the gains, taken linearly as the floats the score file stores,
+and its order is the ideal one that normalizes the metric into [0, 1]. An
+item missing from the truth contributes nothing.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import math
 from typing import Mapping, NamedTuple, Sequence
 
 from .aggregate import RankList
-from .scoring import ScoreTable, drop_unknown, order_by_score
 
 
 class ZeroIdealError(ValueError):
@@ -22,72 +22,42 @@ class MissingTruthError(KeyError):
     """No ground truth was supplied for a venue under evaluation."""
 
 
-class GroundTruth:
-    """Relevance per institution for one held-out year."""
-
-    __slots__ = ("year", "relevance", "ideal")
-
-    def __init__(self, year: int, relevance: dict[str, float]) -> None:
-        for institution, value in relevance.items():
-            if value < 0:
-                raise ValueError(f"negative relevance for {institution!r}")
-        self.year = year
-        self.relevance = relevance
-        # Institutions by relevance descending, id ascending: the ideal ranking.
-        self.ideal = tuple(institution for institution, _ in order_by_score(relevance))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroundTruth):
-            return NotImplemented
-        return self.year == other.year and self.relevance == other.relevance
-
-    @classmethod
-    def from_score_table(cls, table: ScoreTable) -> "GroundTruth":
-        """Gains are each score's float, ``numerator / denominator``.
-
-        A read-back table holds floats exactly. In an exact table two scores
-        may round to one float; their ideal order then follows the ids, which
-        leaves every DCG value unchanged.
-        """
-        visible = drop_unknown(table)
-        denominator = visible.denominator
-        return cls(
-            table.year,
-            {
-                institution: numerator / denominator
-                for institution, numerator in visible.numerators.items()
-            },
-        )
-
-
-def dcg_at_k(ids: Sequence[str], truth: GroundTruth, k: int) -> float:
+def dcg_at_k(ids: Sequence[str], truth: RankList, k: int) -> float:
     """Discounted cumulative gain of the first k ranked ids.
 
-    Position i (1-based) contributes gain / log2(i + 1); rankings shorter
-    than k simply stop early.
+    Each id's gain is its score in ``truth``. Position i (1-based)
+    contributes gain / log2(i + 1); rankings shorter than k simply stop
+    early.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    relevance = dict(truth.items)
     gains = []
     for position, institution in enumerate(ids[:k], start=1):
-        value = float(truth.relevance.get(institution, 0.0))
+        value = relevance.get(institution, 0.0)
         if value:
             gains.append(value / math.log2(position + 1))
     return math.fsum(gains)
 
 
-def ideal_dcg_at_k(truth: GroundTruth, k: int) -> float:
-    """DCG of the best ordering the truth itself allows."""
-    return dcg_at_k(truth.ideal, truth, k)
+def ideal_dcg_at_k(truth: RankList, k: int) -> float:
+    """DCG of the truth's own order, the best ordering it allows."""
+    return dcg_at_k(truth.ids(), truth, k)
 
 
-def ndcg_at_k(ids: Sequence[str], truth: GroundTruth, k: int) -> float:
-    """Normalized DCG in [0, 1]; undefined (not 0) for all-zero truth."""
+def ndcg_at_k(ids: Sequence[str], truth: RankList, k: int) -> float:
+    """Normalized DCG in [0, 1]; undefined (not 0) for all-zero truth.
+
+    The truth's order is the ideal one. ``to_ranking`` orders a table by
+    its exact scores, and float rounding is monotonic, so the float gains
+    still fall down the truth. Two scores that round to one float give one
+    gain, so their order leaves every DCG unchanged.
+    """
+    if any(score < 0 for _, score in truth.items):
+        raise ValueError("negative relevance in the truth")
     ideal = ideal_dcg_at_k(truth, k)
     if ideal == 0:
-        raise ZeroIdealError(
-            f"year {truth.year}: no positive relevance, NDCG undefined"
-        )
+        raise ZeroIdealError("no positive relevance, NDCG undefined")
     return dcg_at_k(ids, truth, k) / ideal
 
 
@@ -108,22 +78,26 @@ class EvalReport(NamedTuple):
 
 def evaluate_rankings(
     rankings_by_venue: Mapping[str, Mapping[str, RankList]],
-    truth_by_venue: Mapping[str, GroundTruth],
+    truth_by_venue: Mapping[str, RankList],
     k: int,
 ) -> EvalReport:
     """Score each venue's rankings, keyed by method label, against its truth.
 
     The winner per venue is the method with the highest NDCG; exact ties
-    go to the method listed first.
+    go to the method listed first. An all-zero truth raises its
+    ``ZeroIdealError`` again, named by venue.
     """
     rows = []
     for venue_id, rankings in rankings_by_venue.items():
         if venue_id not in truth_by_venue:
             raise MissingTruthError(venue_id)
         truth = truth_by_venue[venue_id]
-        values = {
-            label: ndcg_at_k(ranking.ids(), truth, k) for label, ranking in rankings.items()
-        }
+        try:
+            values = {
+                label: ndcg_at_k(ranking.ids(), truth, k) for label, ranking in rankings.items()
+            }
+        except ZeroIdealError as exc:
+            raise ZeroIdealError(f"venue {venue_id!r}: {exc}") from exc
         winner = max(values, key=values.get)
         rows.append(EvalRow(venue_id, values, winner))
     return EvalReport(k, rows)

@@ -143,11 +143,8 @@ RowReader = Callable[[Collection[str]], Iterable[tuple[str, str, str]]]
 class ParseStats:
     """Counts kept while parsing one table."""
 
-    def __init__(
-        self, rows: int = 0, parsed: int = 0, skipped: int = 0, first_skipped: int | None = None
-    ) -> None:
+    def __init__(self, rows: int = 0, skipped: int = 0, first_skipped: int | None = None) -> None:
         self.rows = rows
-        self.parsed = parsed
         self.skipped = skipped
         # Line number of the first skipped row (a header counts as row 1).
         self.first_skipped = first_skipped
@@ -227,14 +224,13 @@ def _read_rows(
         delimiter = schema.delimiter
         line_number = header = 1 if schema.has_header else 0
         lines = enumerate(stream, header + 1)
-        skipped = aborted = 0
+        skipped = 0
         first_skipped = None
 
         def skip(number: int, reason: str) -> None:
             """The one skip-or-abort policy for a row that fails its table's checks."""
-            nonlocal skipped, aborted, first_skipped
+            nonlocal skipped, first_skipped
             if strict:
-                aborted = 1
                 raise MalformedRowError(path, number, reason)
             skipped += 1
             if first_skipped is None:
@@ -304,11 +300,9 @@ def _read_rows(
         except (OSError, EOFError) as exc:
             raise StreamError(path, line_number + 1, exc) from exc
         finally:
-            # Counted once, not per row; a strict abort's row is read, not parsed.
+            # Counted once, not per row; a strict abort's row is read, not skipped.
             if stats is not None:
-                rows = line_number - header
-                stats.rows += rows
-                stats.parsed += rows - skipped - aborted
+                stats.rows += line_number - header
                 stats.skipped += skipped
                 stats.first_skipped = stats.first_skipped or first_skipped
 

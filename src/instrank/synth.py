@@ -77,20 +77,13 @@ class CorpusParams:
 
 
 @dataclass(frozen=True)
-class PlantedTruth:
-    """Expected per-year scores from the sampling weights, and the exact
-    realized scores recomputed from the generated rows (None when the
-    corpus was streamed straight to disk)."""
-
-    expected: dict[int, dict[str, float]]
-    realized: dict[int, ScoreTable] | None
-
-
-@dataclass(frozen=True)
 class GeneratedCorpus:
+    """The dump paths, and the exact realized scores per year recomputed from
+    the generated rows (None when the corpus was streamed straight to disk)."""
+
     papers_path: str
     affiliations_path: str
-    truth: PlantedTruth
+    realized: dict[int, ScoreTable] | None
 
 
 def institution_ids(params: CorpusParams) -> list[str]:
@@ -111,30 +104,6 @@ def planted_weights(params: CorpusParams, year: int) -> list[float]:
         sign = 1.0 if i % 2 else -1.0
         weights.append(max(params.num_institutions - i + sign * offset, MIN_WEIGHT))
     return weights
-
-
-def expected_truth(params: CorpusParams) -> dict[int, dict[str, float]]:
-    """Closed-form expected credit per institution and year.
-
-    Exact when authors carry at most two affiliation rows; with more rows
-    the dedup step pulls scores slightly toward uniform but never reorders
-    them.
-    """
-    ids = institution_ids(params)
-    papers_per_year = params.num_venues * params.papers_per_venue_year
-    result: dict[int, dict[str, float]] = {}
-    for year in params.years:
-        weights = planted_weights(params, year)
-        total = math.fsum(weights)
-        kept = 1.0 - params.unknown_rate
-        per_inst = {
-            ids[i]: papers_per_year * kept * weights[i] / total
-            for i in range(params.num_institutions)
-        }
-        if params.unknown_rate > 0:
-            per_inst[UNKNOWN_INSTITUTION] = papers_per_year * params.unknown_rate
-        result[year] = per_inst
-    return result
 
 
 def iter_corpus(params: CorpusParams) -> Iterator[AttributedPaper]:
@@ -222,8 +191,7 @@ def generate_corpus(
             iter_corpus(params), papers_path, affiliations_path, params.filler_width
         )
         realized = None
-    truth = PlantedTruth(expected_truth(params), realized)
-    return GeneratedCorpus(papers_path, affiliations_path, truth)
+    return GeneratedCorpus(papers_path, affiliations_path, realized)
 
 
 def naive_score(corpus: Iterable[AttributedPaper]) -> dict[int, ScoreTable]:

@@ -30,12 +30,12 @@ from instrank.aggregate import (
     ranking_file_name,
     read_ranking_csv,
     run_aggregation,
+    to_ranking,
 )
 from instrank.cli import EXIT_OK, load_config, main
 from instrank.evaluate import (
     EvalReport,
     EvalRow,
-    GroundTruth,
     evaluate_rankings,
     ndcg_at_k,
     render_report_csv,
@@ -173,13 +173,13 @@ def test_streaming_scores_equal_the_naive_oracle(announce):
                         if mine is not None:
                             assert_bitwise_equal(mine, reference[year])
                 # The realized truth pools every venue of the year.
-                assert corpus.truth.realized is not None
+                assert corpus.realized is not None
                 papers, read_rows = streams()
                 pooled = score_venue_years(
                     (paper._replace(venue_id="*") for paper in papers), read_rows
                 )
                 for year in span:
-                    assert_bitwise_equal(pooled[("*", year)], corpus.truth.realized[year])
+                    assert_bitwise_equal(pooled[("*", year)], corpus.realized[year])
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"oracle equivalence took {elapsed:.1f}s"
 
@@ -298,7 +298,7 @@ def test_ndcg_reference_values_and_properties(announce):
             relevance = {i: rng.randint(0, 9) for i in ids}
             if not any(relevance.values()):
                 relevance[ids[0]] = 1
-            truth = GroundTruth(2015, relevance)
+            truth = to_ranking(make_table(2015, relevance))
             ideal_order = [
                 inst
                 for inst, _ in sorted(
@@ -308,7 +308,7 @@ def test_ndcg_reference_values_and_properties(announce):
             assert ndcg_at_k(ideal_order, truth, rng.randint(1, len(ids))) == 1.0
 
         # Three-item worst case against brute force over all 6 orders.
-        truth = GroundTruth(2015, {"A": 3.0, "B": 2.0, "C": 1.0})
+        truth = to_ranking(make_table(2015, {"A": 3, "B": 2, "C": 1}))
         brute = {
             order: ndcg_at_k(list(order), truth, 3) for order in permutations("ABC")
         }
@@ -320,7 +320,8 @@ def test_ndcg_reference_values_and_properties(announce):
         checked = 0
         while checked < 1000:
             ids = [f"I{j}" for j in range(rng.randint(2, 12))]
-            truth = GroundTruth(2015, {i: rng.random() for i in ids})
+            relevance = {i: rng.random() for i in ids}
+            truth = to_ranking(make_table(2015, relevance))
             order = ids[:]
             rng.shuffle(order)
             k = rng.randint(1, len(ids))
@@ -328,7 +329,7 @@ def test_ndcg_reference_values_and_properties(announce):
             assert 0.0 <= value <= 1.0 + 1e-12
             pos = rng.randrange(len(order) - 1)
             first, second = order[pos], order[pos + 1]
-            if truth.relevance[first] < truth.relevance[second]:
+            if relevance[first] < relevance[second]:
                 before = ndcg_at_k(order, truth, len(order))
                 order[pos], order[pos + 1] = second, first
                 assert ndcg_at_k(order, truth, len(order)) > before
@@ -569,7 +570,7 @@ def test_pipeline_files_equal_the_in_memory_protocol(announce, tmp_path):
             for venue in config.venues
         }
         truth = {
-            venue: GroundTruth.from_score_table(read_back(venue, config.truth_year))
+            venue: to_ranking(read_back(venue, config.truth_year))
             for venue in config.venues
         }
         report = evaluate_rankings(rankings, truth, config.k)

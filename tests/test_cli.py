@@ -611,7 +611,7 @@ def test_exit_4_on_an_intermediate_file_that_is_not_utf8(tmp_path, capsys, comma
     assert "Traceback" not in err
 
 
-def test_exit_5_on_all_zero_truth_year(tmp_path):
+def test_exit_5_on_all_zero_truth_year(tmp_path, capsys):
     # Truth year 2014 has no papers, so its score table is empty.
     cfg_path, _ = tiny_config(
         tmp_path,
@@ -619,7 +619,11 @@ def test_exit_5_on_all_zero_truth_year(tmp_path):
         truth="2014",
         extra="\n[aggregation]\nmethods = normalized_sum\nk = 2\n",
     )
+    capsys.readouterr()
     assert main(["pipeline", "--config", cfg_path]) == EXIT_ZERO_TRUTH
+    assert capsys.readouterr().err.endswith(
+        "\nerror: venue 'V0': no positive relevance, NDCG undefined\n"
+    )
 
 
 # --- score --------------------------------------------------------------

@@ -11,12 +11,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import exact, make_table
-from instrank.aggregate import AggregationSpec, YearTables, rank_venue, run_aggregation
+from conftest import exact, make_rank_list, make_table
+from instrank.aggregate import (
+    AggregationSpec,
+    RankList,
+    YearTables,
+    rank_venue,
+    run_aggregation,
+    to_ranking,
+)
 from instrank.evaluate import (
     EvalReport,
     EvalRow,
-    GroundTruth,
     MissingTruthError,
     ZeroIdealError,
     dcg_at_k,
@@ -29,7 +35,7 @@ from instrank.evaluate import (
 from instrank.ingest import UNKNOWN_INSTITUTION
 from instrank.scoring import ScoreTable, read_score_csv, write_score_csv
 
-THREE_LEVELS = GroundTruth(2015, {"A": 3.0, "B": 2.0, "C": 1.0})
+THREE_LEVELS = to_ranking(make_table(2015, {"A": 3, "B": 2, "C": 1}))
 
 
 # --- dcg ---------------------------------------------------------------
@@ -42,7 +48,7 @@ def test_dcg_discounts_by_log_of_position():
 
 
 def test_dcg_second_position_discount_is_frozen():
-    truth = GroundTruth(2015, {"B": 1.0})
+    truth = to_ranking(make_table(2015, {"B": 1}))
     assert dcg_at_k(["A", "B"], truth, 2) == pytest.approx(
         0.6309297535714575, abs=1e-15
     )
@@ -66,9 +72,9 @@ def test_ideal_dcg_orders_by_relevance():
 
 
 def test_truth_keeps_its_ideal_order_ties_by_id():
-    truth = GroundTruth(2015, {"C": 1, "B": Fraction(5, 2), "A": 1, "D": 2.5})
-    assert truth.ideal == ("B", "D", "A", "C")
-    assert truth == GroundTruth(2015, {"A": 1, "B": Fraction(5, 2), "C": 1, "D": 2.5})
+    truth = to_ranking(make_table(2015, {"C": 1, "B": Fraction(5, 2), "A": 1, "D": 2.5}))
+    assert truth.ids() == ["B", "D", "A", "C"]
+    assert truth == to_ranking(make_table(2015, {"A": 1, "B": Fraction(5, 2), "C": 1, "D": 2.5}))
 
 
 # --- ndcg --------------------------------------------------------------
@@ -97,8 +103,8 @@ def test_ndcg_stays_in_unit_interval():
     rng = random.Random(7)
     for _ in range(300):
         ids = [f"I{i}" for i in range(rng.randint(1, 12))]
-        truth = GroundTruth(2015, {i: rng.randint(0, 9) for i in ids})
-        if not any(truth.relevance.values()):
+        truth = to_ranking(make_table(2015, {i: rng.randint(0, 9) for i in ids}))
+        if not any(score for _, score in truth.items):
             continue
         order = ids[:]
         rng.shuffle(order)
@@ -112,12 +118,13 @@ def test_ndcg_improves_when_adjacent_misordered_pair_is_swapped():
     checked = 0
     while checked < 200:
         ids = [f"I{i}" for i in range(rng.randint(3, 10))]
-        truth = GroundTruth(2015, {i: rng.random() for i in ids})
+        relevance = {i: rng.random() for i in ids}
+        truth = to_ranking(make_table(2015, relevance))
         order = ids[:]
         rng.shuffle(order)
         pos = rng.randrange(len(order) - 1)
         first, second = order[pos], order[pos + 1]
-        if truth.relevance[first] >= truth.relevance[second]:
+        if relevance[first] >= relevance[second]:
             continue
         before = ndcg_at_k(order, truth, len(order))
         order[pos], order[pos + 1] = second, first
@@ -127,29 +134,29 @@ def test_ndcg_improves_when_adjacent_misordered_pair_is_swapped():
 
 
 def test_ndcg_raises_on_all_zero_truth():
-    truth = GroundTruth(2015, {"A": 0.0, "B": 0.0})
+    truth = to_ranking(make_table(2015, {"A": 0, "B": 0}))
     with pytest.raises(ZeroIdealError):
         ndcg_at_k(["A", "B"], truth, 2)
 
 
 def test_ndcg_with_empty_truth_is_undefined_too():
     with pytest.raises(ZeroIdealError):
-        ndcg_at_k(["A"], GroundTruth(2015, {}), 1)
+        ndcg_at_k(["A"], RankList(()), 1)
 
 
 # --- ground truth ------------------------------------------------------
 
 
 def test_truth_rejects_negative_relevance():
-    with pytest.raises(ValueError):
-        GroundTruth(2015, {"A": -1.0})
+    # The ideal DCG is positive, so only the negativity check can raise.
+    truth = make_rank_list([("B", 2.0), ("A", -1.0)])
+    with pytest.raises(ValueError, match="negative relevance"):
+        ndcg_at_k(["A", "B"], truth, 2)
 
 
 def test_truth_from_score_table_drops_unknown():
     table = make_table(2015, {"A": 2, UNKNOWN_INSTITUTION: 9})
-    truth = GroundTruth.from_score_table(table)
-    assert truth.relevance == {"A": Fraction(2)}
-    assert truth.year == 2015
+    assert to_ranking(table) == make_rank_list([("A", 2.0)])
 
 
 def reference_ndcg(ranking: list[str], entries: dict, k: int) -> float:
@@ -198,6 +205,15 @@ truth_scores = (
     2,
     False,
 )
+@example(
+    # B > A exactly, but both round to 1.0: the truth ranks B before A,
+    # against their ids, and the ideal gains are those of either order.
+    {"A": Fraction(1), "B": Fraction(2**64 + 1, 2**64), "C": Fraction(3, 4)},
+    ["C", "A", "B", "D", "E", "F", UNKNOWN_INSTITUTION, "G"],
+    3,
+    2,
+    False,
+)
 @settings(max_examples=300, deadline=None)
 def test_ndcg_against_table_truth_equals_the_fraction_reference(
     tmp_path_factory, entries, order, length, k, read_back
@@ -208,7 +224,7 @@ def test_ndcg_against_table_truth_equals_the_fraction_reference(
         path = str(tmp_path_factory.mktemp("truth") / "scores.csv")
         write_score_csv(table, path)
         table = read_score_csv(path, 2015)
-    truth = GroundTruth.from_score_table(table)
+    truth = to_ranking(table)
     ranking = order[:length]
     try:
         expected = reference_ndcg(ranking, exact(table), k)
@@ -234,8 +250,8 @@ def two_venue_inputs():
         ],
     }
     truth_by_venue = {
-        "V0": GroundTruth(2013, {"A": 5.0, "B": 1.0}),
-        "V1": GroundTruth(2013, {"A": 1.0, "B": 5.0}),
+        "V0": to_ranking(make_table(2013, {"A": 5, "B": 1})),
+        "V1": to_ranking(make_table(2013, {"A": 1, "B": 5})),
     }
     return tables_by_venue, truth_by_venue
 
@@ -275,6 +291,14 @@ def test_protocol_requires_truth_for_every_venue():
         run_protocol(tables, truth, [AggregationSpec.parse("borda")], k=2)
 
 
+def test_protocol_names_the_venue_of_an_all_zero_truth():
+    tables, truth = two_venue_inputs()
+    truth["V1"] = to_ranking(make_table(2013, {"A": 0, "B": 0}))
+    with pytest.raises(ZeroIdealError) as info:
+        run_protocol(tables, truth, [AggregationSpec.parse("borda")], k=2)
+    assert str(info.value) == "venue 'V1': no positive relevance, NDCG undefined"
+
+
 def test_protocol_winner_matches_direct_recomputation():
     rng = random.Random(41)
     specs = [
@@ -295,7 +319,7 @@ def test_protocol_winner_matches_direct_recomputation():
             )
             for year in (2011, 2012, 2013)
         ]
-        truth = GroundTruth(2014, {inst: rng.random() for inst in universe})
+        truth = to_ranking(make_table(2014, {inst: rng.random() for inst in universe}))
         report = run_protocol({"V": tables}, {"V": truth}, specs, k=3)
         row = report.rows[0]
         assert row.values == {

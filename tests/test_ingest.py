@@ -85,7 +85,7 @@ def test_iter_affiliations_counts_the_consumed_header(tmp_path):
     rows = list(iter_affiliations(path, schema, stats=stats))
     assert rows == [("a", "b", "c")]
     # The header is row 1, so the first data row is row 2 and the short one row 3.
-    assert stats == ParseStats(rows=2, parsed=1, skipped=1, first_skipped=3)
+    assert stats == ParseStats(rows=2, skipped=1, first_skipped=3)
 
 
 def test_iter_affiliations_sniffs_gzip_by_magic_not_name(tmp_path):
@@ -225,7 +225,7 @@ def test_iter_papers_skips_bad_rows_and_counts_them(tmp_path):
     stats = ParseStats()
     parsed = list(iter_papers(path, PAPERS, stats=stats))
     assert [p.paper_id for p in parsed] == ["P1", "P3"]
-    assert (stats.rows, stats.parsed, stats.skipped) == (4, 2, 2)
+    assert (stats.rows, stats.skipped) == (4, 2)
 
 
 def test_iter_papers_strict_aborts_with_the_row_number(tmp_path):
@@ -243,7 +243,7 @@ def test_iter_affiliations_same_policy(tmp_path):
         AffiliationRow("P1", "A1", "I1"),
         AffiliationRow("P3", "A2", UNKNOWN_INSTITUTION),
     ]
-    assert (stats.rows, stats.parsed, stats.skipped) == (3, 2, 1)
+    assert (stats.rows, stats.skipped) == (3, 1)
     with pytest.raises(MalformedRowError):
         list(iter_affiliations(path, AFFILS, strict=True))
 
@@ -255,7 +255,7 @@ def test_strict_abort_counts_the_failing_row_as_read_not_parsed(tmp_path):
     with pytest.raises(MalformedRowError) as info:
         list(iter_papers(path, PAPERS, strict=True, stats=stats))
     assert info.value.line_number == 5
-    assert (stats.rows, stats.parsed, stats.skipped) == (5, 4, 0)
+    assert (stats.rows, stats.skipped) == (5, 0)
     assert stats.first_skipped is None
 
 
@@ -266,11 +266,11 @@ def test_parse_stats_record_the_first_skipped_row(tmp_path):
     )
     stats = ParseStats()
     assert len(list(iter_affiliations(path, schema, stats=stats))) == 2
-    assert (stats.rows, stats.parsed, stats.skipped, stats.first_skipped) == (4, 2, 2, 3)
+    assert (stats.rows, stats.skipped, stats.first_skipped) == (4, 2, 3)
     # A second table read into the same stats adds its counts, keeps the first row.
     other = write_papers(tmp_path / "b.tsv", ["pid\taid\tiid", "P9"])
     list(iter_affiliations(other, schema, stats=stats))
-    assert (stats.rows, stats.parsed, stats.skipped, stats.first_skipped) == (5, 2, 3, 3)
+    assert (stats.rows, stats.skipped, stats.first_skipped) == (5, 3, 3)
 
 
 LONE_CR = b"P1\tA1\tI1\rjunk\nP2\tA2\tI2\n"
@@ -283,7 +283,7 @@ def test_only_a_newline_ends_a_row(tmp_path, compressed):
     stats = ParseStats()
     rows = list(iter_affiliations(str(path), AFFILS, stats=stats))
     assert rows == [AffiliationRow("P1", "A1", "I1\rjunk"), AffiliationRow("P2", "A2", "I2")]
-    assert (stats.rows, stats.parsed, stats.skipped) == (2, 2, 0)
+    assert (stats.rows, stats.skipped) == (2, 0)
 
 
 def test_strict_abort_row_counts_newlines_only(tmp_path):
@@ -334,7 +334,7 @@ def reference_parse(text, kind, has_header, strict):
         else:
             skipped += 1
             first_skipped = first_skipped or number
-    return records, (rows, len(records), skipped, first_skipped), abort_row
+    return records, (rows, skipped, first_skipped), abort_row
 
 
 @given(
@@ -395,7 +395,7 @@ def test_reader_matches_a_reference_over_real_files(
     elif ids is not None:
         expected = [row for row in expected if row.paper_id in ids]
     assert got == expected
-    assert (stats.rows, stats.parsed, stats.skipped, stats.first_skipped) == counts
+    assert (stats.rows, stats.skipped, stats.first_skipped) == counts
     assert abort_row == expected_abort
 
 

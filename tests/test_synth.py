@@ -18,7 +18,6 @@ from instrank.scoring import score_venue_years
 from instrank.synth import (
     CorpusParams,
     InvalidParamsError,
-    expected_truth,
     generate_corpus,
     institution_ids,
     iter_corpus,
@@ -86,32 +85,6 @@ def test_planted_weights_fall_with_index_and_respect_the_floor():
     weights = planted_weights(drifted, 2012)
     # Even indices drift down (clamped), odd indices drift up.
     assert weights == [0.1, 13.0, 0.1, 11.0]
-
-
-# --- expected truth -----------------------------------------------------
-
-
-def test_expected_truth_distributes_all_paper_credit():
-    params = small_params(unknown_rate=0.25)
-    truth = expected_truth(params)
-    papers_per_year = params.num_venues * params.papers_per_venue_year
-    for year in params.years:
-        assert math.fsum(truth[year].values()) == pytest.approx(papers_per_year)
-        assert truth[year][UNKNOWN_INSTITUTION] == pytest.approx(papers_per_year * 0.25)
-
-
-def test_expected_truth_single_institution_gets_everything():
-    params = small_params(num_institutions=1)
-    truth = expected_truth(params)
-    papers_per_year = params.num_venues * params.papers_per_venue_year
-    assert truth[2011] == {"I0": pytest.approx(papers_per_year)}
-
-
-def test_expected_truth_orders_by_index_without_drift():
-    truth = expected_truth(small_params())
-    for per_year in truth.values():
-        values = [per_year[inst] for inst in sorted(per_year)]
-        assert values == sorted(values, reverse=True)
 
 
 # --- corpus stream ------------------------------------------------------
@@ -190,7 +163,7 @@ def test_streaming_pipeline_reproduces_the_realized_truth(tmp_path):
     """Cross-module check: files -> streaming join -> scoring == oracle."""
     params = small_params(unknown_rate=0.1)
     corpus = generate_corpus(params, str(tmp_path))
-    assert corpus.truth.realized is not None
+    assert corpus.realized is not None
     kept = iter_papers(
         corpus.papers_path,
         TableSchema.papers_default(),
@@ -212,14 +185,13 @@ def test_streaming_pipeline_reproduces_the_realized_truth(tmp_path):
     tables = score_venue_years(pooled, read_rows)
     for year in params.years:
         table = tables[("V0+V1", year)]
-        assert table == corpus.truth.realized[year]
-        assert list(table.numerators) == list(corpus.truth.realized[year].numerators)
+        assert table == corpus.realized[year]
+        assert list(table.numerators) == list(corpus.realized[year].numerators)
 
 
 def test_generate_corpus_can_skip_the_realized_truth(tmp_path):
     corpus = generate_corpus(small_params(), str(tmp_path), compute_realized=False)
-    assert corpus.truth.realized is None
-    assert corpus.truth.expected  # closed form still present
+    assert corpus.realized is None
 
 
 # --- oracles ------------------------------------------------------------

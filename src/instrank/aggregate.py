@@ -28,6 +28,7 @@ from .scoring import (
     order_by_score,
     over_lcm,
     read_checked_rows,
+    write_output,
 )
 
 METHOD_NORMALIZED_SUM = "normalized_sum"
@@ -77,7 +78,7 @@ class AggregationSpec:
     only to fagin, defaulting to the usual top-20 cutoff.
     """
 
-    __slots__ = ("method", "borda_variant", "p", "fagin_k", "text")
+    __slots__ = ("method", "borda_variant", "p", "fagin_k")
 
     def __init__(
         self,
@@ -85,7 +86,6 @@ class AggregationSpec:
         borda_variant: str = "sum",
         p: float | None = None,
         fagin_k: int | None = None,
-        text: str = "",
     ) -> None:
         if method not in METHODS:
             raise ValueError(f"unknown aggregation method {method!r}")
@@ -100,8 +100,6 @@ class AggregationSpec:
         self.borda_variant = borda_variant
         self.p = p
         self.fagin_k = fagin_k
-        # The spec as written, for messages; empty unless parsed. Not part of its identity.
-        self.text = text
 
     def _key(self) -> tuple:
         return (self.method, self.borda_variant, self.p, self.fagin_k)
@@ -137,7 +135,7 @@ class AggregationSpec:
         if name == METHOD_NORMALIZED_SUM:
             if len(parts) > 1:
                 raise ValueError(f"{name} takes no arguments: {text!r}")
-            return cls(METHOD_NORMALIZED_SUM, text=text)
+            return cls(METHOD_NORMALIZED_SUM)
         if name == METHOD_BORDA:
             variant = parts[1] if len(parts) > 1 else "sum"
             if variant == "p_norm":
@@ -146,15 +144,15 @@ class AggregationSpec:
                 p = float(parts[2])
                 if p == math.inf:
                     raise InvalidPError(f"p must be finite: {text!r}")
-                return cls(METHOD_BORDA, "p_norm", p=p, text=text)
+                return cls(METHOD_BORDA, "p_norm", p=p)
             if len(parts) > 2:
                 raise ValueError(f"unexpected argument in {text!r}")
-            return cls(METHOD_BORDA, variant, text=text)
+            return cls(METHOD_BORDA, variant)
         if name == METHOD_FAGIN:
             if len(parts) == 1:
-                return cls(METHOD_FAGIN, text=text)
+                return cls(METHOD_FAGIN)
             if len(parts) == 2:
-                return cls(METHOD_FAGIN, fagin_k=int(parts[1]), text=text)
+                return cls(METHOD_FAGIN, fagin_k=int(parts[1]))
             raise ValueError(f"unexpected argument in {text!r}")
         raise ValueError(f"unknown aggregation method {name!r}")
 
@@ -346,10 +344,11 @@ def ranking_file_name(venue_id: str, label: str) -> str:
 
 def write_ranking_csv(rank_list: RankList, path: str) -> None:
     """Write ``rank,institution_id,score`` in order, ranks 1, 2, ... down the file."""
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write("rank,institution_id,score\n")
-        for rank, (institution, score) in enumerate(rank_list.items, start=1):
-            out.write(f"{rank},{institution},{float(score)!r}\n")
+    rows = "".join(
+        f"{rank},{institution},{float(score)!r}\n"
+        for rank, (institution, score) in enumerate(rank_list.items, start=1)
+    )
+    write_output(path, "rank,institution_id,score\n" + rows)
 
 
 def read_ranking_csv(path: str) -> RankList:
@@ -417,5 +416,4 @@ def write_ranking_json(rank_list: RankList, spec: AggregationSpec, path: str) ->
     )
     fields = ",\n".join(f'    "{key}": {value}' for key, value in method)
     listed = f"[\n{items}\n  ]" if items else "[]"
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(f'{{\n  "method": {{\n{fields}\n  }},\n  "items": {listed}\n}}\n')
+    write_output(path, f'{{\n  "method": {{\n{fields}\n  }},\n  "items": {listed}\n}}\n')

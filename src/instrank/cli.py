@@ -15,7 +15,7 @@ import configparser
 import logging
 import os
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .aggregate import (
     AggregationSpec,
@@ -58,6 +58,7 @@ from .scoring import (
     read_score_csv,
     score_file_name,
     score_venue_years,
+    write_output,
     write_score_csv,
 )
 
@@ -101,74 +102,20 @@ class ConfigError(Exception):
     pass
 
 
-class PipelineConfig:
-    def __init__(
-        self,
-        papers_path: str,
-        affiliations_path: str,
-        papers_schema: TableSchema,
-        affiliations_schema: TableSchema,
-        venues: list[str],
-        train_years: YearRange,
-        truth_year: int,
-        specs: list[AggregationSpec],
-        k: int,
-        output_dir: str,
-        strict: bool,
-    ) -> None:
-        self.papers_path = papers_path
-        self.affiliations_path = affiliations_path
-        self.papers_schema = papers_schema
-        self.affiliations_schema = affiliations_schema
-        self.venues = venues
-        self.train_years = train_years
-        self.truth_year = truth_year
-        self.specs = specs
-        self.k = k
-        self.output_dir = output_dir
-        self.strict = strict
+class PipelineConfig(NamedTuple):
+    """A checked run configuration; ``load_config`` builds it and runs every check."""
 
-    def validate(self) -> None:
-        if self.truth_year <= self.train_years.high:
-            raise ConfigError(
-                f"training years {self.train_years.low}-{self.train_years.high} "
-                f"must precede the truth year {self.truth_year}"
-            )
-        # The papers reader skips every row outside these years, so a span
-        # beyond them could only score empty tables.
-        span = self.scored_years()
-        if span.low < MIN_YEAR or span.high > MAX_YEAR:
-            raise ConfigError(
-                f"scored years {span.low}-{span.high} (train_years through truth_year) "
-                f"must lie within {MIN_YEAR}-{MAX_YEAR}"
-            )
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if not self.specs:
-            raise ConfigError("no aggregation methods configured")
-        if not self.venues:
-            raise ConfigError("no venues configured")
-        # Ranking files and report columns are named by label, so two specs
-        # with one label would overwrite each other.
-        by_label: dict[str, AggregationSpec] = {}
-        for spec in self.specs:
-            first = by_label.setdefault(spec.label, spec)
-            if first is not spec:
-                raise ConfigError(
-                    f"methods {first.text or first!r} and {spec.text or spec!r} "
-                    f"share the label {spec.label!r}"
-                )
-        seen_venues: set[str] = set()
-        for venue_id in self.venues:
-            if venue_id in seen_venues:
-                raise ConfigError(f"venue id {venue_id!r} is listed twice")
-            seen_venues.add(venue_id)
-            if venue_id in ("", ".", "..") or any(
-                char in venue_id for char in UNSAFE_VENUE_CHARS
-            ):
-                raise ConfigError(
-                    f"venue id {venue_id!r} cannot be part of an output file name"
-                )
+    papers_path: str
+    affiliations_path: str
+    papers_schema: TableSchema
+    affiliations_schema: TableSchema
+    venues: list[str]
+    train_years: YearRange
+    truth_year: int
+    specs: list[AggregationSpec]
+    k: int
+    output_dir: str
+    strict: bool
 
     def scored_years(self) -> YearRange:
         # Scores are needed for the training span and the held-out year.
@@ -202,8 +149,9 @@ def _schema_from_section(
 def load_config(path: str, overrides: Sequence[str] = ()) -> PipelineConfig:
     """Read an INI config file, applying ``section.key=value`` overrides in order.
 
-    Values are taken literally (no ``%`` interpolation). Every default lives
-    here.
+    Values are taken literally (no ``%`` interpolation). Every default and
+    every check lives here: a fault raises ``ConfigError``, so a config
+    returned is one that can run.
     """
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
@@ -242,8 +190,8 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> PipelineConfig:
         raise ConfigError(f"config {path}: {exc!r}") from exc
     methods_text = parser.get("aggregation", "methods", fallback=DEFAULT_METHODS)
     try:
-        specs = [
-            AggregationSpec.parse(text)
+        written = [
+            (text, AggregationSpec.parse(text))
             for text in (part.strip() for part in methods_text.split(","))
             if text
         ]
@@ -251,21 +199,58 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> PipelineConfig:
         strict = parser.getboolean("run", "strict", fallback=False)
     except ValueError as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
+    papers_schema = _schema_from_section(parser, "papers_table", TableSchema.papers_default())
+    affiliations_schema = _schema_from_section(
+        parser, "affiliations_table", TableSchema.affiliations_default()
+    )
+    output_dir = parser.get("output", "dir", fallback="out")
+    if truth_year <= train_years.high:
+        raise ConfigError(
+            f"training years {train_years.low}-{train_years.high} "
+            f"must precede the truth year {truth_year}"
+        )
+    # The papers reader skips every row outside these years, so a span
+    # beyond them could only score empty tables.
+    if train_years.low < MIN_YEAR or truth_year > MAX_YEAR:
+        raise ConfigError(
+            f"scored years {train_years.low}-{truth_year} (train_years through truth_year) "
+            f"must lie within {MIN_YEAR}-{MAX_YEAR}"
+        )
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if not written:
+        raise ConfigError("no aggregation methods configured")
+    if not venues:
+        raise ConfigError("no venues configured")
+    # Ranking files and report columns are named by label, so two specs
+    # with one label would overwrite each other.
+    by_label: dict[str, str] = {}
+    for text, spec in written:
+        if spec.label in by_label:
+            first = by_label[spec.label]
+            raise ConfigError(f"methods {first!r} and {text!r} share the label {spec.label!r}")
+        by_label[spec.label] = text
+    seen_venues: set[str] = set()
+    for venue_id in venues:
+        if venue_id in seen_venues:
+            raise ConfigError(f"venue id {venue_id!r} is listed twice")
+        seen_venues.add(venue_id)
+        if venue_id in ("", ".", "..") or any(char in venue_id for char in UNSAFE_VENUE_CHARS):
+            raise ConfigError(f"venue id {venue_id!r} cannot be part of an output file name")
+    # An empty directory would read and write the working directory.
+    if not output_dir:
+        raise ConfigError("output.dir is empty")
     return PipelineConfig(
         papers_path=papers_path,
         affiliations_path=affiliations_path,
-        papers_schema=_schema_from_section(
-            parser, "papers_table", TableSchema.papers_default()
-        ),
-        affiliations_schema=_schema_from_section(
-            parser, "affiliations_table", TableSchema.affiliations_default()
-        ),
+        papers_schema=papers_schema,
+        affiliations_schema=affiliations_schema,
         venues=venues,
         train_years=train_years,
         truth_year=truth_year,
-        specs=specs,
+        specs=[spec for _, spec in written],
         k=k,
-        output_dir=parser.get("output", "dir", fallback="out"),
+        output_dir=output_dir,
         strict=strict,
     )
 
@@ -291,13 +276,7 @@ def cmd_score(config: PipelineConfig) -> int:
     venue_set = set(config.venues)
     paper_stats = ParseStats()
     affil_stats = ParseStats()
-    kept = unattributed = 0
-
-    def count_kept(papers):
-        nonlocal kept
-        for paper in papers:
-            kept += 1
-            yield paper
+    unattributed = 0
 
     def count_missing(_paper) -> None:
         nonlocal unattributed
@@ -317,7 +296,7 @@ def cmd_score(config: PipelineConfig) -> int:
         )
 
     try:
-        tables = score_venue_years(count_kept(papers), read_rows, count_missing)
+        tables = score_venue_years(papers, read_rows, count_missing)
     except DuplicatePaperIdError as exc:
         raise DuplicatePaperIdError(f"{config.papers_path}: {exc}") from exc
     for venue_id in config.venues:
@@ -329,7 +308,7 @@ def cmd_score(config: PipelineConfig) -> int:
     print(
         f"papers: {_describe_rows(paper_stats)}; "
         f"affiliations: {_describe_rows(affil_stats)}; "
-        f"papers kept by the venue/year filter: {kept}; "
+        f"papers kept by the venue/year filter: {paper_stats.kept}; "
         f"filtered papers without affiliations: {unattributed}",
         file=sys.stderr,
     )
@@ -384,9 +363,7 @@ def _build_report(config: PipelineConfig) -> EvalReport:
 def _write_report(config: PipelineConfig, report: EvalReport) -> None:
     text = render_report_text(report)
     for name, content in (("report.txt", text), ("report.csv", render_report_csv(report))):
-        path = os.path.join(config.output_dir, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as out:
-            out.write(content)
+        write_output(os.path.join(config.output_dir, name), content)
     sys.stdout.write(text)
 
 
@@ -532,7 +509,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             if (value := getattr(args, dest, None)) is not None
         ]
         config = load_config(args.config, [*args.set, *shorthands])
-        config.validate()
         if args.command == "score":
             return cmd_score(config)
         if args.command == "aggregate":

@@ -143,11 +143,15 @@ RowReader = Callable[[Collection[str]], Iterable[tuple[str, str, str]]]
 class ParseStats:
     """Counts kept while parsing one table."""
 
-    def __init__(self, rows: int = 0, skipped: int = 0, first_skipped: int | None = None) -> None:
+    def __init__(
+        self, rows: int = 0, skipped: int = 0, first_skipped: int | None = None, *, kept: int = 0
+    ) -> None:
         self.rows = rows
         self.skipped = skipped
         # Line number of the first skipped row (a header counts as row 1).
         self.first_skipped = first_skipped
+        # Records yielded: the rows that passed the checks and the selection.
+        self.kept = kept
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParseStats):
@@ -209,9 +213,10 @@ def _read_rows(
     is skipped and counted, or under ``strict`` aborts with a
     MalformedRowError naming the file and the row. Only rows that pass the
     selection (``venues`` and ``years`` for papers, ``paper_ids`` for
-    affiliations; None keeps all) become records. A missing file raises
-    FileNotFoundError on the first ``next``; mid-stream failures raise
-    StreamError with the row reached, or with the row that is not UTF-8.
+    affiliations; None keeps all) become records, counted as ``kept``. A
+    missing file raises FileNotFoundError on the first ``next``; mid-stream
+    failures raise StreamError with the row reached, or with the row that
+    is not UTF-8.
     """
     with open(path, "rb") as raw:
         source = raw
@@ -224,7 +229,7 @@ def _read_rows(
         delimiter = schema.delimiter
         line_number = header = 1 if schema.has_header else 0
         lines = enumerate(stream, header + 1)
-        skipped = 0
+        skipped = kept = 0
         first_skipped = None
 
         def skip(number: int, reason: str) -> None:
@@ -264,6 +269,7 @@ def _read_rows(
                         continue
                     venue_id = fields[venue_col]
                     if low <= year <= high and (venues is None or venue_id in venues):
+                        kept += 1
                         yield _new_tuple(PaperRecord, (paper_id, year, venue_id))
             else:
                 paper_col, author_col = schema.paper_id, schema.author_id
@@ -283,6 +289,7 @@ def _read_rows(
                         skip(line_number, "empty author id")
                         continue
                     if paper_ids is None or paper_id in paper_ids:
+                        kept += 1
                         yield paper_id, author_id, fields[institution_col] or UNKNOWN_INSTITUTION
         except UnicodeDecodeError as exc:
             # The text reader decodes ahead in chunks, so its error names no
@@ -304,6 +311,7 @@ def _read_rows(
             if stats is not None:
                 stats.rows += line_number - header
                 stats.skipped += skipped
+                stats.kept += kept
                 stats.first_skipped = stats.first_skipped or first_skipped
 
 

@@ -18,13 +18,15 @@ Tables are keyed in sorted institution order for reproducible iteration.
 ranking. Score and ranking files are read back through one checked row
 reader (``read_checked_rows``), which decodes each row on its own, so a
 bad row, bad bytes included, raises ``ingest.MalformedRowError`` naming
-it, the same error as a bad dump row.
+it, the same error as a bad dump row. Every output file is written whole
+by one function, ``write_output``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
@@ -237,12 +239,24 @@ def write_score_csv(table: ScoreTable, path: str) -> None:
     """
     visible = drop_unknown(table)
     denominator = visible.denominator
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write("institution_id,score\n")
-        out.writelines(
-            f"{institution},{numerator / denominator!r}\n"
-            for institution, numerator in order_by_score(visible.numerators)
-        )
+    rows = "".join(
+        f"{institution},{numerator / denominator!r}\n"
+        for institution, numerator in order_by_score(visible.numerators)
+    )
+    write_output(path, "institution_id,score\n" + rows)
+
+
+def write_output(path: str, text: str) -> None:
+    """The one writer of an output file: ``text`` whole, or the file as it was.
+
+    The text goes to ``<path>.tmp`` as UTF-8 with LF line ends, which is
+    then renamed onto ``path``, so a crash mid-write never leaves ``path``
+    cut short.
+    """
+    temporary = path + ".tmp"
+    with open(temporary, "w", encoding="utf-8", newline="\n") as out:
+        out.write(text)
+    os.replace(temporary, path)
 
 
 def read_checked_rows(

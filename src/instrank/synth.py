@@ -28,8 +28,6 @@ from .scoring import ScoreTable
 # Institutions this weak never lose all weight to drift.
 MIN_WEIGHT = 0.1
 
-WRITE_BATCH_ROWS = 8192
-
 
 class InvalidParamsError(ValueError):
     pass
@@ -145,30 +143,18 @@ def _write_corpus_files(
     # Rows go out at the default dump ordinals: papers at columns 0/3/8,
     # affiliations at 0/1/2. UNKNOWN becomes an empty field on disk.
     filler = "\t" + "x" * filler_width if filler_width else ""
-    paper_lines: list[str] = []
-    affil_lines: list[str] = []
     with open(papers_path, "w", encoding="utf-8", newline="\n") as papers_out, open(
         affiliations_path, "w", encoding="utf-8", newline="\n"
     ) as affils_out:
+        # The file objects buffer the writes.
+        write_paper, write_row = papers_out.write, affils_out.write
         for paper, rows in corpus:
-            paper_lines.append(
-                f"{paper.paper_id}\t\t\t{paper.year}\t\t\t\t\t{paper.venue_id}\n"
-            )
+            write_paper(f"{paper.paper_id}\t\t\t{paper.year}\t\t\t\t\t{paper.venue_id}\n")
             for row in rows:
                 institution = (
                     "" if row.institution_id == UNKNOWN_INSTITUTION else row.institution_id
                 )
-                affil_lines.append(
-                    f"{row.paper_id}\t{row.author_id}\t{institution}{filler}\n"
-                )
-            if len(affil_lines) >= WRITE_BATCH_ROWS:
-                affils_out.write("".join(affil_lines))
-                affil_lines.clear()
-            if len(paper_lines) >= WRITE_BATCH_ROWS:
-                papers_out.write("".join(paper_lines))
-                paper_lines.clear()
-        papers_out.write("".join(paper_lines))
-        affils_out.write("".join(affil_lines))
+                write_row(f"{row.paper_id}\t{row.author_id}\t{institution}{filler}\n")
 
 
 def generate_corpus(

@@ -77,6 +77,7 @@ def test_spec_parse_forms():
     spec = AggregationSpec.parse("borda:p_norm:2")
     assert spec.borda_variant == "p_norm" and spec.p == 2.0
     assert AggregationSpec.parse("fagin:7").fagin_k == 7
+    assert AggregationSpec.parse("fagin:5") == AggregationSpec("fagin", fagin_k=5)
 
 
 def test_spec_fagin_k_defaults_to_twenty():
@@ -409,13 +410,6 @@ def test_rank_venue_names_the_venue_and_method_of_a_spec_that_does_not_fit(text,
         rank_venue("V7", years, specs)
     label = specs[1].label
     assert str(info.value).startswith(f"venue 'V7', method {label}: {reason}")
-
-
-def test_spec_text_names_the_spec_as_written():
-    assert AggregationSpec.parse(" borda:p_norm:2.0 ").text == "borda:p_norm:2.0"
-    assert AggregationSpec.parse("fagin").text == "fagin"
-    assert AggregationSpec("fagin").text == ""
-    assert AggregationSpec.parse("fagin:5") == AggregationSpec("fagin", fagin_k=5)
 
 
 def test_unanimity_identical_years_keep_their_order():

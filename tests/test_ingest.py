@@ -85,7 +85,7 @@ def test_iter_affiliations_counts_the_consumed_header(tmp_path):
     rows = list(iter_affiliations(path, schema, stats=stats))
     assert rows == [("a", "b", "c")]
     # The header is row 1, so the first data row is row 2 and the short one row 3.
-    assert stats == ParseStats(rows=2, skipped=1, first_skipped=3)
+    assert stats == ParseStats(rows=2, skipped=1, first_skipped=3, kept=1)
 
 
 def test_iter_affiliations_sniffs_gzip_by_magic_not_name(tmp_path):
@@ -266,11 +266,36 @@ def test_parse_stats_record_the_first_skipped_row(tmp_path):
     )
     stats = ParseStats()
     assert len(list(iter_affiliations(path, schema, stats=stats))) == 2
-    assert (stats.rows, stats.skipped, stats.first_skipped) == (4, 2, 3)
+    assert (stats.rows, stats.skipped, stats.first_skipped, stats.kept) == (4, 2, 3, 2)
     # A second table read into the same stats adds its counts, keeps the first row.
     other = write_papers(tmp_path / "b.tsv", ["pid\taid\tiid", "P9"])
     list(iter_affiliations(other, schema, stats=stats))
-    assert (stats.rows, stats.skipped, stats.first_skipped) == (5, 3, 3)
+    assert (stats.rows, stats.skipped, stats.first_skipped, stats.kept) == (5, 3, 3, 2)
+
+
+def test_kept_counts_the_records_yielded_under_a_selection(tmp_path):
+    papers = write_papers(
+        tmp_path / "p.tsv",
+        [
+            paper_line("P1", "2012", "V0"),
+            paper_line("P2", "2012", "V1"),
+            paper_line("P3", "2015", "V0"),
+            paper_line("", "2012", "V0"),
+            paper_line("P4", "2013", "V0"),
+        ],
+    )
+    stats = ParseStats()
+    span = YearRange(2012, 2013)
+    kept = list(iter_papers(papers, PAPERS, stats=stats, venues={"V0"}, years=span))
+    assert [paper.paper_id for paper in kept] == ["P1", "P4"]
+    assert (stats.rows, stats.skipped, stats.kept) == (5, 1, 2)
+    rows = write_papers(
+        tmp_path / "a.tsv", ["P1\tA1\tI1", "P2\tA2\tI2", "P1\tA3\t", "P4\t\tI4", "P4\tA4\tI4"]
+    )
+    stats = ParseStats()
+    kept_rows = list(iter_affiliations(rows, AFFILS, stats=stats, paper_ids={"P1", "P4"}))
+    assert [row[0] for row in kept_rows] == ["P1", "P1", "P4"]
+    assert (stats.rows, stats.skipped, stats.kept) == (5, 1, 3)
 
 
 LONE_CR = b"P1\tA1\tI1\rjunk\nP2\tA2\tI2\n"

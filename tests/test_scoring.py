@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -483,6 +484,20 @@ def test_score_csv_rerun_is_byte_identical(tmp_path):
     write_score_csv(table, str(first))
     write_score_csv(table, str(second))
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_a_failed_rewrite_leaves_the_score_file_intact(tmp_path, monkeypatch):
+    path = tmp_path / score_file_name("V0", 2014)
+    write_score_csv(make_table(2014, {"A": 2, "B": 1}), str(path))
+    before = path.read_bytes()
+
+    def fail(source, target):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        write_score_csv(make_table(2014, {"C": 7}), str(path))
+    assert path.read_bytes() == before
 
 
 def test_score_csv_tolerates_commas_in_institution_ids(tmp_path):

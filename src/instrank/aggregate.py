@@ -34,7 +34,6 @@ from .scoring import (
 METHOD_NORMALIZED_SUM = "normalized_sum"
 METHOD_BORDA = "borda"
 METHOD_FAGIN = "fagin"
-METHODS = (METHOD_NORMALIZED_SUM, METHOD_BORDA, METHOD_FAGIN)
 
 BORDA_VARIANTS = ("sum", "median", "geometric_mean", "p_norm")
 
@@ -71,52 +70,18 @@ def check_borda(variant: str, p: float | None) -> None:
         raise InvalidPError(f"p must be > 0, got {p!r}")
 
 
-class AggregationSpec:
-    """A parsed choice of aggregation method.
+class AggregationSpec(NamedTuple):
+    """A choice of aggregation method; ``parse`` builds and checks one.
 
     ``borda_variant`` and ``p`` apply only to the borda method; ``fagin_k``
-    only to fagin, defaulting to the usual top-20 cutoff.
+    only to fagin, defaulting to the usual top-20 cutoff. The constructor
+    checks nothing: a bad spec built directly is rejected when it runs.
     """
 
-    __slots__ = ("method", "borda_variant", "p", "fagin_k")
-
-    def __init__(
-        self,
-        method: str,
-        borda_variant: str = "sum",
-        p: float | None = None,
-        fagin_k: int | None = None,
-    ) -> None:
-        if method not in METHODS:
-            raise ValueError(f"unknown aggregation method {method!r}")
-        if method == METHOD_BORDA:
-            check_borda(borda_variant, p)
-        if method == METHOD_FAGIN:
-            if fagin_k is None:
-                fagin_k = DEFAULT_TOP_K
-            elif fagin_k < 1:
-                raise ValueError(f"fagin_k must be >= 1, got {fagin_k}")
-        self.method = method
-        self.borda_variant = borda_variant
-        self.p = p
-        self.fagin_k = fagin_k
-
-    def _key(self) -> tuple:
-        return (self.method, self.borda_variant, self.p, self.fagin_k)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AggregationSpec):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"AggregationSpec(method={self.method!r}, borda_variant={self.borda_variant!r}, "
-            f"p={self.p!r}, fagin_k={self.fagin_k!r})"
-        )
+    method: str
+    borda_variant: str = "sum"
+    p: float | None = None
+    fagin_k: int = DEFAULT_TOP_K
 
     @property
     def label(self) -> str:
@@ -138,22 +103,24 @@ class AggregationSpec:
             return cls(METHOD_NORMALIZED_SUM)
         if name == METHOD_BORDA:
             variant = parts[1] if len(parts) > 1 else "sum"
+            p = None
             if variant == "p_norm":
                 if len(parts) != 3:
                     raise ValueError(f"p_norm needs an exponent: {text!r}")
                 p = float(parts[2])
                 if p == math.inf:
                     raise InvalidPError(f"p must be finite: {text!r}")
-                return cls(METHOD_BORDA, "p_norm", p=p)
+            elif len(parts) > 2:
+                raise ValueError(f"unexpected argument in {text!r}")
+            check_borda(variant, p)
+            return cls(METHOD_BORDA, variant, p)
+        if name == METHOD_FAGIN:
             if len(parts) > 2:
                 raise ValueError(f"unexpected argument in {text!r}")
-            return cls(METHOD_BORDA, variant)
-        if name == METHOD_FAGIN:
-            if len(parts) == 1:
-                return cls(METHOD_FAGIN)
-            if len(parts) == 2:
-                return cls(METHOD_FAGIN, fagin_k=int(parts[1]))
-            raise ValueError(f"unexpected argument in {text!r}")
+            fagin_k = int(parts[1]) if len(parts) == 2 else DEFAULT_TOP_K
+            if fagin_k < 1:
+                raise ValueError(f"fagin_k must be >= 1, got {fagin_k}")
+            return cls(METHOD_FAGIN, fagin_k=fagin_k)
         raise ValueError(f"unknown aggregation method {name!r}")
 
 
@@ -318,7 +285,9 @@ def run_aggregation(spec: AggregationSpec, year_tables: YearTables) -> RankList:
         return to_ranking(normalized_sum(year_tables))
     if spec.method == METHOD_BORDA:
         return borda_aggregate(year_tables.rankings, spec.borda_variant, spec.p)
-    return fagin_topk(year_tables.normalized, spec.fagin_k)
+    if spec.method == METHOD_FAGIN:
+        return fagin_topk(year_tables.normalized, spec.fagin_k)
+    raise ValueError(f"unknown aggregation method {spec.method!r}")
 
 
 def rank_venue(

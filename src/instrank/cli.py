@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument(
         "--no-truth",
         action="store_true",
-        help="stream to disk without computing realized truth (for huge corpora)",
+        help="skip computing the realized truth",
     )
 
     for name, help_text in (

@@ -251,12 +251,19 @@ def write_output(path: str, text: str) -> None:
 
     The text goes to ``<path>.tmp`` as UTF-8 with LF line ends, which is
     then renamed onto ``path``, so a crash mid-write never leaves ``path``
-    cut short.
+    cut short. A write or rename that fails removes ``<path>.tmp`` again.
     """
     temporary = path + ".tmp"
-    with open(temporary, "w", encoding="utf-8", newline="\n") as out:
-        out.write(text)
-    os.replace(temporary, path)
+    try:
+        with open(temporary, "w", encoding="utf-8", newline="\n") as out:
+            out.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        try:
+            os.remove(temporary)
+        except OSError:  # never written, or not ours to remove
+            pass
+        raise
 
 
 def read_checked_rows(

@@ -162,21 +162,14 @@ def generate_corpus(
 ) -> GeneratedCorpus:
     """Write papers and affiliation dumps for the parameters.
 
-    With compute_realized the corpus is held in memory and the naive
-    oracle recomputes the exact realized truth; without it the rows
-    stream straight to disk, which keeps memory flat for huge corpora.
+    The rows stream straight to disk, so memory stays flat. With
+    compute_realized the naive oracle recomputes the exact realized truth
+    from a second pass over the same seeded corpus.
     """
     papers_path = f"{out_dir}/papers.txt"
     affiliations_path = f"{out_dir}/affiliations.txt"
-    if compute_realized:
-        corpus = list(iter_corpus(params))
-        _write_corpus_files(corpus, papers_path, affiliations_path, params.filler_width)
-        realized = naive_score(corpus)
-    else:
-        _write_corpus_files(
-            iter_corpus(params), papers_path, affiliations_path, params.filler_width
-        )
-        realized = None
+    _write_corpus_files(iter_corpus(params), papers_path, affiliations_path, params.filler_width)
+    realized = naive_score(iter_corpus(params)) if compute_realized else None
     return GeneratedCorpus(papers_path, affiliations_path, realized)
 
 

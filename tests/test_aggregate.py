@@ -89,16 +89,25 @@ def test_spec_rejects_unknown_method_and_variant():
     with pytest.raises(ValueError):
         AggregationSpec.parse("kemeny")
     with pytest.raises(ValueError):
-        AggregationSpec("borda", "harmonic_mean")
+        AggregationSpec.parse("borda:harmonic_mean")
+    # The constructor checks nothing; a bad spec built directly fails when it runs.
+    years = YearTables([make_table(2014, {"A": 2, "B": 1})])
+    with pytest.raises(ValueError, match="unknown borda variant 'harmonic_mean'"):
+        run_aggregation(AggregationSpec("borda", "harmonic_mean"), years)
+    with pytest.raises(ValueError, match="unknown aggregation method 'kemeny'"):
+        run_aggregation(AggregationSpec("kemeny"), years)
 
 
 def test_spec_rejects_non_positive_p():
     with pytest.raises(InvalidPError):
-        AggregationSpec("borda", "p_norm", p=0.0)
+        AggregationSpec.parse("borda:p_norm:0")
     with pytest.raises(InvalidPError):
-        AggregationSpec("borda", "p_norm", p=-2.0)
+        AggregationSpec.parse("borda:p_norm:-2")
     with pytest.raises(InvalidPError):
         AggregationSpec.parse("borda:p_norm:-1")
+    lists = [make_rank_list([("A", 2), ("B", 1)])]
+    with pytest.raises(InvalidPError):
+        borda_aggregate(lists, "p_norm", 0.0)
 
 
 def test_spec_parse_rejects_a_non_finite_p():

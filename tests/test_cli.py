@@ -453,6 +453,31 @@ def test_distinct_labels_pass_validation(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("borda:p_norm:0", "p must be > 0, got 0.0"),
+        ("borda:harmonic", "unknown borda variant 'harmonic'"),
+        ("fagin:0", "fagin_k must be >= 1, got 0"),
+        ("kemeny", "unknown aggregation method 'kemeny'"),
+        ("borda:p_norm:inf", "p must be finite: 'borda:p_norm:inf'"),
+        ("borda:p_norm:nan", "p must be > 0, got nan"),
+        ("fagin:5:1", "unexpected argument in 'fagin:5:1'"),
+        ("normalized_sum:1", "normalized_sum takes no arguments: 'normalized_sum:1'"),
+        ("borda:sum:2", "unexpected argument in 'borda:sum:2'"),
+        ("borda:p_norm", "p_norm needs an exponent: 'borda:p_norm'"),
+    ],
+)
+def test_a_bad_method_spec_names_its_fault(tmp_path, capsys, text, message):
+    cfg_path, out_dir = tiny_config(tmp_path)
+    with pytest.raises(ConfigError) as raised:
+        load_config(cfg_path, [f"aggregation.methods={text}"])
+    assert str(raised.value) == f"config {cfg_path}: {message}"
+    assert main(["aggregate", "--config", cfg_path, "--method", text]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines()[0] == f"error: config {cfg_path}: {message}"
+    assert not os.path.exists(out_dir)
+
+
+@pytest.mark.parametrize(
     "venue_id", ["../V0", "V0/x", "V0\\x", os.sep + "tmp", ".", "..", "V\0", ""]
 )
 def test_unsafe_venue_ids_are_rejected_up_front(tmp_path, venue_id):
@@ -502,6 +527,19 @@ def test_exit_3_on_missing_input_file(tmp_path):
         ["score", "--config", cfg_path, "--set", "inputs.papers=/nonexistent/p.txt"]
     )
     assert code == EXIT_IO
+
+
+def test_a_failed_report_write_exits_3_and_leaves_no_temporary_file(tmp_path, capsys):
+    cfg_path, out_dir = tiny_config(tmp_path)
+    assert main(["pipeline", "--config", cfg_path]) == EXIT_OK
+    report = os.path.join(out_dir, "report.txt")
+    os.remove(report)
+    os.mkdir(report)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg_path]) == EXIT_IO
+    assert "Is a directory" in capsys.readouterr().err
+    assert os.path.isdir(report)
+    assert not os.path.exists(report + ".tmp")
 
 
 def test_exit_4_on_malformed_row_under_strict(tmp_path):

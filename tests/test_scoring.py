@@ -498,6 +498,7 @@ def test_a_failed_rewrite_leaves_the_score_file_intact(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="rename failed"):
         write_score_csv(make_table(2014, {"C": 7}), str(path))
     assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == [path.name]
 
 
 def test_score_csv_tolerates_commas_in_institution_ids(tmp_path):

@@ -107,7 +107,10 @@ class AggregationSpec(NamedTuple):
             if variant == "p_norm":
                 if len(parts) != 3:
                     raise ValueError(f"p_norm needs an exponent: {text!r}")
-                p = float(parts[2])
+                try:
+                    p = float(parts[2])
+                except ValueError:
+                    raise ValueError(f"p must be a number: {text!r}") from None
                 if p == math.inf:
                     raise InvalidPError(f"p must be finite: {text!r}")
             elif len(parts) > 2:
@@ -117,7 +120,10 @@ class AggregationSpec(NamedTuple):
         if name == METHOD_FAGIN:
             if len(parts) > 2:
                 raise ValueError(f"unexpected argument in {text!r}")
-            fagin_k = int(parts[1]) if len(parts) == 2 else DEFAULT_TOP_K
+            try:
+                fagin_k = int(parts[1]) if len(parts) == 2 else DEFAULT_TOP_K
+            except ValueError:
+                raise ValueError(f"fagin_k must be an integer: {text!r}") from None
             if fagin_k < 1:
                 raise ValueError(f"fagin_k must be >= 1, got {fagin_k}")
             return cls(METHOD_FAGIN, fagin_k=fagin_k)

@@ -11,14 +11,12 @@ unchanged inputs reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import argparse
-import configparser
 import logging
 import os
 import sys
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .aggregate import (
-    AggregationSpec,
     InvalidPError,
     KTooLargeError,
     RankList,
@@ -31,6 +29,7 @@ from .aggregate import (
     write_ranking_csv,
     write_ranking_json,
 )
+from .config import ConfigError, PipelineConfig, load_config
 from .evaluate import (
     EvalReport,
     ZeroIdealError,
@@ -40,12 +39,9 @@ from .evaluate import (
     render_report_text,
 )
 from .ingest import (
-    MAX_YEAR,
-    MIN_YEAR,
     DuplicatePaperIdError,
     MalformedRowError,
     ParseStats,
-    TableSchema,
     YearRange,
     filter_papers,  # noqa: F401 - perfbench/traced.py wraps it on this module
     iter_affiliations,
@@ -68,26 +64,6 @@ EXIT_IO = 3
 EXIT_PARSE = 4
 EXIT_ZERO_TRUTH = 5
 
-DEFAULT_METHODS = "normalized_sum, borda:sum, fagin"
-
-# Venue ids become part of output file names.
-UNSAFE_VENUE_CHARS = {"/", "\\", os.sep, "\0"}
-
-DELIMITER_NAMES = {"tab": "\t", "\\t": "\t", "comma": ",", "space": " ", "pipe": "|"}
-
-# Every key a config file or --set may name, by section; anything else is
-# rejected, so a misspelt key cannot be silently ignored.
-_TABLE_KEYS = {"delimiter", "has_header"}
-CONFIG_KEYS = {
-    "inputs": {"papers", "affiliations"},
-    "selection": {"venues", "train_years", "truth_year"},
-    "papers_table": _TABLE_KEYS | {"paper_id", "year", "venue_id"},
-    "affiliations_table": _TABLE_KEYS | {"paper_id", "author_id", "institution_id"},
-    "aggregation": {"methods", "k"},
-    "run": {"strict"},
-    "output": {"dir"},
-}
-
 # Flags that stand for one config key each, by argparse dest; they are
 # applied after every --set, so a flag wins.
 SHORTHANDS = {
@@ -96,163 +72,6 @@ SHORTHANDS = {
     "output_dir": "output.dir",
     "method": "aggregation.methods",
 }
-
-
-class ConfigError(Exception):
-    pass
-
-
-class PipelineConfig(NamedTuple):
-    """A checked run configuration; ``load_config`` builds it and runs every check."""
-
-    papers_path: str
-    affiliations_path: str
-    papers_schema: TableSchema
-    affiliations_schema: TableSchema
-    venues: list[str]
-    train_years: YearRange
-    truth_year: int
-    specs: list[AggregationSpec]
-    k: int
-    output_dir: str
-    strict: bool
-
-    def scored_years(self) -> YearRange:
-        # Scores are needed for the training span and the held-out year.
-        return YearRange(self.train_years.low, self.truth_year)
-
-
-def _parse_delimiter(text: str) -> str:
-    return DELIMITER_NAMES.get(text.strip().lower(), text)
-
-
-def _schema_from_section(
-    parser: configparser.ConfigParser, name: str, default: TableSchema
-) -> TableSchema:
-    """The section's table layout; an absent column key keeps the default ordinal."""
-    if name not in parser:
-        return default
-    section = parser[name]
-    try:
-        return TableSchema(
-            delimiter=_parse_delimiter(section.get("delimiter", "tab")),
-            has_header=section.getboolean("has_header", False),
-            **{
-                column: section.getint(column, getattr(default, column))
-                for column in CONFIG_KEYS[name] - _TABLE_KEYS
-            },
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad [{name}] section: {exc}") from exc
-
-
-def load_config(path: str, overrides: Sequence[str] = ()) -> PipelineConfig:
-    """Read an INI config file, applying ``section.key=value`` overrides in order.
-
-    Values are taken literally (no ``%`` interpolation). Every default and
-    every check lives here: a fault raises ``ConfigError``, so a config
-    returned is one that can run.
-    """
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
-    try:
-        loaded = parser.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config {path}: {exc}") from exc
-    if not loaded:
-        raise ConfigError(f"cannot read config file {path!r}")
-    for override in overrides:
-        target, equals, value = override.partition("=")
-        section, dot, key = target.partition(".")
-        # An empty section name would write into configparser's defaults.
-        if not (equals and dot and section):
-            raise ConfigError(f"override must look like section.key=value: {override!r}")
-        if section not in parser:
-            parser.add_section(section)
-        parser[section][key] = value
-    # configparser copies [DEFAULT] keys into every section; name them where they came from.
-    if parser.defaults():
-        raise ConfigError(f"config {path}: unknown section [{parser.default_section}]")
-    for section in parser.sections():
-        if section not in CONFIG_KEYS:
-            raise ConfigError(f"config {path}: unknown section [{section}]")
-        for key in parser[section]:
-            if key not in CONFIG_KEYS[section]:
-                raise ConfigError(f"config {path}: unknown key {key!r} in section [{section}]")
-    try:
-        inputs = parser["inputs"]
-        selection = parser["selection"]
-        papers_path = inputs["papers"]
-        affiliations_path = inputs["affiliations"]
-        venues = [v.strip() for v in selection["venues"].split(",") if v.strip()]
-        train_years = YearRange.parse(selection["train_years"])
-        truth_year = int(selection["truth_year"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"config {path}: {exc!r}") from exc
-    methods_text = parser.get("aggregation", "methods", fallback=DEFAULT_METHODS)
-    try:
-        written = [
-            (text, AggregationSpec.parse(text))
-            for text in (part.strip() for part in methods_text.split(","))
-            if text
-        ]
-        k = parser.getint("aggregation", "k", fallback=20)
-        strict = parser.getboolean("run", "strict", fallback=False)
-    except ValueError as exc:
-        raise ConfigError(f"config {path}: {exc}") from exc
-    papers_schema = _schema_from_section(parser, "papers_table", TableSchema.papers_default())
-    affiliations_schema = _schema_from_section(
-        parser, "affiliations_table", TableSchema.affiliations_default()
-    )
-    output_dir = parser.get("output", "dir", fallback="out")
-    if truth_year <= train_years.high:
-        raise ConfigError(
-            f"training years {train_years.low}-{train_years.high} "
-            f"must precede the truth year {truth_year}"
-        )
-    # The papers reader skips every row outside these years, so a span
-    # beyond them could only score empty tables.
-    if train_years.low < MIN_YEAR or truth_year > MAX_YEAR:
-        raise ConfigError(
-            f"scored years {train_years.low}-{truth_year} (train_years through truth_year) "
-            f"must lie within {MIN_YEAR}-{MAX_YEAR}"
-        )
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if not written:
-        raise ConfigError("no aggregation methods configured")
-    if not venues:
-        raise ConfigError("no venues configured")
-    # Ranking files and report columns are named by label, so two specs
-    # with one label would overwrite each other.
-    by_label: dict[str, str] = {}
-    for text, spec in written:
-        if spec.label in by_label:
-            first = by_label[spec.label]
-            raise ConfigError(f"methods {first!r} and {text!r} share the label {spec.label!r}")
-        by_label[spec.label] = text
-    seen_venues: set[str] = set()
-    for venue_id in venues:
-        if venue_id in seen_venues:
-            raise ConfigError(f"venue id {venue_id!r} is listed twice")
-        seen_venues.add(venue_id)
-        if venue_id in ("", ".", "..") or any(char in venue_id for char in UNSAFE_VENUE_CHARS):
-            raise ConfigError(f"venue id {venue_id!r} cannot be part of an output file name")
-    # An empty directory would read and write the working directory.
-    if not output_dir:
-        raise ConfigError("output.dir is empty")
-    return PipelineConfig(
-        papers_path=papers_path,
-        affiliations_path=affiliations_path,
-        papers_schema=papers_schema,
-        affiliations_schema=affiliations_schema,
-        venues=venues,
-        train_years=train_years,
-        truth_year=truth_year,
-        specs=[spec for _, spec in written],
-        k=k,
-        output_dir=output_dir,
-        strict=strict,
-    )
 
 
 def _describe_rows(stats: ParseStats) -> str:

@@ -61,49 +61,30 @@ class DuplicatePaperIdError(ValueError):
     """The same paper id appeared twice in a filtered paper stream."""
 
 
-class TableSchema:
-    """Column ordinals for one delimited table.
+class TableSchema(NamedTuple):
+    """Column ordinals for one delimited table; ``check`` checks them, not the constructor.
 
     Only the ordinals a given parser needs have to be set; rows may carry
     any number of extra columns beyond the configured ones. Ordinals are
     zero-based positions in the split row.
     """
 
-    __slots__ = (
-        "paper_id", "year", "venue_id", "author_id", "institution_id", "delimiter", "has_header"
-    )
+    paper_id: int = 0
+    year: int | None = None
+    venue_id: int | None = None
+    author_id: int | None = None
+    institution_id: int | None = None
+    delimiter: str = "\t"
+    has_header: bool = False
 
-    def __init__(
-        self,
-        paper_id: int = 0,
-        year: int | None = None,
-        venue_id: int | None = None,
-        author_id: int | None = None,
-        institution_id: int | None = None,
-        delimiter: str = "\t",
-        has_header: bool = False,
-    ) -> None:
-        columns = (paper_id, year, venue_id, author_id, institution_id)
-        ordinals = [o for o in columns if o is not None]
+    def check(self) -> None:
+        ordinals = [o for o in self[:5] if o is not None]  # the five column fields
         if any(o < 0 for o in ordinals):
             raise ValueError("column ordinals must be non-negative")
         if len(set(ordinals)) != len(ordinals):
             raise ValueError("column ordinals must be distinct within a table")
-        if len(delimiter) != 1:
+        if len(self.delimiter) != 1:
             raise ValueError("delimiter must be a single character")
-        self.paper_id = paper_id
-        self.year = year
-        self.venue_id = venue_id
-        self.author_id = author_id
-        self.institution_id = institution_id
-        self.delimiter = delimiter
-        self.has_header = has_header
-
-    # Value equality, so two configs loaded alike compare equal; a schema is never hashed.
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TableSchema):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @classmethod
     def papers_default(cls) -> "TableSchema":
@@ -331,6 +312,7 @@ def iter_papers(
     """
     if schema.year is None or schema.venue_id is None:
         raise ValueError("schema does not describe a papers table")
+    schema.check()
     return _read_rows(path, schema, "papers", strict, stats, venues=venues, years=years)
 
 
@@ -349,6 +331,7 @@ def iter_affiliations(
     """
     if schema.author_id is None or schema.institution_id is None:
         raise ValueError("schema does not describe an affiliations table")
+    schema.check()
     return _read_rows(path, schema, "affiliations", strict, stats, paper_ids=paper_ids)
 
 

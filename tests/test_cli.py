@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -465,6 +466,8 @@ def test_distinct_labels_pass_validation(tmp_path):
         ("normalized_sum:1", "normalized_sum takes no arguments: 'normalized_sum:1'"),
         ("borda:sum:2", "unexpected argument in 'borda:sum:2'"),
         ("borda:p_norm", "p_norm needs an exponent: 'borda:p_norm'"),
+        ("fagin:abc", "fagin_k must be an integer: 'fagin:abc'"),
+        ("borda:p_norm:x", "p must be a number: 'borda:p_norm:x'"),
     ],
 )
 def test_a_bad_method_spec_names_its_fault(tmp_path, capsys, text, message):
@@ -473,6 +476,69 @@ def test_a_bad_method_spec_names_its_fault(tmp_path, capsys, text, message):
         load_config(cfg_path, [f"aggregation.methods={text}"])
     assert str(raised.value) == f"config {cfg_path}: {message}"
     assert main(["aggregate", "--config", cfg_path, "--method", text]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines()[0] == f"error: config {cfg_path}: {message}"
+    assert not os.path.exists(out_dir)
+
+
+@pytest.mark.parametrize(
+    "drop, override, message",
+    [
+        (r"^\[selection\]\n(.+\n)*", None, "missing section [selection]"),
+        (r"^truth_year = .*\n", None, "missing key 'truth_year' in section [selection]"),
+        (r"^papers = .*\n", None, "missing key 'papers' in section [inputs]"),
+        (
+            None,
+            "selection.train_years=2014-2011",
+            "key 'train_years' in section [selection]: empty year range 2014-2011",
+        ),
+        (
+            None,
+            "selection.train_years=2011-",
+            "key 'train_years' in section [selection]: invalid literal for int() with base 10: ''",
+        ),
+        (
+            None,
+            "aggregation.k=abc",
+            "key 'k' in section [aggregation]: invalid literal for int() with base 10: 'abc'",
+        ),
+        (None, "run.strict=maybe", "key 'strict' in section [run]: Not a boolean: maybe"),
+        (
+            None,
+            "papers_table.year=x",
+            "key 'year' in section [papers_table]: invalid literal for int() with base 10: 'x'",
+        ),
+        (
+            None,
+            "affiliations_table.has_header=2",
+            "key 'has_header' in section [affiliations_table]: Not a boolean: 2",
+        ),
+    ],
+    ids=[
+        "no-selection",
+        "no-truth-year",
+        "no-papers",
+        "empty-years",
+        "open-years",
+        "k",
+        "strict",
+        "papers-year",
+        "affiliations-header",
+    ],
+)
+def test_a_config_fault_names_its_section_and_key(tmp_path, capsys, drop, override, message):
+    cfg_path, out_dir = tiny_config(tmp_path)
+    if drop:
+        with open(cfg_path, encoding="utf-8") as handle:
+            text, dropped = re.subn(drop, "", handle.read(), count=1, flags=re.MULTILINE)
+        assert dropped == 1
+        with open(cfg_path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    overrides = [override] if override else []
+    with pytest.raises(ConfigError) as raised:
+        load_config(cfg_path, overrides)
+    assert str(raised.value) == f"config {cfg_path}: {message}"
+    argv = ["score", "--config", cfg_path] + [arg for o in overrides for arg in ("--set", o)]
+    assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err.splitlines()[0] == f"error: config {cfg_path}: {message}"
     assert not os.path.exists(out_dir)
 

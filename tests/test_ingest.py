@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rows_of
+from instrank.config import ConfigError, load_config
 from instrank.ingest import (
     UNKNOWN_INSTITUTION,
     AffiliationRow,
@@ -51,13 +52,50 @@ def test_default_schemas_use_the_dump_layout():
     assert PAPERS.delimiter == "\t" and not PAPERS.has_header
 
 
-def test_schema_rejects_clashing_or_negative_ordinals():
-    with pytest.raises(ValueError):
-        TableSchema(paper_id=1, year=1, venue_id=2)
-    with pytest.raises(ValueError):
-        TableSchema(paper_id=-1)
-    with pytest.raises(ValueError):
-        TableSchema(delimiter=",,")
+def test_schema_rejects_clashing_or_negative_ordinals(tmp_path):
+    # The constructor checks nothing. Each reader checks its schema when it
+    # is called, before any row is read (the dump does not even exist), and
+    # load_config checks every table section it parses.
+    missing = str(tmp_path / "absent.tsv")
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[inputs]\npapers = p\naffiliations = a\n"
+        "[selection]\nvenues = V0\ntrain_years = 2011-2012\ntruth_year = 2013\n",
+        encoding="utf-8",
+    )
+    faults = [
+        ("column ordinals must be non-negative", {"paper_id": -1}, {"paper_id": -1}, "paper_id=-1"),
+        (
+            "column ordinals must be distinct within a table",
+            {"paper_id": 1, "year": 1, "venue_id": 2},
+            {"author_id": 0},
+            "year=0",
+        ),
+        (
+            "delimiter must be a single character",
+            {"delimiter": ",,"},
+            {"delimiter": ",,"},
+            "delimiter=,,",
+        ),
+    ]
+    for message, papers_fault, affiliations_fault, setting in faults:
+        with pytest.raises(ValueError) as raised:
+            iter_papers(missing, PAPERS._replace(**papers_fault))
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            iter_affiliations(missing, AFFILS._replace(**affiliations_fault))
+        assert str(raised.value) == message
+        with pytest.raises(ConfigError) as raised:
+            load_config(str(config), [f"papers_table.{setting}"])
+        assert str(raised.value) == f"bad [papers_table] section: {message}"
+
+
+def test_a_schema_compares_by_value_and_cannot_be_assigned_to():
+    assert TableSchema(0, year=3, venue_id=8) == PAPERS == (0, 3, 8, None, None, "\t", False)
+    assert len({PAPERS, TableSchema.papers_default(), AFFILS}) == 2
+    assert TableSchema(paper_id=-1).paper_id == -1
+    with pytest.raises(AttributeError):
+        PAPERS.year = 4
 
 
 def test_year_range_parse_and_membership():

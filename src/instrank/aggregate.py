@@ -3,15 +3,18 @@
 Every year is normalized once (``YearTables.normalized``) and three
 aggregation families read that view: a normalized score sum over the
 years, positional (Borda-style) point counts with several combining
-variants, and Fagin-style top-k by mean normalized score. A normalized
-year is its integer numerators over the year's top numerator, so sums
-and orderings are integer arithmetic; the normalized sum is
-``scoring.over_lcm`` over the years. A ranking (``RankList``) is its
-items in order; its ranks are numbered when it is written. One builder
-(``_ranked``, over ``scoring.order_by_score``) makes every ranking:
-higher values first, score ties by institution id ascending. A ranking
-file is read back through ``scoring.read_checked_rows``, the score
-file's reader, plus the checks only a ranking needs.
+variants, and Fagin-style top-k by mean normalized score. Each
+institution's per-year Borda points are counted once per venue
+(``YearTables.points``), and every variant combines that one table
+(``borda_combine``). A normalized year is its integer numerators over the
+year's top numerator, so sums and orderings are integer arithmetic; the
+normalized sum is ``scoring.over_lcm`` over the years. A ranking
+(``RankList``) is its items in order; its ranks are numbered when it is
+written. One builder (``_ranked``, over ``scoring.order_by_score``) makes
+every ranking: higher values first, score ties by institution id
+ascending. A ranking file is read back through
+``scoring.read_checked_rows``, the score file's reader, plus the checks
+only a ranking needs.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, NamedTuple, Sequence
 
-from .ingest import MalformedRowError
+from .ingest import MalformedRowError, _new_tuple
 from .scoring import (
     ScoreTable,
     drop_unknown,
@@ -133,7 +136,9 @@ class AggregationSpec(NamedTuple):
 def _ranked(scores: Mapping[str, float], denominator: int = 1, k: int | None = None) -> RankList:
     """The one ranking builder: ``order_by_score`` cut at ``k``, scores over ``denominator``."""
     ordered = order_by_score(scores)[:k]
-    return RankList(tuple(RankedItem(inst, value / denominator) for inst, value in ordered))
+    return RankList(
+        tuple([_new_tuple(RankedItem, (inst, value / denominator)) for inst, value in ordered])
+    )
 
 
 def to_ranking(table: ScoreTable) -> RankList:
@@ -151,9 +156,11 @@ class YearTables:
     The UNKNOWN sentinel is dropped and every year scaled to a maximum of
     1: a normalized year is the year's numerators over its top numerator,
     so building it copies nothing. ``normalized`` is the one view every
-    method reads, and ``rankings`` holds each normalized year's ranking,
-    which the positional methods start from. ``through`` slices both
-    lists, so each year is ranked once however many spans and specs read it.
+    method reads. ``rankings`` holds each normalized year's ranking, and
+    ``points`` each institution's Borda points in those rankings
+    (``borda_points``), which every positional method combines. ``through``
+    slices all three, so each year is ranked and counted once however many
+    spans and specs read it.
     """
 
     def __init__(self, tables: Sequence[ScoreTable]) -> None:
@@ -161,12 +168,17 @@ class YearTables:
             raise ValueError("no year tables to aggregate")
         self.normalized = [normalize(drop_unknown(table)) for table in tables]
         self.rankings = [to_ranking(table) for table in self.normalized]
+        self.points = borda_points(self.rankings)
 
     def through(self, year: int) -> "YearTables":
-        """The leading years up to ``year``, sharing these views and their rankings."""
+        """The leading years up to ``year``, sharing these views, rankings and points."""
         count = sum(table.year <= year for table in self.normalized)
         head = object.__new__(YearTables)
         head.normalized, head.rankings = self.normalized[:count], self.rankings[:count]
+        # An institution that first appears after ``year`` is not in the head.
+        head.points = {
+            inst: kept for inst, vector in self.points.items() if any(kept := vector[:count])
+        }
         return head
 
 
@@ -186,8 +198,28 @@ def normalized_sum(year_tables: YearTables) -> ScoreTable:
 
 def borda_scores(rank_list: RankList) -> dict[str, int]:
     """Positional points for one list: n for the first item down to 1 for the last."""
-    n = len(rank_list.items)
-    return {item.institution_id: n - position for position, item in enumerate(rank_list.items)}
+    return {institution: points for institution, (points,) in borda_points([rank_list]).items()}
+
+
+def borda_points(rank_lists: Sequence[RankList]) -> dict[str, list[int]]:
+    """Each institution's positional points in every list, 0 where it is absent.
+
+    In a list of n items the first earns n points and the last 1.
+    """
+    count = len(rank_lists)
+    # Every list takes its point counts from one list of ints, so a count is
+    # one object however many lists and institutions hold it.
+    longest = max((len(rank_list.items) for rank_list in rank_lists), default=0)
+    counts = list(range(longest + 1))
+    points: dict[str, list[int]] = {}
+    for index, rank_list in enumerate(rank_lists):
+        n = len(rank_list.items)
+        for position, (institution, _) in enumerate(rank_list.items):
+            vector = points.get(institution)
+            if vector is None:
+                vector = points[institution] = [0] * count
+            vector[index] = counts[n - position]
+    return points
 
 
 def borda_aggregate(
@@ -195,9 +227,18 @@ def borda_aggregate(
     variant: str = "sum",
     p: float | None = None,
 ) -> RankList:
-    """Rank by per-list positional points combined across lists.
+    """Rank by per-list positional points combined across lists (``borda_combine``)."""
+    if not rank_lists:
+        raise ValueError("no rank lists to aggregate")
+    return borda_combine(borda_points(rank_lists), variant, p)
 
-    Institutions absent from a list take 0 points there. Variants:
+
+def borda_combine(
+    points: Mapping[str, Sequence[int]], variant: str = "sum", p: float | None = None
+) -> RankList:
+    """The one Borda step: rank by each institution's combined per-list points.
+
+    ``points`` is what ``borda_points`` counts. Variants:
 
     - ``sum``: total points (the classic count).
     - ``median``: median of the per-list points.
@@ -210,22 +251,24 @@ def borda_aggregate(
     not depend on list order. A ``p`` so large that a point count raised
     to it overflows a float raises ``InvalidPError``.
     """
-    if not rank_lists:
-        raise ValueError("no rank lists to aggregate")
     check_borda(variant, p)
-    points = [borda_scores(rl) for rl in rank_lists]
-    universe = {institution for pts in points for institution in pts}
-    count = len(rank_lists)
     if variant == "sum":
         combine = sum
     elif variant == "median":
-        from statistics import median as combine
+
+        def combine(values):  # statistics.median, without importing it
+            ordered = sorted(values)
+            middle = len(ordered) // 2
+            if len(ordered) % 2:
+                return ordered[middle]
+            return (ordered[middle - 1] + ordered[middle]) / 2
+
     elif variant == "geometric_mean":
 
         def combine(values):
             if 0 in values:
                 return 0.0
-            return math.exp(math.fsum(math.log(v) for v in values) / count)
+            return math.exp(math.fsum(math.log(v) for v in values) / len(values))
 
     else:
 
@@ -233,16 +276,13 @@ def borda_aggregate(
             total = math.fsum(float(v) ** p for v in values)
             if total == math.inf:  # p = inf raises nothing on its own
                 raise OverflowError
-            return total / count
+            return total / len(values)
 
     try:
-        combined = {
-            institution: combine([pts.get(institution, 0) for pts in points])
-            for institution in universe
-        }
+        combined = {institution: combine(values) for institution, values in points.items()}
     except OverflowError:
         raise InvalidPError(
-            f"p={p:g} is too large: point counts up to {len(universe)} "
+            f"p={p:g} is too large: point counts up to {len(points)} "
             "raised to p overflow a float"
         ) from None
     return _ranked(combined)
@@ -285,12 +325,12 @@ def run_aggregation(spec: AggregationSpec, year_tables: YearTables) -> RankList:
     """Aggregate one venue's years into one final ranking.
 
     Every method reads the normalized years; the positional methods read
-    them as yearly rankings. The UNKNOWN sentinel never takes part.
+    their Borda points. The UNKNOWN sentinel never takes part.
     """
     if spec.method == METHOD_NORMALIZED_SUM:
         return to_ranking(normalized_sum(year_tables))
     if spec.method == METHOD_BORDA:
-        return borda_aggregate(year_tables.rankings, spec.borda_variant, spec.p)
+        return borda_combine(year_tables.points, spec.borda_variant, spec.p)
     if spec.method == METHOD_FAGIN:
         return fagin_topk(year_tables.normalized, spec.fagin_k)
     raise ValueError(f"unknown aggregation method {spec.method!r}")

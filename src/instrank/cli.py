@@ -47,6 +47,7 @@ from .ingest import (
     iter_affiliations,
     iter_papers,
     join_affiliations,  # noqa: F401 - perfbench/traced.py wraps it on this module
+    parse_range,
 )
 from .scoring import (
     ScoreTable,
@@ -54,6 +55,7 @@ from .scoring import (
     read_score_csv,
     score_file_name,
     score_venue_years,
+    stored_table,
     write_output,
     write_score_csv,
 )
@@ -81,14 +83,14 @@ def _describe_rows(stats: ParseStats) -> str:
     return text
 
 
-def cmd_score(config: PipelineConfig) -> int:
+def cmd_score(config: PipelineConfig) -> dict[tuple[str, int], ScoreTable]:
     """One streaming pass over both dumps, emitting per-venue-year tables.
 
     ``score_venue_years`` runs the first three phases: index the papers
     the reader keeps by venue and year, read and bucket only their
     affiliation rows, credit each venue-year. Both readers still check and
     count every row. The fourth writes one score file per venue and scored
-    year.
+    year. Returns the exact tables it wrote, by (venue, year).
     """
     os.makedirs(config.output_dir, exist_ok=True)
     span = config.scored_years()
@@ -120,7 +122,7 @@ def cmd_score(config: PipelineConfig) -> int:
         raise DuplicatePaperIdError(f"{config.papers_path}: {exc}") from exc
     for venue_id in config.venues:
         for year in span:
-            table = tables.get((venue_id, year)) or ScoreTable.from_numerators(year, {}, 1)
+            table = tables.setdefault((venue_id, year), ScoreTable.from_numerators(year, {}, 1))
             write_score_csv(
                 table, os.path.join(config.output_dir, score_file_name(venue_id, year))
             )
@@ -131,7 +133,7 @@ def cmd_score(config: PipelineConfig) -> int:
         f"filtered papers without affiliations: {unattributed}",
         file=sys.stderr,
     )
-    return EXIT_OK
+    return tables
 
 
 def _read_tables(
@@ -195,17 +197,21 @@ def cmd_evaluate(config: PipelineConfig) -> int:
 def cmd_pipeline(config: PipelineConfig) -> int:
     """score, aggregate, evaluate, then predict the year after the truth year.
 
-    Each score file is read back once and each venue-year normalized and
-    ranked once; everything after that runs on those views in memory: every
-    venue's rankings are written first, then the report, then the
-    predictions, which aggregate every scored year.
+    No score file is read back: each table ``cmd_score`` wrote is rounded
+    as its file stores it (``stored_table``), so aggregation sees what the
+    separate stages read. Each venue-year is normalized, ranked and given
+    its Borda points once; everything after that runs on those views in
+    memory: every venue's rankings are written first, then the report,
+    then the predictions, which aggregate every scored year.
     """
-    cmd_score(config)
+    written = cmd_score(config)
     years_by_venue = {}
     rankings_by_venue = {}
     truth_by_venue = {}
     for venue_id in config.venues:
-        tables = _read_tables(config, venue_id, config.scored_years())
+        tables = {
+            year: stored_table(written.pop((venue_id, year))) for year in config.scored_years()
+        }
         years = years_by_venue[venue_id] = YearTables(list(tables.values()))
         training = years.through(config.train_years.high)
         rankings = rankings_by_venue[venue_id] = rank_venue(venue_id, training, config.specs)
@@ -221,14 +227,6 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _parse_count_range(text: str) -> tuple[int, int]:
-    if "-" in text:
-        low, high = text.split("-", 1)
-        return int(low), int(high)
-    value = int(text)
-    return value, value
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     # Only this command generates corpora; the others never load the generator.
     from .synth import CorpusParams, generate_corpus
@@ -240,8 +238,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
             num_venues=args.venues,
             years=YearRange.parse(args.years),
             papers_per_venue_year=args.papers_per_venue_year,
-            authors_per_paper=_parse_count_range(args.authors_per_paper),
-            affils_per_author=_parse_count_range(args.affils_per_author),
+            authors_per_paper=parse_range(args.authors_per_paper),
+            affils_per_author=parse_range(args.affils_per_author),
             strength_drift=args.drift,
             unknown_rate=args.unknown_rate,
             filler_width=args.filler_width,
@@ -329,7 +327,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         ]
         config = load_config(args.config, [*args.set, *shorthands])
         if args.command == "score":
-            return cmd_score(config)
+            cmd_score(config)
+            return EXIT_OK
         if args.command == "aggregate":
             return cmd_aggregate(config)
         if args.command == "evaluate":

@@ -29,9 +29,12 @@ def dcg_at_k(ids: Sequence[str], truth: RankList, k: int) -> float:
     contributes gain / log2(i + 1); rankings shorter than k simply stop
     early.
     """
+    return _dcg(ids, dict(truth.items), k)
+
+
+def _dcg(ids: Sequence[str], relevance: Mapping[str, float], k: int) -> float:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    relevance = dict(truth.items)
     gains = []
     for position, institution in enumerate(ids[:k], start=1):
         value = relevance.get(institution, 0.0)
@@ -45,6 +48,17 @@ def ideal_dcg_at_k(truth: RankList, k: int) -> float:
     return dcg_at_k(truth.ids(), truth, k)
 
 
+def _graded(truth: RankList, k: int) -> tuple[dict[str, float], float]:
+    """The truth's relevance map and its ideal DCG at k, the divisor of every NDCG."""
+    if any(score < 0 for _, score in truth.items):
+        raise ValueError("negative relevance in the truth")
+    relevance = dict(truth.items)
+    ideal = _dcg(truth.ids(), relevance, k)
+    if ideal == 0:
+        raise ZeroIdealError("no positive relevance, NDCG undefined")
+    return relevance, ideal
+
+
 def ndcg_at_k(ids: Sequence[str], truth: RankList, k: int) -> float:
     """Normalized DCG in [0, 1]; undefined (not 0) for all-zero truth.
 
@@ -53,12 +67,8 @@ def ndcg_at_k(ids: Sequence[str], truth: RankList, k: int) -> float:
     still fall down the truth. Two scores that round to one float give one
     gain, so their order leaves every DCG unchanged.
     """
-    if any(score < 0 for _, score in truth.items):
-        raise ValueError("negative relevance in the truth")
-    ideal = ideal_dcg_at_k(truth, k)
-    if ideal == 0:
-        raise ZeroIdealError("no positive relevance, NDCG undefined")
-    return dcg_at_k(ids, truth, k) / ideal
+    relevance, ideal = _graded(truth, k)
+    return _dcg(ids, relevance, k) / ideal
 
 
 class EvalRow(NamedTuple):
@@ -83,21 +93,23 @@ def evaluate_rankings(
 ) -> EvalReport:
     """Score each venue's rankings, keyed by method label, against its truth.
 
-    The winner per venue is the method with the highest NDCG; exact ties
-    go to the method listed first. An all-zero truth raises its
-    ``ZeroIdealError`` again, named by venue.
+    Each venue's relevance map and ideal DCG are built once; every value
+    is the float ``ndcg_at_k`` gives. The winner per venue is the method
+    with the highest NDCG; exact ties go to the method listed first. An
+    all-zero truth raises its ``ZeroIdealError`` again, named by venue.
     """
     rows = []
     for venue_id, rankings in rankings_by_venue.items():
         if venue_id not in truth_by_venue:
             raise MissingTruthError(venue_id)
-        truth = truth_by_venue[venue_id]
         try:
-            values = {
-                label: ndcg_at_k(ranking.ids(), truth, k) for label, ranking in rankings.items()
-            }
+            relevance, ideal = _graded(truth_by_venue[venue_id], k)
         except ZeroIdealError as exc:
             raise ZeroIdealError(f"venue {venue_id!r}: {exc}") from exc
+        values = {
+            label: _dcg(ranking.ids(), relevance, k) / ideal
+            for label, ranking in rankings.items()
+        }
         winner = max(values, key=values.get)
         rows.append(EvalRow(venue_id, values, winner))
     return EvalReport(k, rows)

@@ -168,12 +168,13 @@ class YearRange:
     @classmethod
     def parse(cls, text: str) -> "YearRange":
         """Parse ``"2011-2014"`` or a single year ``"2011"``."""
-        part = text.strip()
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            return cls(int(lo), int(hi))
-        year = int(part)
-        return cls(year, year)
+        return cls(*parse_range(text))
+
+
+def parse_range(text: str) -> tuple[int, int]:
+    """``"low-high"`` or one number ``"n"`` as inclusive (low, high); the order is not checked."""
+    low, dash, high = text.strip().partition("-")
+    return int(low), int(high if dash else low)
 
 
 def _read_rows(

@@ -15,11 +15,14 @@ built; ``over_lcm`` is that one sum, which aggregation's normalized sum
 shares. No ``Fraction`` is built anywhere on this path.
 Tables are keyed in sorted institution order for reproducible iteration.
 ``order_by_score`` is the one ordering of a score file and of every
-ranking. Score and ranking files are read back through one checked row
-reader (``read_checked_rows``), which decodes each row on its own, so a
-bad row, bad bytes included, raises ``ingest.MalformedRowError`` naming
-it, the same error as a bad dump row. Every output file is written whole
-by one function, ``write_output``.
+ranking. A score file stores each score as the float of its exact value;
+``stored_table`` builds, in memory, the table ``read_score_csv`` reads
+back from that file, so ``pipeline`` aggregates what the separate stages
+read without parsing its files again. Score and ranking files are read
+back through one checked row reader (``read_checked_rows``), which
+decodes each row on its own, so a bad row, bad bytes included, raises
+``ingest.MalformedRowError`` naming it, the same error as a bad dump row.
+Every output file is written whole by one function, ``write_output``.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class ScoreTable:
 
     def __init__(self, year: int | None, entries: Mapping[str, float], tag: object = None) -> None:
         ratios = {institution: value.as_integer_ratio() for institution, value in entries.items()}
-        denominator = math.lcm(*(d for _, d in ratios.values()))
+        denominator = math.lcm(*{d for _, d in ratios.values()})
         self.year = year
         self.numerators = {
             institution: n * (denominator // d) for institution, (n, d) in ratios.items()
@@ -229,13 +232,34 @@ def score_file_name(venue_id: str, year: int) -> str:
     return f"scores_{venue_id}_{year}.csv"
 
 
+def stored_table(table: ScoreTable) -> ScoreTable:
+    """``table`` as its score file stores it, equal to what ``read_score_csv`` reads back.
+
+    The UNKNOWN sentinel is dropped and each score becomes the float
+    ``numerator / denominator`` that ``write_score_csv`` writes. Every such
+    float is exact, so the table holds the floats over their lcm, in id
+    order, as the reader builds it: same keys in the same order, same
+    numerators, same denominator.
+    """
+    visible = drop_unknown(table)
+    denominator = visible.denominator
+    return ScoreTable(
+        table.year,
+        {
+            institution: numerator / denominator
+            for institution, numerator in sorted(visible.numerators.items())
+        },
+    )
+
+
 def write_score_csv(table: ScoreTable, path: str) -> None:
     """Write ``institution_id,score`` sorted by score descending, id ascending.
 
     The UNKNOWN sentinel never reaches disk. Scores are written as
     shortest round-tripping floats, so a rerun is byte-identical. Integer
     true division is correctly rounded, so ``numerator / denominator`` is
-    the float of the exact score.
+    the float of the exact score, and the file stores ``stored_table(table)``.
+    Rows are ordered by the exact scores.
     """
     visible = drop_unknown(table)
     denominator = visible.denominator

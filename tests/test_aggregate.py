@@ -18,6 +18,7 @@ from instrank.aggregate import (
     RankList,
     YearTables,
     borda_aggregate,
+    borda_combine,
     borda_scores,
     fagin_topk,
     normalized_sum,
@@ -419,6 +420,85 @@ def test_rank_venue_names_the_venue_and_method_of_a_spec_that_does_not_fit(text,
         rank_venue("V7", years, specs)
     label = specs[1].label
     assert str(info.value).startswith(f"venue 'V7', method {label}: {reason}")
+
+
+def years_with_comings_and_goings(seed: int) -> list:
+    # Institutions miss whole years; "late" appears only in the last year.
+    rng = random.Random(seed)
+    tables = []
+    for year in (2011, 2012, 2013, 2014):
+        entries = {
+            f"I{j:02d}": Fraction(rng.randint(1, 40), rng.randint(1, 5))
+            for j in range(12)
+            if rng.random() < 0.7
+        }
+        if year == 2014:
+            entries["late"] = Fraction(100)
+        entries[UNKNOWN_INSTITUTION] = Fraction(rng.randint(1, 60))
+        tables.append(make_table(year, entries))
+    return tables
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_borda_variant_combines_the_one_point_table(seed):
+    tables = years_with_comings_and_goings(seed)
+    years = YearTables(tables)
+    specs = [
+        AggregationSpec.parse(text)
+        for text in (
+            "borda:sum",
+            "borda:median",
+            "borda:geometric_mean",
+            "borda:p_norm:2",
+            "borda:p_norm:0.5",
+        )
+    ]
+    for last, view in ((2014, years), (2013, years.through(2013)), (2011, years.through(2011))):
+        count = last - 2010
+        # Borda reads only each year's order, which scaling leaves alone.
+        lists = [to_ranking(table) for table in tables[:count]]
+        assert [ranking.ids() for ranking in view.rankings] == [ranking.ids() for ranking in lists]
+        assert view.points == YearTables(tables[:count]).points
+        for spec in specs:
+            got = run_aggregation(spec, view)
+            assert got == borda_aggregate(view.rankings, spec.borda_variant, spec.p)
+            want = borda_aggregate(lists, spec.borda_variant, spec.p)
+            assert [(inst, repr(float(score))) for inst, score in got.items] == [
+                (inst, repr(float(score))) for inst, score in want.items
+            ], spec.label
+    assert "late" in years.points
+    assert "late" not in years.through(2013).points
+
+
+def test_borda_median_is_the_statistics_median_of_the_points():
+    import statistics
+
+    rng = random.Random(8)
+    for _ in range(200):
+        years = rng.randint(1, 6)
+        points = {f"I{j}": [rng.randint(0, 9) for _ in range(years)] for j in range(5)}
+        got = dict(borda_combine(points, "median").items)
+        assert got == {inst: statistics.median(values) for inst, values in points.items()}
+
+
+def test_a_p_norm_that_overflows_the_shared_points_is_named_by_venue_and_method():
+    # 3**1000 overflows a float and 2**1000 does not; "D" joins only in 2012.
+    years = YearTables(
+        [
+            make_table(2011, {"A": 3, "B": 2, "C": 1}),
+            make_table(2012, {"A": 3, "B": 2, "C": 1, "D": 4}),
+        ]
+    )
+    spec = AggregationSpec("borda", "p_norm", 1000.0)
+    for view, universe in ((years.through(2011), 3), (years, 4)):
+        with pytest.raises(InvalidPError) as info:
+            rank_venue("V3", view, [AggregationSpec.parse("borda:sum"), spec])
+        assert str(info.value) == (
+            f"venue 'V3', method borda_p_norm_1000: p=1000 is too large: "
+            f"point counts up to {universe} raised to p overflow a float"
+        )
+    two = YearTables([make_table(2011, {"A": 2, "B": 1})])
+    assert rank_venue("V3", two, [spec])[spec.label].items[0] == ("A", 2.0**1000)
 
 
 def test_unanimity_identical_years_keep_their_order():

@@ -1141,11 +1141,7 @@ def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch)
     corpus_dir.mkdir()
     corpus = generate_corpus(params, str(corpus_dir), compute_realized=False)
     real_read = cli.read_score_csv
-    reads = []
-
-    def counting_read(path, year):
-        reads.append(os.path.basename(path))
-        return real_read(path, year)
+    reads = {"stages": [], "pipeline": []}
 
     outputs = {}
     for out_name, commands in (
@@ -1166,8 +1162,12 @@ def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch)
                 "borda:geometric_mean, borda:p_norm:2, fagin\nk = 10\n"
             ),
         )
-        if out_name == "pipeline":
-            monkeypatch.setattr(cli, "read_score_csv", counting_read)
+
+        def counting_read(path, year, reads=reads[out_name]):
+            reads.append(os.path.basename(path))
+            return real_read(path, year)
+
+        monkeypatch.setattr(cli, "read_score_csv", counting_read)
         for command in commands:
             assert main([command, "--config", cfg_path]) == EXIT_OK
         outputs[out_name] = {
@@ -1181,8 +1181,10 @@ def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch)
     assert {
         name: data for name, data in outputs["pipeline"].items() if name not in predictions
     } == outputs["stages"]
-    # The pipeline reads each score file it wrote exactly once.
-    assert sorted(reads) == sorted(
+    # The pipeline aggregates the tables its score files store without reading
+    # them back; aggregate reads the training years and evaluate the truth year.
+    assert reads["pipeline"] == []
+    assert sorted(reads["stages"]) == sorted(
         score_file_name(venue, year) for venue in ("V0", "V1", "V2") for year in range(2011, 2016)
     )
 
@@ -1237,6 +1239,45 @@ def test_synth_command_rejects_bad_params(tmp_path):
         ["synth", "--out", str(tmp_path), "--institutions", "0"]
     )
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--authors-per-paper", "4-1", "authors_per_paper range (4, 1) is empty"),
+        ("--affils-per-author", "3-2", "affils_per_author range (3, 2) is empty"),
+        ("--years", "2015-2011", "empty year range 2015-2011"),
+        ("--authors-per-paper", "1-x", "invalid literal for int() with base 10: 'x'"),
+        ("--affils-per-author", "two", "invalid literal for int() with base 10: 'two'"),
+        ("--years", "2011-", "invalid literal for int() with base 10: ''"),
+    ],
+)
+def test_synth_range_flags_share_one_parse_and_reject_a_bad_range(
+    tmp_path, capsys, flag, value, message
+):
+    out_dir = tmp_path / "corpus"
+    assert main(["synth", "--out", str(out_dir), flag, value]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
+    assert not out_dir.exists()
+
+
+def test_synth_range_flags_take_one_number_or_a_range(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    from instrank import synth
+
+    seen = []
+
+    def generate(params, out_dir, compute_realized):
+        seen.append(params)
+        return SimpleNamespace(papers_path="p", affiliations_path="a", realized=None)
+
+    monkeypatch.setattr(synth, "generate_corpus", generate)
+    argv = ["synth", "--out", str(tmp_path), "--years", " 2012 "]
+    assert main([*argv, "--authors-per-paper", "3", "--affils-per-author", " 1-2"]) == EXIT_OK
+    assert seen[0].authors_per_paper == (3, 3)
+    assert seen[0].affils_per_author == (1, 2)
+    assert seen[0].years == YearRange(2012, 2012)
 
 
 @pytest.mark.parametrize("drift", ["nan", "inf", "1e308"])

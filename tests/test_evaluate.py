@@ -299,6 +299,44 @@ def test_protocol_names_the_venue_of_an_all_zero_truth():
     assert str(info.value) == "venue 'V1': no positive relevance, NDCG undefined"
 
 
+def test_protocol_values_are_ndcg_at_k_bit_for_bit():
+    # evaluate_rankings builds each truth's relevance map and ideal DCG once.
+    rng = random.Random(29)
+    for _ in range(60):
+        ids = [f"I{j:02d}" for j in range(rng.randint(1, 25))]
+        truth = to_ranking(
+            make_table(
+                2015,
+                {inst: Fraction(rng.randint(0, 9), rng.randint(1, 4)) for inst in ids}
+                | {"top": 10},
+            )
+        )
+        rankings = {}
+        for label in ("m0", "m1", "m2"):
+            order = ids + ["top", "absent"]
+            rng.shuffle(order)
+            rankings[label] = make_rank_list([(inst, 1.0) for inst in order])
+        k = rng.randint(1, 30)
+        report = evaluate_rankings({"V0": rankings}, {"V0": truth}, k)
+        assert {label: repr(value) for label, value in report.rows[0].values.items()} == {
+            label: repr(ndcg_at_k(ranking.ids(), truth, k)) for label, ranking in rankings.items()
+        }
+
+
+def test_protocol_raises_what_ndcg_at_k_raises():
+    ranking = make_rank_list([("A", 1.0), ("B", 1.0)])
+    negative = make_rank_list([("B", 2.0), ("A", -1.0)])
+    with pytest.raises(ValueError, match="^negative relevance in the truth$"):
+        evaluate_rankings({"V0": {"m": ranking}}, {"V0": negative}, 2)
+    with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+        evaluate_rankings({"V0": {"m": ranking}}, {"V0": THREE_LEVELS}, 0)
+    zero = to_ranking(make_table(2015, {"A": 0, "B": 0}))
+    for truth in (zero, RankList(())):
+        with pytest.raises(ZeroIdealError) as info:
+            evaluate_rankings({"V0": {"m": ranking}}, {"V0": truth}, 2)
+        assert str(info.value) == "venue 'V0': no positive relevance, NDCG undefined"
+
+
 def test_protocol_winner_matches_direct_recomputation():
     rng = random.Random(41)
     specs = [

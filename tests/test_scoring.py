@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import as_streams, make_attributed, make_table, rows_of
@@ -28,6 +28,7 @@ from instrank.scoring import (
     read_score_csv,
     score_file_name,
     score_venue_years,
+    stored_table,
     write_score_csv,
 )
 from instrank.synth import naive_score
@@ -535,3 +536,42 @@ def test_a_score_file_reads_back_as_the_floats_written(tmp_path_factory, entries
     }
     assert back == make_table(2014, expected)
     assert list(back.numerators) == list(expected)
+
+
+# A third of a unit and a value 2**-80 above it round to one float.
+NEAR_THIRD = Fraction(1, 3) + Fraction(1, 2**80)
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from(["A", "B", "Dept, Univ", "a,b,", "I\rJ", "K\r", UNKNOWN_INSTITUTION]),
+        st.fractions(min_value=0, max_value=10**6, max_denominator=10**9)
+        | st.builds(lambda n, e: Fraction(n, 2**e), st.integers(0, 2**80), st.integers(0, 90))
+        | st.sampled_from([Fraction(1, 3), NEAR_THIRD]),
+    )
+)
+@example({})
+@example({UNKNOWN_INSTITUTION: Fraction(1, 2)})
+@example({"B": Fraction(1, 3), "A": NEAR_THIRD, "I\rJ": Fraction(2), UNKNOWN_INSTITUTION: 1})
+@settings(max_examples=300, deadline=None)
+def test_the_stored_table_is_what_its_score_file_reads_back_as(tmp_path_factory, entries):
+    # pipeline aggregates stored_table(table) instead of reading the file back.
+    table = ScoreTable(2014, entries)
+    path = str(tmp_path_factory.mktemp("scores") / "scores.csv")
+    write_score_csv(table, path)
+    stored, back = stored_table(table), read_score_csv(path, 2014)
+    assert stored.year == back.year == 2014
+    assert list(stored.numerators.items()) == list(back.numerators.items())
+    assert stored.denominator == back.denominator
+
+
+def test_two_scores_that_round_to_one_float_keep_their_exact_order_on_disk(tmp_path):
+    assert float(NEAR_THIRD) == float(Fraction(1, 3))
+    table = ScoreTable(2014, {"A": Fraction(1, 3), "B": NEAR_THIRD})
+    path = tmp_path / "scores.csv"
+    write_score_csv(table, str(path))
+    third = repr(1 / 3)
+    assert path.read_text(encoding="utf-8") == f"institution_id,score\nB,{third}\nA,{third}\n"
+    assert stored_table(table) == read_score_csv(str(path), 2014) == ScoreTable(
+        2014, {"A": 1 / 3, "B": 1 / 3}
+    )

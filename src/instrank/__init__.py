@@ -12,7 +12,6 @@ from .aggregate import (
     RankList,
     RankedItem,
     borda_aggregate,
-    borda_scores,
     fagin_topk,
     normalized_sum,
     rank_venue,
@@ -67,7 +66,6 @@ __all__ = [
     "UNKNOWN_INSTITUTION",
     "YearRange",
     "borda_aggregate",
-    "borda_scores",
     "dcg_at_k",
     "evaluate_rankings",
     "fagin_topk",

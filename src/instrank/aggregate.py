@@ -4,15 +4,16 @@ Every year is normalized once (``YearTables.normalized``) and three
 aggregation families read that view: a normalized score sum over the
 years, positional (Borda-style) point counts with several combining
 variants, and Fagin-style top-k by mean normalized score. Each
-institution's per-year Borda points are counted once per venue
-(``YearTables.points``), and every variant combines that one table
-(``borda_combine``). A normalized year is its integer numerators over the
-year's top numerator, so sums and orderings are integer arithmetic; the
-normalized sum is ``scoring.over_lcm`` over the years. A ranking
-(``RankList``) is its items in order; its ranks are numbered when it is
-written. One builder (``_ranked``, over ``scoring.order_by_score``) makes
-every ranking: higher values first, score ties by institution id
-ascending. A ranking file is read back through
+institution's per-year Borda points are counted once per venue from the
+normalized years' id orders (``YearTables.points``), and every variant
+combines that one table (``borda_combine``). A normalized year is its
+integer numerators over the year's top numerator, so sums and orderings
+are integer arithmetic; the normalized sum is ``scoring.over_lcm`` over
+the years. A ranking (``RankList``) is built only for a list that is
+written or graded; it is its items in order, and its ranks are numbered
+when it is written. One builder (``_ranked``, over
+``scoring.order_by_score``) makes every ranking: higher values first,
+score ties by institution id ascending. A ranking file is read back through
 ``scoring.read_checked_rows``, the score file's reader, plus the checks
 only a ranking needs.
 """
@@ -151,30 +152,30 @@ def to_ranking(table: ScoreTable) -> RankList:
 
 
 class YearTables:
-    """One venue's per-year tables, in year order, normalized and ranked once, up front.
+    """One venue's per-year tables, in year order, normalized and counted once, up front.
 
     The UNKNOWN sentinel is dropped and every year scaled to a maximum of
     1: a normalized year is the year's numerators over its top numerator,
     so building it copies nothing. ``normalized`` is the one view every
-    method reads. ``rankings`` holds each normalized year's ranking, and
-    ``points`` each institution's Borda points in those rankings
-    (``borda_points``), which every positional method combines. ``through``
-    slices all three, so each year is ranked and counted once however many
-    spans and specs read it.
+    method reads. ``points`` holds each institution's Borda points in the
+    normalized years' orders (``borda_points``), which every positional
+    method combines. ``through`` slices both, so each year is ordered and
+    counted once however many spans and specs read it.
     """
 
     def __init__(self, tables: Sequence[ScoreTable]) -> None:
         if not tables:
             raise ValueError("no year tables to aggregate")
         self.normalized = [normalize(drop_unknown(table)) for table in tables]
-        self.rankings = [to_ranking(table) for table in self.normalized]
-        self.points = borda_points(self.rankings)
+        self.points = borda_points(
+            [[inst for inst, _ in order_by_score(table.numerators)] for table in self.normalized]
+        )
 
     def through(self, year: int) -> "YearTables":
-        """The leading years up to ``year``, sharing these views, rankings and points."""
+        """The leading years up to ``year``, sharing these views and points."""
         count = sum(table.year <= year for table in self.normalized)
         head = object.__new__(YearTables)
-        head.normalized, head.rankings = self.normalized[:count], self.rankings[:count]
+        head.normalized = self.normalized[:count]
         # An institution that first appears after ``year`` is not in the head.
         head.points = {
             inst: kept for inst, vector in self.points.items() if any(kept := vector[:count])
@@ -196,25 +197,21 @@ def normalized_sum(year_tables: YearTables) -> ScoreTable:
     )
 
 
-def borda_scores(rank_list: RankList) -> dict[str, int]:
-    """Positional points for one list: n for the first item down to 1 for the last."""
-    return {institution: points for institution, (points,) in borda_points([rank_list]).items()}
+def borda_points(orders: Sequence[Sequence[str]]) -> dict[str, list[int]]:
+    """Each institution's positional points in every order, 0 where it is absent.
 
-
-def borda_points(rank_lists: Sequence[RankList]) -> dict[str, list[int]]:
-    """Each institution's positional points in every list, 0 where it is absent.
-
-    In a list of n items the first earns n points and the last 1.
+    An order is a list's institution ids, best first. In an order of n ids
+    the first earns n points and the last 1.
     """
-    count = len(rank_lists)
-    # Every list takes its point counts from one list of ints, so a count is
-    # one object however many lists and institutions hold it.
-    longest = max((len(rank_list.items) for rank_list in rank_lists), default=0)
+    count = len(orders)
+    # Every order takes its point counts from one list of ints, so a count
+    # is one object however many orders and institutions hold it.
+    longest = max(map(len, orders), default=0)
     counts = list(range(longest + 1))
     points: dict[str, list[int]] = {}
-    for index, rank_list in enumerate(rank_lists):
-        n = len(rank_list.items)
-        for position, (institution, _) in enumerate(rank_list.items):
+    for index, order in enumerate(orders):
+        n = len(order)
+        for position, institution in enumerate(order):
             vector = points.get(institution)
             if vector is None:
                 vector = points[institution] = [0] * count
@@ -230,7 +227,9 @@ def borda_aggregate(
     """Rank by per-list positional points combined across lists (``borda_combine``)."""
     if not rank_lists:
         raise ValueError("no rank lists to aggregate")
-    return borda_combine(borda_points(rank_lists), variant, p)
+    return borda_combine(
+        borda_points([rank_list.ids() for rank_list in rank_lists]), variant, p
+    )
 
 
 def borda_combine(
@@ -281,8 +280,9 @@ def borda_combine(
     try:
         combined = {institution: combine(values) for institution, values in points.items()}
     except OverflowError:
+        largest = max(count for values in points.values() for count in values)
         raise InvalidPError(
-            f"p={p:g} is too large: point counts up to {len(points)} "
+            f"p={p:g} is too large: point counts up to {largest} "
             "raised to p overflow a float"
         ) from None
     return _ranked(combined)

@@ -136,42 +136,36 @@ def cmd_score(config: PipelineConfig) -> dict[tuple[str, int], ScoreTable]:
     return tables
 
 
-def _read_tables(
-    config: PipelineConfig, venue_id: str, years: YearRange
-) -> dict[int, ScoreTable]:
-    return {
-        year: read_score_csv(
-            os.path.join(config.output_dir, score_file_name(venue_id, year)), year
-        )
-        for year in years
-    }
+def _read_table(config: PipelineConfig, venue_id: str, year: int) -> ScoreTable:
+    return read_score_csv(os.path.join(config.output_dir, score_file_name(venue_id, year)), year)
 
 
-def _write_rankings(config: PipelineConfig, venue_id: str, rankings: dict[str, RankList]) -> None:
-    """Write one venue's ranking of every spec as CSV and JSON."""
+def _write_rankings(
+    config: PipelineConfig, venue_id: str, years: YearTables
+) -> dict[str, RankList]:
+    """Rank one venue's years by every spec and write each ranking as CSV and JSON."""
+    rankings = rank_venue(venue_id, years, config.specs)
     for spec in config.specs:
         ranking = rankings[spec.label]
         base = os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label))
         write_ranking_csv(ranking, base)
         write_ranking_json(ranking, spec, base[: -len(".csv")] + ".json")
+    return rankings
 
 
 def cmd_aggregate(config: PipelineConfig) -> int:
     """Aggregate the training-year score files into final rankings."""
     for venue_id in config.venues:
-        tables = _read_tables(config, venue_id, config.train_years)
-        years = YearTables(list(tables.values()))
-        _write_rankings(config, venue_id, rank_venue(venue_id, years, config.specs))
+        tables = [_read_table(config, venue_id, year) for year in config.train_years]
+        _write_rankings(config, venue_id, YearTables(tables))
     return EXIT_OK
 
 
 def _build_report(config: PipelineConfig) -> EvalReport:
     rankings_by_venue = {}
     truth_by_venue = {}
-    truth_year = config.truth_year
     for venue_id in config.venues:
-        truth = _read_tables(config, venue_id, YearRange(truth_year, truth_year))
-        truth_by_venue[venue_id] = to_ranking(truth[truth_year])
+        truth_by_venue[venue_id] = to_ranking(_read_table(config, venue_id, config.truth_year))
         rankings_by_venue[venue_id] = {
             spec.label: read_ranking_csv(
                 os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label))
@@ -199,8 +193,8 @@ def cmd_pipeline(config: PipelineConfig) -> int:
 
     No score file is read back: each table ``cmd_score`` wrote is rounded
     as its file stores it (``stored_table``), so aggregation sees what the
-    separate stages read. Each venue-year is normalized, ranked and given
-    its Borda points once; everything after that runs on those views in
+    separate stages read. Each venue-year is normalized and given its
+    Borda points once; everything after that runs on those views in
     memory: every venue's rankings are written first, then the report,
     then the predictions, which aggregate every scored year.
     """
@@ -214,8 +208,7 @@ def cmd_pipeline(config: PipelineConfig) -> int:
         }
         years = years_by_venue[venue_id] = YearTables(list(tables.values()))
         training = years.through(config.train_years.high)
-        rankings = rankings_by_venue[venue_id] = rank_venue(venue_id, training, config.specs)
-        _write_rankings(config, venue_id, rankings)
+        rankings_by_venue[venue_id] = _write_rankings(config, venue_id, training)
         truth_by_venue[venue_id] = to_ranking(tables[config.truth_year])
     report = evaluate_rankings(rankings_by_venue, truth_by_venue, config.k)
     _write_report(config, report)

@@ -43,11 +43,6 @@ def _dcg(ids: Sequence[str], relevance: Mapping[str, float], k: int) -> float:
     return math.fsum(gains)
 
 
-def ideal_dcg_at_k(truth: RankList, k: int) -> float:
-    """DCG of the truth's own order, the best ordering it allows."""
-    return dcg_at_k(truth.ids(), truth, k)
-
-
 def _graded(truth: RankList, k: int) -> tuple[dict[str, float], float]:
     """The truth's relevance map and its ideal DCG at k, the divisor of every NDCG."""
     if any(score < 0 for _, score in truth.items):

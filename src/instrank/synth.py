@@ -77,7 +77,8 @@ class CorpusParams:
 @dataclass(frozen=True)
 class GeneratedCorpus:
     """The dump paths, and the exact realized scores per year recomputed from
-    the generated rows (None when the corpus was streamed straight to disk)."""
+    the generated rows (None when ``compute_realized`` is false, as with
+    ``synth --no-truth``)."""
 
     papers_path: str
     affiliations_path: str

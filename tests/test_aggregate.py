@@ -19,7 +19,7 @@ from instrank.aggregate import (
     YearTables,
     borda_aggregate,
     borda_combine,
-    borda_scores,
+    borda_points,
     fagin_topk,
     normalized_sum,
     rank_venue,
@@ -180,8 +180,8 @@ def test_normalized_sum_single_year_equals_that_years_normalization():
 
 def test_borda_points_for_three_items():
     # Three entries: 3 points for the first preference, 2, then 1.
-    points = borda_scores(make_rank_list([("A", 9), ("B", 5), ("C", 2)]))
-    assert points == {"A": 3, "B": 2, "C": 1}
+    points = borda_points([make_rank_list([("A", 9), ("B", 5), ("C", 2)]).ids()])
+    assert points == {"A": [3], "B": [2], "C": [1]}
 
 
 def test_borda_sum_identical_lists_keep_the_order():
@@ -457,11 +457,10 @@ def test_every_borda_variant_combines_the_one_point_table(seed):
         count = last - 2010
         # Borda reads only each year's order, which scaling leaves alone.
         lists = [to_ranking(table) for table in tables[:count]]
-        assert [ranking.ids() for ranking in view.rankings] == [ranking.ids() for ranking in lists]
+        assert view.points == borda_points([ranking.ids() for ranking in lists])
         assert view.points == YearTables(tables[:count]).points
         for spec in specs:
             got = run_aggregation(spec, view)
-            assert got == borda_aggregate(view.rankings, spec.borda_variant, spec.p)
             want = borda_aggregate(lists, spec.borda_variant, spec.p)
             assert [(inst, repr(float(score))) for inst, score in got.items] == [
                 (inst, repr(float(score))) for inst, score in want.items
@@ -490,13 +489,23 @@ def test_a_p_norm_that_overflows_the_shared_points_is_named_by_venue_and_method(
         ]
     )
     spec = AggregationSpec("borda", "p_norm", 1000.0)
-    for view, universe in ((years.through(2011), 3), (years, 4)):
+    for view, largest in ((years.through(2011), 3), (years, 4)):
         with pytest.raises(InvalidPError) as info:
             rank_venue("V3", view, [AggregationSpec.parse("borda:sum"), spec])
         assert str(info.value) == (
             f"venue 'V3', method borda_p_norm_1000: p=1000 is too large: "
-            f"point counts up to {universe} raised to p overflow a float"
+            f"point counts up to {largest} raised to p overflow a float"
         )
+    # Disjoint years: four institutions, but no list is longer than two.
+    disjoint = YearTables(
+        [make_table(2011, {"A": 2, "B": 1}), make_table(2012, {"C": 2, "D": 1})]
+    )
+    with pytest.raises(InvalidPError) as info:
+        rank_venue("V3", disjoint, [AggregationSpec.parse("borda:p_norm:1100")])
+    assert str(info.value) == (
+        "venue 'V3', method borda_p_norm_1100: p=1100 is too large: "
+        "point counts up to 2 raised to p overflow a float"
+    )
     two = YearTables([make_table(2011, {"A": 2, "B": 1})])
     assert rank_venue("V3", two, [spec])[spec.label].items[0] == ("A", 2.0**1000)
 

@@ -1089,7 +1089,7 @@ def test_pipeline_normalizes_each_venue_year_once(tmp_path, monkeypatch):
 
 def test_pipeline_ranks_each_venue_year_once(tmp_path, monkeypatch):
     # Both methods are borda, so the winner's prediction reads every scored
-    # year's ranking, and the training rankings must be the same objects.
+    # year's points, which must be the ones the training rankings counted.
     params = CorpusParams(
         num_institutions=9,
         num_authors=70,
@@ -1111,18 +1111,27 @@ def test_pipeline_ranks_each_venue_year_once(tmp_path, monkeypatch):
         truth="2014",
         extra="\n[aggregation]\nmethods = borda:sum, borda:median\nk = 3\n",
     )
-    real_to_ranking = aggregate.to_ranking
-    ranked = []
+    real_normalize, real_order_by_score = aggregate.normalize, aggregate.order_by_score
+    normalized, ordered = [], []
 
-    def counting_to_ranking(table, *args, **kwargs):
-        if table.year is not None:
-            ranked.append(table.year)
-        return real_to_ranking(table, *args, **kwargs)
+    def counting_normalize(table, *args, **kwargs):
+        result = real_normalize(table, *args, **kwargs)
+        normalized.append(result)
+        return result
 
-    monkeypatch.setattr(aggregate, "to_ranking", counting_to_ranking)
+    def counting_order_by_score(entries, *args, **kwargs):
+        ordered.append(entries)
+        return real_order_by_score(entries, *args, **kwargs)
+
+    monkeypatch.setattr(aggregate, "normalize", counting_normalize)
+    monkeypatch.setattr(aggregate, "order_by_score", counting_order_by_score)
     assert main(["pipeline", "--config", cfg_path]) == EXIT_OK
-    # Two venues times four scored years.
-    assert sorted(ranked) == sorted(list(range(2011, 2015)) * 2)
+    # Two venues times four scored years, each normalized once.
+    assert sorted(table.year for table in normalized) == sorted(list(range(2011, 2015)) * 2)
+    # Each normalized year is ordered once, for its points; the truth year
+    # once more, as the ranking NDCG grades against.
+    times = [sum(entries is table.numerators for entries in ordered) for table in normalized]
+    assert times == [1 + (table.year == 2014) for table in normalized]
 
 
 def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch):

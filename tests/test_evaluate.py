@@ -25,9 +25,9 @@ from instrank.evaluate import (
     EvalRow,
     MissingTruthError,
     ZeroIdealError,
+    _graded,
     dcg_at_k,
     evaluate_rankings,
-    ideal_dcg_at_k,
     ndcg_at_k,
     render_report_csv,
     render_report_text,
@@ -68,7 +68,10 @@ def test_dcg_rejects_nonpositive_k():
 
 
 def test_ideal_dcg_orders_by_relevance():
-    assert ideal_dcg_at_k(THREE_LEVELS, 3) == dcg_at_k(["A", "B", "C"], THREE_LEVELS, 3)
+    relevance, ideal = _graded(THREE_LEVELS, 3)
+    assert relevance == {"A": 3.0, "B": 2.0, "C": 1.0}
+    assert ideal == dcg_at_k(["A", "B", "C"], THREE_LEVELS, 3)
+    assert ideal > dcg_at_k(["C", "B", "A"], THREE_LEVELS, 3)
 
 
 def test_truth_keeps_its_ideal_order_ties_by_id():

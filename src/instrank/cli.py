@@ -84,13 +84,16 @@ def _describe_rows(stats: ParseStats) -> str:
 
 
 def cmd_score(config: PipelineConfig) -> dict[tuple[str, int], ScoreTable]:
-    """One streaming pass over both dumps, emitting per-venue-year tables.
+    """Stream both dumps into per-venue-year tables and write them.
 
     ``score_venue_years`` runs the first three phases: index the papers
-    the reader keeps by venue and year, read and bucket only their
-    affiliation rows, credit each venue-year. Both readers still check and
-    count every row. The fourth writes one score file per venue and scored
-    year. Returns the exact tables it wrote, by (venue, year).
+    the reader keeps by venue and year, read only their affiliation rows,
+    credit each paper into its venue-year. Both readers still check and
+    count every row. The affiliations may be read twice (see
+    ``RowReader``); each pass counts into its own ``ParseStats`` and the
+    summary reports the last, so no row is counted twice. The fourth
+    phase writes one score file per venue and scored year. Returns the
+    exact tables it wrote, by (venue, year).
     """
     os.makedirs(config.output_dir, exist_ok=True)
     span = config.scored_years()
@@ -108,6 +111,8 @@ def cmd_score(config: PipelineConfig) -> dict[tuple[str, int], ScoreTable]:
     )
 
     def read_rows(paper_ids):
+        nonlocal affil_stats
+        affil_stats = ParseStats()
         return iter_affiliations(
             config.affiliations_path,
             config.affiliations_schema,

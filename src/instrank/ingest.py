@@ -12,9 +12,12 @@ no call per row, and a bad row goes to one skip-or-abort policy. The
 selection is pushed into the loops, so most of a whole-graph dump is
 validated and dropped without building a record: ``iter_papers`` takes
 the venue set and year span, and ``iter_affiliations`` the paper ids the
-join asks for. The join (``index_affiliations``) indexes the filtered
-papers first, each as one list headed by its shared ``(venue_id, year)``
-key, then reads only their rows and appends each row's two ids to it.
+join asks for. The join indexes the filtered papers first
+(``index_papers``), each by its shared ``(venue_id, year)`` key, and
+scoring credits their rows run by run as they stream past; only a dump
+whose rows are not grouped by paper has them gathered first
+(``gather_rows``), each paper's two ids per row appended to one list
+headed by its key.
 """
 
 from __future__ import annotations
@@ -118,6 +121,9 @@ class AttributedPaper(NamedTuple):
 
 # The join's source of affiliation rows: given the filtered paper ids, it
 # streams ``(paper_id, author_id, institution_id)`` tuples of those papers.
+# It is called once, or twice when the rows of some paper are not
+# contiguous: the first pass is then abandoned (closed, if it has a
+# ``close``) and the second is read to the end.
 RowReader = Callable[[Collection[str]], Iterable[tuple[str, str, str]]]
 
 
@@ -351,25 +357,35 @@ def filter_papers(
             yield paper
 
 
-def index_affiliations(papers: Iterable[PaperRecord], read_rows: RowReader) -> dict[str, list]:
-    """The join: each filtered paper id mapped to ``[key, author, institution, ...]``.
+def index_papers(papers: Iterable[PaperRecord]) -> dict[str, tuple[str, int]]:
+    """Each filtered paper id mapped to its ``(venue_id, year)`` key, in stream order.
 
-    The papers are indexed first, in stream order, each as a one-item list
-    holding its ``(venue_id, year)`` key, one tuple shared by its
-    venue-year; a paper id listed twice raises ``DuplicatePaperIdError``.
-    ``read_rows`` is then called once with the index. Each row of an
-    indexed paper appends its two ids, in file order, through
-    ``sys.intern`` (a corpus has a few thousand distinct authors and
-    institutions); other rows are dropped. Nothing else is kept per paper.
-    A list of length 1 is a paper with no rows.
+    A key is one tuple shared by every paper of its venue-year, so nothing
+    is built per paper. A paper id listed twice raises
+    ``DuplicatePaperIdError``.
     """
-    where: dict[str, list] = {}
+    where: dict[str, tuple[str, int]] = {}
     keys: dict[tuple[str, int], tuple[str, int]] = {}
     for paper_id, year, venue_id in papers:
         if paper_id in where:
             raise DuplicatePaperIdError(f"paper id {paper_id!r} appears twice in the filtered set")
         key = (venue_id, year)
-        where[paper_id] = [keys.setdefault(key, key)]
+        where[paper_id] = keys.setdefault(key, key)
+    return where
+
+
+def gather_rows(where: dict, read_rows: RowReader) -> dict[str, list]:
+    """Bucket the indexed papers' rows: each entry becomes ``[key, author, institution, ...]``.
+
+    ``where`` is an index as ``index_papers`` builds it; its entries are
+    replaced in place and it is returned. ``read_rows`` is called once with
+    it. Each row of an indexed paper appends its two ids, in file order,
+    through ``sys.intern`` (a corpus has a few thousand distinct authors
+    and institutions); other rows are dropped. A list of length 1 is a
+    paper with no rows.
+    """
+    for paper_id, key in where.items():
+        where[paper_id] = [key]
     for paper_id, author_id, institution_id in read_rows(where):
         ids = where.get(paper_id)
         if ids is not None:
@@ -385,11 +401,11 @@ def join_affiliations(
 ) -> Iterator[AttributedPaper]:
     """Attach affiliation rows to each filtered paper, in paper-stream order.
 
-    Built on ``index_affiliations``; each paper's record and its
-    ``AffiliationRow``s are rebuilt from its id list only as the paper is
-    emitted. Papers with no rows go to ``on_missing`` instead.
+    Built on ``index_papers`` and ``gather_rows``; each paper's record and
+    its ``AffiliationRow``s are rebuilt from its id list only as the paper
+    is emitted. Papers with no rows go to ``on_missing`` instead.
     """
-    for paper_id, ids in index_affiliations(papers, read_rows).items():
+    for paper_id, ids in gather_rows(index_papers(papers), read_rows).items():
         venue_id, year = ids[0]
         paper = PaperRecord(paper_id, year, venue_id)
         if len(ids) == 1:

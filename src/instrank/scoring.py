@@ -7,9 +7,11 @@ denominator, so accumulation is associative and any order of the paper
 stream gives a bit-identical table. ``ScoreTable`` is the one
 table type: it carries a year's credit through the score file, its
 read-back and aggregation, and with no year it holds the normalized
-sum. ``score_venue_years`` is the one credit path and holds the
-attribution rule; a single paper's split (``paper_shares``) is that path
-run on one paper. Credit is counted per denominator, as plain integers,
+sum. ``score_venue_years`` is the one credit path, crediting each paper
+as its run of rows ends (or, for a dump not grouped by paper, after
+gathering the rows first); ``_credit`` holds the one attribution rule
+both orders apply, and a single paper's split (``paper_shares``) is that
+path run on one paper. Credit is counted per denominator, as plain integers,
 and put over the lcm of the denominators seen only when the table is
 built; ``over_lcm`` is that one sum, which aggregation's normalized sum
 shares. No ``Fraction`` is built anywhere on this path.
@@ -31,6 +33,7 @@ import logging
 import math
 import os
 from operator import itemgetter
+from sys import intern
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .ingest import (
@@ -39,7 +42,8 @@ from .ingest import (
     MalformedRowError,
     PaperRecord,
     RowReader,
-    index_affiliations,
+    gather_rows,
+    index_papers,
 )
 
 log = logging.getLogger(__name__)
@@ -121,6 +125,90 @@ def over_lcm(year: int | None, parts: Collection[tuple[int, Mapping[str, int]]])
     return ScoreTable.from_numerators(year, dict(sorted(numerators.items())), denominator)
 
 
+class _Credit:
+    """One venue-year's credit, counted per denominator as plain integers.
+
+    It is also the index entry of each of its credited papers, so marking
+    a paper credited builds nothing per paper.
+    """
+
+    __slots__ = ("key", "amounts")
+
+    def __init__(self, key: tuple[str, int]) -> None:
+        self.key = key
+        self.amounts: dict[int, dict[str, int]] = {}
+
+
+def _credit(
+    where: dict[str, object], paper_id: str, ids: list, credited: dict[tuple[str, int], _Credit]
+) -> None:
+    """Credit one paper, ``ids`` being ``[key, author, institution, ...]``, then mark it credited.
+
+    The attribution rule: each of the paper's distinct authors holds an
+    equal part, split equally over that author's distinct institutions on
+    the paper, so each of them earns ``1/(authors * institutions)``,
+    counted under that denominator. Institution ids are interned as they
+    enter a count.
+    """
+    key = ids[0]
+    credit = credited.get(key)
+    if credit is None:
+        credit = credited[key] = _Credit(key)
+    by_author: dict[str, dict[str, None]] = {}
+    pairs = iter(ids)
+    next(pairs)
+    for author, institution in zip(pairs, pairs):
+        institutions = by_author.get(author)
+        if institutions is None:
+            by_author[author] = {institution: None}
+        else:
+            institutions[institution] = None
+    amounts = credit.amounts
+    author_count = len(by_author)
+    for institutions in by_author.values():
+        denominator = author_count * len(institutions)
+        counts = amounts.get(denominator)
+        if counts is None:
+            counts = amounts[denominator] = {}
+        for institution in institutions:
+            if institution in counts:
+                counts[institution] += 1
+            else:
+                counts[intern(institution)] = 1
+    where[paper_id] = credit
+
+
+def _credit_runs(
+    where: dict[str, object],
+    rows: Iterable[tuple[str, str, str]],
+    credited: dict[tuple[str, int], _Credit],
+) -> bool:
+    """Credit each paper when its run of consecutive rows ends.
+
+    Rows of papers not in ``where`` are dropped. Returns False, leaving
+    the rest unread, at the first row of a paper already credited: the
+    rows are not grouped by paper.
+    """
+    run_id = None
+    run: list = []
+    for paper_id, author_id, institution_id in rows:
+        if paper_id != run_id:
+            entry = where.get(paper_id)
+            if entry is None:
+                continue
+            if entry.__class__ is _Credit:
+                return False
+            if run_id is not None:
+                _credit(where, run_id, run, credited)
+            run_id = paper_id
+            run = [entry]
+        run.append(author_id)
+        run.append(institution_id)
+    if run_id is not None:
+        _credit(where, run_id, run, credited)
+    return True
+
+
 def score_venue_years(
     papers: Iterable[PaperRecord],
     read_rows: RowReader,
@@ -129,49 +217,51 @@ def score_venue_years(
     """Raw tables keyed by (venue, year) for every venue-year that has credit.
 
     ``papers`` is the filtered paper stream, and ``read_rows`` streams the
-    affiliation rows of the paper ids it is given. The join
-    (``index_affiliations``) gives each paper one list
-    ``[key, author, institution, ...]`` headed by its venue-year key.
-    Credit then walks the lists in paper-stream order and applies the
-    attribution rule: each of a paper's distinct authors holds an equal
-    part, split equally over that author's distinct institutions on the
-    paper, so each of them earns ``1/(authors * institutions)``. Duplicate
-    (author, institution) pairs count once, and the UNKNOWN sentinel is
-    credited like any other institution, so a paper's credit sums to
-    exactly 1. Credit is counted per venue-year and denominator as plain
-    integers, and each venue-year is put over the lcm of its denominators
-    once, at the end. Filtered papers without rows go to ``on_missing``
-    and earn no credit, so a venue-year whose papers all lack rows has no
-    table. The lists are dropped together once every paper is credited.
+    affiliation rows of the paper ids it is given. The papers are indexed
+    first (``index_papers``), each by its venue-year key. A dump whose
+    rows are grouped by paper is then credited run by run: when a paper's
+    run of rows ends it is credited and its index entry becomes its
+    venue-year's credit, so only the current run's ids are held and score
+    memory is proportional to the filtered papers, not to their rows. A
+    row of a paper already credited means the rows are not grouped: that
+    pass is closed, its credit dropped, and ``read_rows`` is called again
+    to gather every paper's rows first (``gather_rows``), as lists on the
+    same index, which are then credited in paper-stream order. Either way
+    the attribution rule (see ``_credit``) applies to each paper's rows:
+    duplicate (author, institution) pairs count once, and the UNKNOWN
+    sentinel is credited like any other institution, so a paper's credit
+    sums to exactly 1. Each venue-year is put over the lcm of its
+    denominators once, at the end. Filtered papers without rows go to
+    ``on_missing``, in paper-stream order, and earn no credit, so a
+    venue-year whose papers all lack rows has no table. Tables are in the
+    order of each venue-year's first credited paper in the paper stream.
     """
-    counted: dict[tuple[str, int], dict[int, dict[str, int]]] = {}
-    for paper_id, ids in index_affiliations(papers, read_rows).items():
-        key = ids[0]
-        if len(ids) == 1:
-            if on_missing is not None:
-                on_missing(PaperRecord(paper_id, key[1], key[0]))
-            continue
-        amounts = counted.get(key)
-        if amounts is None:
-            amounts = counted[key] = {}
-        by_author: dict[str, dict[str, None]] = {}
-        pairs = iter(ids)
-        next(pairs)
-        for author, institution in zip(pairs, pairs):
-            institutions = by_author.get(author)
-            if institutions is None:
-                by_author[author] = {institution: None}
+    where: dict[str, object] = index_papers(papers)
+    credited: dict[tuple[str, int], _Credit] = {}
+    rows = read_rows(where)
+    if not _credit_runs(where, rows, credited):
+        close = getattr(rows, "close", None)
+        if close is not None:
+            close()
+        credited.clear()
+        for paper_id, entry in where.items():
+            if entry.__class__ is _Credit:
+                where[paper_id] = entry.key
+        for paper_id, ids in gather_rows(where, read_rows).items():
+            if len(ids) == 1:
+                where[paper_id] = ids[0]
             else:
-                institutions[institution] = None
-        author_count = len(by_author)
-        for institutions in by_author.values():
-            denominator = author_count * len(institutions)
-            counts = amounts.get(denominator)
-            if counts is None:
-                counts = amounts[denominator] = {}
-            for institution in institutions:
-                counts[institution] = counts.get(institution, 0) + 1
-    return {key: over_lcm(key[1], amounts.items()) for key, amounts in counted.items()}
+                _credit(where, paper_id, ids, credited)
+    ordered: dict[tuple[str, int], _Credit] = {}
+    for paper_id, entry in where.items():
+        if entry.__class__ is _Credit:
+            if entry.key not in ordered:
+                ordered[entry.key] = entry
+        elif on_missing is not None:
+            on_missing(PaperRecord(paper_id, entry[1], entry[0]))
+    # The index goes before the tables are built, so they can reuse its memory.
+    del where
+    return {key: over_lcm(key[1], credit.amounts.items()) for key, credit in ordered.items()}
 
 
 def paper_shares(paper: AttributedPaper) -> ScoreTable:

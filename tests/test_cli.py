@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -908,6 +909,61 @@ def test_score_agrees_with_the_naive_oracle_per_venue(tmp_path):
                 if inst != UNKNOWN_INSTITUTION
             }
             assert table == make_table(year, expected)
+
+
+def test_score_reads_shuffled_affiliations_as_it_reads_grouped_ones(tmp_path, capsys):
+    params = CorpusParams(
+        num_institutions=10,
+        num_authors=80,
+        num_venues=2,
+        years=YearRange(2011, 2013),
+        papers_per_venue_year=40,
+        unknown_rate=0.1,
+        rng_seed=17,
+    )
+    corpus = generate_corpus(params, str(tmp_path), compute_realized=False)
+    with open(corpus.affiliations_path, encoding="utf-8") as src:
+        grouped = src.readlines()
+    shuffled = grouped[:]
+    random.Random(5).shuffle(shuffled)
+    bad = "P1\t\tIA\n"  # empty author id, skipped at the same row of both dumps
+    runs = {}
+    for name, lines in (("grouped", grouped), ("shuffled", shuffled)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(lines[:50] + [bad] + lines[50:]), encoding="utf-8")
+        cfg_path = write_config(
+            tmp_path / f"{name}.ini",
+            corpus.papers_path,
+            str(path),
+            str(tmp_path / name),
+            venues="V0, V1",
+        )
+        assert main(["score", "--config", cfg_path]) == EXIT_OK
+        runs[name] = capsys.readouterr().err
+    assert re.search(r"; affiliations: \d+ rows, 1 skipped \(first at row 51\); ", runs["grouped"])
+    assert runs["shuffled"] == runs["grouped"]
+    names = sorted(os.listdir(tmp_path / "grouped"))
+    assert names == sorted(os.listdir(tmp_path / "shuffled")) and len(names) == 6
+    for name in names:
+        assert (tmp_path / "shuffled" / name).read_bytes() == (
+            tmp_path / "grouped" / name
+        ).read_bytes()
+
+    # Under --strict, a bad row after the first row that breaks a paper's
+    # run is named as it is in one pass over the dump.
+    seen = set()
+    for index, line in enumerate(shuffled):
+        paper_id = line.split("\t", 1)[0]
+        if paper_id in seen and shuffled[index - 1].split("\t", 1)[0] != paper_id:
+            break
+        seen.add(paper_id)
+    else:
+        raise AssertionError("the shuffled rows are grouped by paper")
+    path = tmp_path / "shuffled.txt"
+    cut = index + 1
+    path.write_text("".join(shuffled[:cut] + [bad] + shuffled[cut:]), encoding="utf-8")
+    assert main(["score", "--config", str(tmp_path / "shuffled.ini"), "--strict"]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {path}: row {index + 2}: empty author id\n"
 
 
 # --- aggregate ----------------------------------------------------------

@@ -12,11 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import as_streams, make_attributed, make_table, rows_of
+from instrank import scoring
 from instrank.ingest import (
     UNKNOWN_INSTITUTION,
     AffiliationRow,
     DuplicatePaperIdError,
     PaperRecord,
+    gather_rows,
     join_affiliations,
 )
 from instrank.scoring import (
@@ -235,6 +237,61 @@ def test_rowless_papers_go_to_on_missing_in_paper_stream_order():
     assert list(tables) == [("V0", 2011), ("V1", 2011)]
 
 
+def test_grouped_rows_are_read_once_and_a_stray_row_reads_them_again(monkeypatch):
+    papers = [
+        PaperRecord("P1", 2011, "V0"),
+        PaperRecord("P2", 2011, "V1"),
+        PaperRecord("P3", 2012, "V0"),  # no rows
+        PaperRecord("P4", 2011, "V0"),
+        PaperRecord("P5", 2011, "V1"),  # no rows
+    ]
+    grouped = [
+        AffiliationRow("P2", "a1", "B"),  # V1 2011 is credited before V0 2011
+        AffiliationRow("P2", "a2", "A"),
+        AffiliationRow("P9", "a1", "A"),  # not a filtered paper
+        AffiliationRow("P4", "a3", "A"),
+        AffiliationRow("P4", "a3", "C"),
+        AffiliationRow("P1", "a1", "A"),
+        AffiliationRow("P1", "a2", "B"),
+    ]
+    # P2's first row moved to the end: grouped but for one stray last row.
+    stray = grouped[1:] + grouped[:1]
+    gathers = []
+
+    def gather_spy(where, read_rows):
+        gathers.append(len(where))
+        return gather_rows(where, read_rows)
+
+    monkeypatch.setattr(scoring, "gather_rows", gather_spy)
+
+    def run(rows):
+        passes: list[str] = []
+
+        def read_rows(paper_ids):
+            passes.append("open")
+            try:
+                yield from (row for row in rows if row.paper_id in paper_ids)
+            finally:
+                passes.append("closed")
+
+        missing: list[PaperRecord] = []
+        tables = score_venue_years(iter(papers), read_rows, missing.append)
+        return passes, tables, missing
+
+    passes, tables, missing = run(grouped)
+    assert passes == ["open", "closed"] and gathers == []
+    assert list(tables) == [("V0", 2011), ("V1", 2011)]
+    assert missing == [papers[2], papers[4]]
+
+    passes, again, missing_again = run(stray)
+    assert passes == ["open", "closed", "open", "closed"] and gathers == [5]
+    assert list(again) == list(tables)
+    for key, table in again.items():
+        assert list(table.numerators.items()) == list(tables[key].numerators.items())
+        assert table.denominator == tables[key].denominator
+    assert missing_again == missing
+
+
 @pytest.mark.parametrize(
     "second", [PaperRecord("P1", 2011, "V1"), PaperRecord("P1", 2012, "V0")], ids=["venue", "year"]
 )
@@ -335,10 +392,11 @@ def test_score_venue_years_keys_tables_by_venue_and_year():
         ),
         max_size=20,
     ),
+    st.booleans(),
     st.randoms(use_true_random=False),
 )
 @settings(max_examples=200, deadline=None)
-def test_score_venue_years_equals_the_oracle_over_the_join(drawn, rng):
+def test_score_venue_years_equals_the_oracle_over_the_join(drawn, shuffled, rng):
     papers = [
         PaperRecord(f"P{serial}", year, venue) for serial, (_, venue, year, _) in enumerate(drawn)
     ]
@@ -348,7 +406,8 @@ def test_score_venue_years_equals_the_oracle_over_the_join(drawn, rng):
         for paper, (*_, pairs) in zip(papers, drawn)
         for author, institution in pairs
     ]
-    rng.shuffle(rows)  # rows of one paper interleave with the others'
+    if shuffled:
+        rng.shuffle(rows)  # rows of one paper interleave with the others'
 
     missing_scored: list[PaperRecord] = []
     tables = score_venue_years(iter(selected), rows_of(rows), missing_scored.append)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import groupby
 
 import pytest
 
@@ -143,6 +144,16 @@ def test_generate_corpus_same_seed_same_bytes(tmp_path):
     affils_a = open(first.affiliations_path, "rb").read()
     affils_b = open(second.affiliations_path, "rb").read()
     assert affils_a == affils_b
+
+
+def test_generate_corpus_writes_each_papers_rows_as_one_run(tmp_path):
+    # score credits a paper as its run of rows ends; rows in any other order
+    # would make it read the affiliations twice.
+    corpus = generate_corpus(small_params(unknown_rate=0.2), str(tmp_path), compute_realized=False)
+    with open(corpus.affiliations_path, encoding="utf-8") as src:
+        runs = [paper_id for paper_id, _ in groupby(line.split("\t", 1)[0] for line in src)]
+    assert len(runs) > 1
+    assert len(runs) == len(set(runs))
 
 
 def test_generated_files_parse_under_the_default_schemas(tmp_path):

@@ -2,14 +2,19 @@
 
 Also home to the brute-force oracles (naive_score, naive_topk) that the
 test suite checks the streaming and top-k paths against. The oracles are
-deliberately plain nested loops and share no code with the paths they
-verify.
+deliberately plain loops over exact ``Fraction``s and share no code with
+the paths they verify: naive_score groups each paper's rows itself and
+sums one ``Fraction`` per (institution, denominator) of its pieces,
+where ``scoring`` splits credit into integer numerators.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
+from bisect import bisect
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -22,6 +27,7 @@ from .ingest import (
     AttributedPaper,
     PaperRecord,
     YearRange,
+    _new_tuple,
 )
 from .scoring import ScoreTable
 
@@ -106,56 +112,88 @@ def planted_weights(params: CorpusParams, year: int) -> list[float]:
 
 
 def iter_corpus(params: CorpusParams) -> Iterator[AttributedPaper]:
-    """Yield the corpus paper by paper, deterministically for a given seed."""
+    """Yield the corpus paper by paper, deterministically for a given seed.
+
+    The draws are the ones ``rng.choices(ids, cum_weights=...)`` and
+    ``rng.randint`` make, in the same order (all of an author's
+    institutions, then their UNKNOWN draws), made inline with ``bisect``
+    and ``rng.randrange``: a seed gives the corpus it always gave.
+    """
     rng = random.Random(params.rng_seed)
+    draw, randrange, sample = rng.random, rng.randrange, rng.sample
     ids = institution_ids(params)
+    last = len(ids) - 1
+    authors = range(params.num_authors)
     author_lo, author_hi = params.authors_per_paper
     affil_lo, affil_hi = params.affils_per_author
+    author_stop, affil_stop = author_hi + 1, affil_hi + 1
+    unknown_rate = params.unknown_rate
     serial = 0
     for year in params.years:
         cum_weights = list(accumulate(planted_weights(params, year)))
+        total = cum_weights[-1] + 0.0
         for venue_index in range(params.num_venues):
             venue_id = f"V{venue_index}"
             for _ in range(params.papers_per_venue_year):
                 paper_id = f"P{serial}"
                 serial += 1
-                paper = PaperRecord(paper_id, year, venue_id)
                 rows = []
-                for author_index in rng.sample(
-                    range(params.num_authors), rng.randint(author_lo, author_hi)
-                ):
+                for author_index in sample(authors, randrange(author_lo, author_stop)):
                     author_id = f"A{author_index}"
-                    row_count = rng.randint(affil_lo, affil_hi)
-                    for institution in rng.choices(
-                        ids, cum_weights=cum_weights, k=row_count
-                    ):
-                        if params.unknown_rate and rng.random() < params.unknown_rate:
+                    institutions = [
+                        ids[bisect(cum_weights, draw() * total, 0, last)]
+                        for _ in range(randrange(affil_lo, affil_stop))
+                    ]
+                    for institution in institutions:
+                        if unknown_rate and draw() < unknown_rate:
                             institution = UNKNOWN_INSTITUTION
-                        rows.append(AffiliationRow(paper_id, author_id, institution))
-                yield AttributedPaper(paper, tuple(rows))
+                        rows.append(
+                            _new_tuple(AffiliationRow, (paper_id, author_id, institution))
+                        )
+                paper = _new_tuple(PaperRecord, (paper_id, year, venue_id))
+                yield _new_tuple(AttributedPaper, (paper, tuple(rows)))
 
 
-def _write_corpus_files(
+def _written(
     corpus: Iterable[AttributedPaper],
     papers_path: str,
     affiliations_path: str,
     filler_width: int,
-) -> None:
+) -> Iterator[AttributedPaper]:
+    """Write each paper's dump rows, then yield the paper.
+
+    The dumps go to ``<path>.tmp`` and are renamed onto their paths when
+    the stream ends, so a crash never leaves them cut short. A stream that
+    fails or is closed early removes both ``.tmp`` files again.
+    """
     # Rows go out at the default dump ordinals: papers at columns 0/3/8,
     # affiliations at 0/1/2. UNKNOWN becomes an empty field on disk.
     filler = "\t" + "x" * filler_width if filler_width else ""
-    with open(papers_path, "w", encoding="utf-8", newline="\n") as papers_out, open(
-        affiliations_path, "w", encoding="utf-8", newline="\n"
-    ) as affils_out:
-        # The file objects buffer the writes.
-        write_paper, write_row = papers_out.write, affils_out.write
-        for paper, rows in corpus:
-            write_paper(f"{paper.paper_id}\t\t\t{paper.year}\t\t\t\t\t{paper.venue_id}\n")
-            for row in rows:
-                institution = (
-                    "" if row.institution_id == UNKNOWN_INSTITUTION else row.institution_id
-                )
-                write_row(f"{row.paper_id}\t{row.author_id}\t{institution}{filler}\n")
+    papers_tmp, affiliations_tmp = papers_path + ".tmp", affiliations_path + ".tmp"
+    try:
+        with open(papers_tmp, "w", encoding="utf-8", newline="\n") as papers_out, open(
+            affiliations_tmp, "w", encoding="utf-8", newline="\n"
+        ) as affils_out:
+            # The file objects buffer the writes.
+            write_paper, write_row = papers_out.write, affils_out.write
+            for attributed in corpus:
+                paper, rows = attributed
+                write_paper(f"{paper.paper_id}\t\t\t{paper.year}\t\t\t\t\t{paper.venue_id}\n")
+                for row in rows:
+                    institution = (
+                        "" if row.institution_id == UNKNOWN_INSTITUTION else row.institution_id
+                    )
+                    write_row(f"{row.paper_id}\t{row.author_id}\t{institution}{filler}\n")
+                yield attributed
+        os.replace(papers_tmp, papers_path)
+        os.replace(affiliations_tmp, affiliations_path)
+    except BaseException:
+        for temporary in (papers_tmp, affiliations_tmp):
+            try:
+                os.remove(temporary)
+            except OSError:  # never written, or already renamed
+                pass
+        raise
 
 
 def generate_corpus(
@@ -164,38 +202,57 @@ def generate_corpus(
     """Write papers and affiliation dumps for the parameters.
 
     The rows stream straight to disk, so memory stays flat. With
-    compute_realized the naive oracle recomputes the exact realized truth
-    from a second pass over the same seeded corpus.
+    compute_realized the naive oracle scores each paper as it is written,
+    so the exact realized truth comes from the same single pass over the
+    seeded corpus. Each dump is written whole or not at all.
     """
     papers_path = f"{out_dir}/papers.txt"
     affiliations_path = f"{out_dir}/affiliations.txt"
-    _write_corpus_files(iter_corpus(params), papers_path, affiliations_path, params.filler_width)
-    realized = naive_score(iter_corpus(params)) if compute_realized else None
+    realized = None
+    with closing(
+        _written(iter_corpus(params), papers_path, affiliations_path, params.filler_width)
+    ) as written:
+        if compute_realized:
+            realized = naive_score(written)
+        else:
+            for _ in written:
+                pass
     return GeneratedCorpus(papers_path, affiliations_path, realized)
 
 
 def naive_score(corpus: Iterable[AttributedPaper]) -> dict[int, ScoreTable]:
     """Reference scorer: apply the attribution rule paper by paper.
 
-    Everything stays in memory and nothing is shared with the streaming
-    implementation, so agreement between the two is meaningful.
+    Each author holds ``1 / authors`` of the paper, split evenly over
+    their distinct institutions, so every piece is ``1/d`` with ``d =
+    authors * institutions``. The pieces are counted per institution and
+    ``d``, and each year's scores are the exact sums of one
+    ``Fraction(count, d)`` per (institution, ``d``). Everything stays in
+    memory and nothing is shared with the streaming implementation, so
+    agreement between the two is meaningful.
     """
-    by_year: dict[int, dict[str, Fraction]] = {}
+    counts_by_year: dict[int, dict[tuple[str, int], int]] = {}
     for paper, rows in corpus:
-        bucket = by_year.setdefault(paper.year, {})
+        counts = counts_by_year.setdefault(paper.year, {})
         authors: dict[str, list[str]] = {}
-        for row in rows:
-            institutions = authors.setdefault(row.author_id, [])
-            if row.institution_id not in institutions:
-                institutions.append(row.institution_id)
+        for _, author_id, institution_id in rows:
+            institutions = authors.setdefault(author_id, [])
+            if institution_id not in institutions:
+                institutions.append(institution_id)
         for institutions in authors.values():
-            piece = Fraction(1, len(authors) * len(institutions))
+            denominator = len(authors) * len(institutions)
             for institution in institutions:
-                bucket[institution] = bucket.get(institution, Fraction(0)) + piece
-    return {
-        year: ScoreTable(year, dict(sorted(bucket.items())))
-        for year, bucket in sorted(by_year.items())
-    }
+                key = (institution, denominator)
+                counts[key] = counts.get(key, 0) + 1
+    tables = {}
+    for year, counts in sorted(counts_by_year.items()):
+        bucket: dict[str, Fraction] = {}
+        for (institution, denominator), count in counts.items():
+            piece = Fraction(count, denominator)
+            total = bucket.get(institution)
+            bucket[institution] = piece if total is None else total + piece
+        tables[year] = ScoreTable(year, dict(sorted(bucket.items())))
+    return tables
 
 
 def naive_topk(tables: Sequence[ScoreTable], k: int) -> RankList:

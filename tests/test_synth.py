@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 import re
+from fractions import Fraction
 from itertools import groupby
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from instrank.ingest import (
     UNKNOWN_INSTITUTION,
@@ -15,7 +20,8 @@ from instrank.ingest import (
     iter_affiliations,
     iter_papers,
 )
-from instrank.scoring import score_venue_years
+from instrank.scoring import ScoreTable, score_venue_years, write_score_csv
+from instrank import synth
 from instrank.synth import (
     CorpusParams,
     InvalidParamsError,
@@ -133,6 +139,72 @@ def test_unknown_rate_blanks_roughly_that_share_of_rows():
 # --- files on disk ------------------------------------------------------
 
 
+# sha256 of each file ``synth`` writes, per parameter set: the dumps, and
+# every realized truth table as ``write_score_csv`` writes it. A change to
+# any draw, its order, or the oracle's arithmetic changes one of them.
+PINNED_PARAMS = {
+    "plain": dict(
+        num_institutions=25,
+        num_authors=300,
+        num_venues=3,
+        years=YearRange(2011, 2013),
+        papers_per_venue_year=40,
+        rng_seed=11,
+    ),
+    # Twelve authors is few enough that ``Random.sample`` shuffles a pool
+    # list rather than rejecting repeats from a set; the drift clamps
+    # weights at MIN_WEIGHT by the last year.
+    "pool": dict(
+        num_institutions=9,
+        num_authors=12,
+        num_venues=2,
+        years=YearRange(2011, 2014),
+        papers_per_venue_year=25,
+        authors_per_paper=(2, 5),
+        affils_per_author=(1, 3),
+        strength_drift=2.0,
+        unknown_rate=0.1,
+        filler_width=7,
+        rng_seed=5,
+    ),
+}
+PINNED_SHA256 = {
+    "plain": {
+        "papers.txt": "864e542bdd24822c0a0fc0637fc27fcc1f82cf5d36c43b4932ec7c9d9e8bc381",
+        "affiliations.txt": "a92613a8499340c2a1f7edf423d061399615882be5bd8b8f826537d18f2d2f91",
+        "truth_2011.csv": "03d406c9f7de23a8b33c498770d85fa51697039f1db5c35146853429581667f1",
+        "truth_2012.csv": "3331e5580b6037cedb2f8de093b2974146ed4391057af77f720204a9452c0f15",
+        "truth_2013.csv": "6abf6e98456bc369c21889998ef8f4f847194789133e431df931f8a9f13dad79",
+    },
+    "pool": {
+        "papers.txt": "ef30b6e8e8652b69695bb1e77a8724d2b26d737f25bbcf080f18d48fa301fd10",
+        "affiliations.txt": "d53a5c811308a0be6777b2925cb3261fe7842645e116a213f7d4d50bb2abf17d",
+        "truth_2011.csv": "159a43193fd105326113cce4615f4f2b50821082be412c5b2c6540ff2d95009e",
+        "truth_2012.csv": "b44d39628225bcd9af6b4d998f1199392485354f6f2ed33fac8097c8137ead52",
+        "truth_2013.csv": "0f3e49a86cebf317f5a4001586b8fcafaeee88cb54debaedff122c28409bc70e",
+        "truth_2014.csv": "6195cdbbc41cc8dab075ac076067ab5026d8cad2bd3e9c772c10055265d54b4e",
+    },
+}
+
+
+@pytest.mark.parametrize("compute_realized", [True, False])
+@pytest.mark.parametrize("name", sorted(PINNED_PARAMS))
+def test_generated_bytes_are_pinned(tmp_path, name, compute_realized):
+    # Scoring the truth as the dumps are written never changes a dump byte.
+    params = CorpusParams(**PINNED_PARAMS[name])
+    corpus = generate_corpus(params, str(tmp_path), compute_realized=compute_realized)
+    for year, table in (corpus.realized or {}).items():
+        write_score_csv(table, str(tmp_path / f"truth_{year}.csv"))
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+    }
+    expected = PINNED_SHA256[name]
+    if not compute_realized:
+        expected = {dump: expected[dump] for dump in ("affiliations.txt", "papers.txt")}
+    assert digests == expected
+
+
 def test_generate_corpus_same_seed_same_bytes(tmp_path):
     for sub in ("a", "b"):
         (tmp_path / sub).mkdir()
@@ -205,6 +277,58 @@ def test_generate_corpus_can_skip_the_realized_truth(tmp_path):
     assert corpus.realized is None
 
 
+def failing_corpus(params, papers_before_failure):
+    """The corpus of ``params``, cut by an error after some papers."""
+
+    def stream(_params):
+        for serial, paper in enumerate(iter_corpus(params)):
+            if serial == papers_before_failure:
+                raise RuntimeError("stream failed")
+            yield paper
+
+    return stream
+
+
+@pytest.mark.parametrize("compute_realized", [True, False])
+def test_a_stream_that_fails_leaves_no_dump_and_no_temporary(
+    tmp_path, monkeypatch, compute_realized
+):
+    monkeypatch.setattr(synth, "iter_corpus", failing_corpus(small_params(), 7))
+    with pytest.raises(RuntimeError, match="stream failed"):
+        generate_corpus(small_params(), str(tmp_path), compute_realized=compute_realized)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("compute_realized", [True, False])
+def test_a_stream_that_fails_leaves_the_earlier_dumps_as_they_were(
+    tmp_path, monkeypatch, compute_realized
+):
+    generate_corpus(small_params(), str(tmp_path), compute_realized=False)
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert sorted(before) == ["affiliations.txt", "papers.txt"]
+    other = small_params(rng_seed=4)
+    monkeypatch.setattr(synth, "iter_corpus", failing_corpus(other, 50))
+    with pytest.raises(RuntimeError, match="stream failed"):
+        generate_corpus(other, str(tmp_path), compute_realized=compute_realized)
+    after = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert after == before
+
+
+def test_an_oracle_that_fails_mid_stream_leaves_no_temporary(tmp_path, monkeypatch):
+    def failing_oracle(corpus):
+        for serial, _ in enumerate(corpus):
+            if serial == 3:
+                raise RuntimeError("oracle failed")
+
+    monkeypatch.setattr(synth, "naive_score", failing_oracle)
+    with pytest.raises(RuntimeError, match="oracle failed") as failure:
+        generate_corpus(small_params(), str(tmp_path))
+    # The traceback holds the frames that held the stream: the temporaries
+    # are gone before it is dropped, not when the stream is collected.
+    assert os.listdir(tmp_path) == []
+    assert failure.traceback
+
+
 # --- oracles ------------------------------------------------------------
 
 
@@ -215,6 +339,64 @@ def test_naive_score_matches_hand_worked_paper():
     for year, table in tables.items():
         papers_in_year = sum(1 for p in corpus if p.paper.year == year)
         assert sum(table.numerators.values()) == papers_in_year * table.denominator
+
+
+def per_row_naive_score(corpus):
+    """The oracle as it was: one ``Fraction`` added per (institution, piece)."""
+    by_year: dict[int, dict[str, Fraction]] = {}
+    for paper, rows in corpus:
+        bucket = by_year.setdefault(paper.year, {})
+        authors: dict[str, list[str]] = {}
+        for row in rows:
+            institutions = authors.setdefault(row.author_id, [])
+            if row.institution_id not in institutions:
+                institutions.append(row.institution_id)
+        for institutions in authors.values():
+            piece = Fraction(1, len(authors) * len(institutions))
+            for institution in institutions:
+                bucket[institution] = bucket.get(institution, Fraction(0)) + piece
+    return {
+        year: ScoreTable(year, dict(sorted(bucket.items())))
+        for year, bucket in sorted(by_year.items())
+    }
+
+
+# Few authors and institutions, so authors and (author, institution) pairs
+# repeat within a paper; one-row and row-less papers are drawn too.
+ORACLE_PAPERS = st.lists(
+    st.tuples(
+        st.integers(2011, 2013),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["A0", "A1", "A2", "A3"]),
+                st.sampled_from(["I0", "I1", "I2", "I3", "I4", UNKNOWN_INSTITUTION]),
+            ),
+            max_size=9,
+        ),
+    ),
+    max_size=12,
+)
+
+
+@given(ORACLE_PAPERS)
+@example([(2011, [("A0", "I0")])])
+@example([(2012, [("A0", "I0"), ("A0", "I0"), ("A1", UNKNOWN_INSTITUTION), ("A0", "I1")])])
+@example([(2011, []), (2013, [("A2", "I3")])])
+@settings(max_examples=300, deadline=None)
+def test_naive_score_equals_the_per_row_fraction_sum(drawn):
+    from conftest import make_attributed
+
+    corpus = [
+        make_attributed(rows, paper_id=f"P{serial}", year=year)
+        for serial, (year, rows) in enumerate(drawn)
+    ]
+    expected = per_row_naive_score(corpus)
+    got = naive_score(corpus)
+    assert list(got) == list(expected)
+    for year, table in got.items():
+        assert table.year == year
+        assert list(table.numerators.items()) == list(expected[year].numerators.items())
+        assert table.denominator == expected[year].denominator
 
 
 def test_naive_topk_normalizes_pads_and_cuts():

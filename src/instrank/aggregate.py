@@ -363,7 +363,8 @@ def write_ranking_csv(rank_list: RankList, path: str) -> None:
         f"{rank},{institution},{float(score)!r}\n"
         for rank, (institution, score) in enumerate(rank_list.items, start=1)
     )
-    write_output(path, "rank,institution_id,score\n" + rows)
+    with write_output(path) as out:
+        out.write("rank,institution_id,score\n" + rows)
 
 
 def read_ranking_csv(path: str) -> RankList:
@@ -431,4 +432,5 @@ def write_ranking_json(rank_list: RankList, spec: AggregationSpec, path: str) ->
     )
     fields = ",\n".join(f'    "{key}": {value}' for key, value in method)
     listed = f"[\n{items}\n  ]" if items else "[]"
-    write_output(path, f'{{\n  "method": {{\n{fields}\n  }},\n  "items": {listed}\n}}\n')
+    with write_output(path) as out:
+        out.write(f'{{\n  "method": {{\n{fields}\n  }},\n  "items": {listed}\n}}\n')

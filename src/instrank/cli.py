@@ -183,7 +183,8 @@ def _build_report(config: PipelineConfig) -> EvalReport:
 def _write_report(config: PipelineConfig, report: EvalReport) -> None:
     text = render_report_text(report)
     for name, content in (("report.txt", text), ("report.csv", render_report_csv(report))):
-        write_output(os.path.join(config.output_dir, name), content)
+        with write_output(os.path.join(config.output_dir, name)) as out:
+            out.write(content)
     sys.stdout.write(text)
 
 

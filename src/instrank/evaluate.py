@@ -18,10 +18,6 @@ class ZeroIdealError(ValueError):
     """Truth with no positive relevance leaves NDCG undefined."""
 
 
-class MissingTruthError(KeyError):
-    """No ground truth was supplied for a venue under evaluation."""
-
-
 def dcg_at_k(ids: Sequence[str], truth: RankList, k: int) -> float:
     """Discounted cumulative gain of the first k ranked ids.
 
@@ -90,13 +86,12 @@ def evaluate_rankings(
 
     Each venue's relevance map and ideal DCG are built once; every value
     is the float ``ndcg_at_k`` gives. The winner per venue is the method
-    with the highest NDCG; exact ties go to the method listed first. An
-    all-zero truth raises its ``ZeroIdealError`` again, named by venue.
+    with the highest NDCG; exact ties go to the method listed first. A
+    venue missing from ``truth_by_venue`` raises ``KeyError``; an all-zero
+    truth raises its ``ZeroIdealError`` again, named by venue.
     """
     rows = []
     for venue_id, rankings in rankings_by_venue.items():
-        if venue_id not in truth_by_venue:
-            raise MissingTruthError(venue_id)
         try:
             relevance, ideal = _graded(truth_by_venue[venue_id], k)
         except ZeroIdealError as exc:

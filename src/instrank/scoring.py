@@ -24,7 +24,9 @@ read without parsing its files again. Score and ranking files are read
 back through one checked row reader (``read_checked_rows``), which
 decodes each row on its own, so a bad row, bad bytes included, raises
 ``ingest.MalformedRowError`` naming it, the same error as a bad dump row.
-Every output file is written whole by one function, ``write_output``.
+Every output file, the ``instrank synth`` dumps included, is written whole
+by one context manager, ``write_output``: the pipeline's files in one write
+of their whole text, the dumps row by row.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from __future__ import annotations
 import logging
 import math
 import os
+from contextlib import contextmanager
 from operator import itemgetter
 from sys import intern
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping, TextIO
 
 from .ingest import (
     UNKNOWN_INSTITUTION,
@@ -357,20 +360,24 @@ def write_score_csv(table: ScoreTable, path: str) -> None:
         f"{institution},{numerator / denominator!r}\n"
         for institution, numerator in order_by_score(visible.numerators)
     )
-    write_output(path, "institution_id,score\n" + rows)
+    with write_output(path) as out:
+        out.write("institution_id,score\n" + rows)
 
 
-def write_output(path: str, text: str) -> None:
-    """The one writer of an output file: ``text`` whole, or the file as it was.
+@contextmanager
+def write_output(path: str) -> Iterator[TextIO]:
+    """The one writer of an output file: what the block writes, whole, or the file as it was.
 
-    The text goes to ``<path>.tmp`` as UTF-8 with LF line ends, which is
-    then renamed onto ``path``, so a crash mid-write never leaves ``path``
-    cut short. A write or rename that fails removes ``<path>.tmp`` again.
+    ``with write_output(path) as out:`` yields ``<path>.tmp`` open for text
+    as UTF-8 with LF line ends; when the block ends the file is renamed onto
+    ``path``, so a crash mid-write never leaves ``path`` cut short. A block,
+    write or rename that raises removes ``<path>.tmp`` again before the
+    error leaves the ``with``.
     """
     temporary = path + ".tmp"
     try:
         with open(temporary, "w", encoding="utf-8", newline="\n") as out:
-            out.write(text)
+            yield out
         os.replace(temporary, path)
     except BaseException:
         try:
@@ -388,11 +395,12 @@ def read_checked_rows(
     ``header`` is the file's first line. When it has a column before
     ``institution_id`` (a ranking's rank), ``lead`` is the text before the
     row's first comma, else it is empty; the institution id is the rest up
-    to the last comma, so it may hold commas. Blank lines are skipped. A
-    row that is not UTF-8, a bad header (``what`` names the kind of file),
-    a score that is not a finite number >= 0, an empty institution id, or
-    an institution listed twice raises ``MalformedRowError`` naming the
-    file and the row (the header is row 1).
+    to the last comma, so it may hold commas. Line ends, LF or CRLF, are
+    stripped and blank lines are skipped. A row that is not UTF-8, a bad
+    header (``what`` names the kind of file), a score that is not a finite
+    number >= 0, an empty institution id, or an institution listed twice
+    raises ``MalformedRowError`` naming the file and the row (the header
+    is row 1).
     """
     has_lead = not header.startswith("institution_id,")
     seen: set[str] = set()
@@ -408,7 +416,7 @@ def read_checked_rows(
         if first != header:
             raise MalformedRowError(path, 1, f"not a {what} header: {first!r}")
         for line_number, raw in enumerate(src, start=2):
-            line = decode(raw, line_number).rstrip("\n")
+            line = decode(raw, line_number).rstrip("\r\n")
             if not line:
                 continue
             lead = ""

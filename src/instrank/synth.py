@@ -11,14 +11,12 @@ where ``scoring`` splits credit into integer numerators.
 from __future__ import annotations
 
 import math
-import os
 import random
 from bisect import bisect
-from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .aggregate import RankedItem, RankList
 from .ingest import (
@@ -29,7 +27,7 @@ from .ingest import (
     YearRange,
     _new_tuple,
 )
-from .scoring import ScoreTable
+from .scoring import ScoreTable, write_output
 
 # Institutions this weak never lose all weight to drift.
 MIN_WEIGHT = 0.1
@@ -156,44 +154,21 @@ def iter_corpus(params: CorpusParams) -> Iterator[AttributedPaper]:
 
 def _written(
     corpus: Iterable[AttributedPaper],
-    papers_path: str,
-    affiliations_path: str,
+    write_paper: Callable[[str], object],
+    write_row: Callable[[str], object],
     filler_width: int,
 ) -> Iterator[AttributedPaper]:
-    """Write each paper's dump rows, then yield the paper.
-
-    The dumps go to ``<path>.tmp`` and are renamed onto their paths when
-    the stream ends, so a crash never leaves them cut short. A stream that
-    fails or is closed early removes both ``.tmp`` files again.
-    """
+    """Write each paper's dump rows through ``write_paper`` and ``write_row``, then yield it."""
     # Rows go out at the default dump ordinals: papers at columns 0/3/8,
     # affiliations at 0/1/2. UNKNOWN becomes an empty field on disk.
     filler = "\t" + "x" * filler_width if filler_width else ""
-    papers_tmp, affiliations_tmp = papers_path + ".tmp", affiliations_path + ".tmp"
-    try:
-        with open(papers_tmp, "w", encoding="utf-8", newline="\n") as papers_out, open(
-            affiliations_tmp, "w", encoding="utf-8", newline="\n"
-        ) as affils_out:
-            # The file objects buffer the writes.
-            write_paper, write_row = papers_out.write, affils_out.write
-            for attributed in corpus:
-                paper, rows = attributed
-                write_paper(f"{paper.paper_id}\t\t\t{paper.year}\t\t\t\t\t{paper.venue_id}\n")
-                for row in rows:
-                    institution = (
-                        "" if row.institution_id == UNKNOWN_INSTITUTION else row.institution_id
-                    )
-                    write_row(f"{row.paper_id}\t{row.author_id}\t{institution}{filler}\n")
-                yield attributed
-        os.replace(papers_tmp, papers_path)
-        os.replace(affiliations_tmp, affiliations_path)
-    except BaseException:
-        for temporary in (papers_tmp, affiliations_tmp):
-            try:
-                os.remove(temporary)
-            except OSError:  # never written, or already renamed
-                pass
-        raise
+    for attributed in corpus:
+        paper, rows = attributed
+        write_paper(f"{paper.paper_id}\t\t\t{paper.year}\t\t\t\t\t{paper.venue_id}\n")
+        for row in rows:
+            institution = "" if row.institution_id == UNKNOWN_INSTITUTION else row.institution_id
+            write_row(f"{row.paper_id}\t{row.author_id}\t{institution}{filler}\n")
+        yield attributed
 
 
 def generate_corpus(
@@ -204,14 +179,18 @@ def generate_corpus(
     The rows stream straight to disk, so memory stays flat. With
     compute_realized the naive oracle scores each paper as it is written,
     so the exact realized truth comes from the same single pass over the
-    seeded corpus. Each dump is written whole or not at all.
+    seeded corpus. Both dumps are opened through ``scoring.write_output``,
+    so each is written whole or not at all: a corpus or oracle that fails
+    leaves the dumps as they were and no temporary behind.
     """
     papers_path = f"{out_dir}/papers.txt"
     affiliations_path = f"{out_dir}/affiliations.txt"
     realized = None
-    with closing(
-        _written(iter_corpus(params), papers_path, affiliations_path, params.filler_width)
-    ) as written:
+    with write_output(papers_path) as papers_out, write_output(affiliations_path) as affils_out:
+        # The file objects buffer the writes.
+        written = _written(
+            iter_corpus(params), papers_out.write, affils_out.write, params.filler_width
+        )
         if compute_realized:
             realized = naive_score(written)
         else:

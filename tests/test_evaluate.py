@@ -23,7 +23,6 @@ from instrank.aggregate import (
 from instrank.evaluate import (
     EvalReport,
     EvalRow,
-    MissingTruthError,
     ZeroIdealError,
     _graded,
     dcg_at_k,
@@ -290,7 +289,7 @@ def test_protocol_tie_goes_to_the_first_spec():
 def test_protocol_requires_truth_for_every_venue():
     tables, truth = two_venue_inputs()
     del truth["V1"]
-    with pytest.raises(MissingTruthError):
+    with pytest.raises(KeyError, match="V1"):
         run_protocol(tables, truth, [AggregationSpec.parse("borda")], k=2)
 
 

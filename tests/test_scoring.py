@@ -11,13 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import as_streams, make_attributed, make_table, rows_of
+from conftest import as_streams, make_attributed, make_rank_list, make_table, rows_of
 from instrank import scoring
+from instrank.aggregate import read_ranking_csv, write_ranking_csv
+from instrank.cli import EXIT_IO, EXIT_OK, main
 from instrank.ingest import (
     UNKNOWN_INSTITUTION,
     AffiliationRow,
     DuplicatePaperIdError,
     PaperRecord,
+    YearRange,
     gather_rows,
     join_affiliations,
 )
@@ -31,9 +34,10 @@ from instrank.scoring import (
     score_file_name,
     score_venue_years,
     stored_table,
+    write_output,
     write_score_csv,
 )
-from instrank.synth import naive_score
+from instrank.synth import CorpusParams, generate_corpus, naive_score
 
 
 def test_single_author_single_institution_gets_everything():
@@ -559,6 +563,113 @@ def test_a_failed_rewrite_leaves_the_score_file_intact(tmp_path, monkeypatch):
         write_score_csv(make_table(2014, {"C": 7}), str(path))
     assert path.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == [path.name]
+
+
+def test_a_block_that_raises_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"before\n")
+    with pytest.raises(RuntimeError, match="block failed"):
+        with write_output(str(path)) as out:
+            out.write("half a file\n")
+            out.flush()
+            raise RuntimeError("block failed")
+    assert path.read_bytes() == b"before\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_the_writer_writes_utf8_with_lf_line_ends(tmp_path):
+    path = tmp_path / "out.txt"
+    with write_output(str(path)) as out:
+        out.write("Zürich\n")
+        out.write("北京\nlast\n")
+    assert path.read_bytes() == "Zürich\n北京\nlast\n".encode("utf-8")
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def fail_rename_onto(monkeypatch, name):
+    """Make ``os.replace`` fail when it renames onto a file called ``name``."""
+    replace = os.replace
+
+    def failing(source, target):
+        if os.path.basename(target) == name:
+            raise OSError(f"rename onto {name} failed")
+        replace(source, target)
+
+    monkeypatch.setattr(os, "replace", failing)
+
+
+def corpus_params(seed):
+    return CorpusParams(
+        num_institutions=6,
+        num_authors=12,
+        num_venues=1,
+        years=YearRange(2011, 2013),
+        papers_per_venue_year=12,
+        rng_seed=seed,
+    )
+
+
+DUMPS = ("papers.txt", "affiliations.txt")
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        *DUMPS,
+        "scores_V0_2013.csv",
+        "ranking_V0_borda_sum.csv",
+        "ranking_V0_borda_sum.json",
+        "report.txt",
+        "report.csv",
+        "prediction_V0.csv",
+    ],
+)
+def test_a_failed_rename_keeps_the_old_file_and_leaves_no_temporary(
+    tmp_path, monkeypatch, capsys, name
+):
+    # Every file synth and pipeline write goes through write_output.
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    corpus.mkdir()
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"[inputs]\npapers = {corpus}/papers.txt\naffiliations = {corpus}/affiliations.txt\n"
+        "[selection]\nvenues = V0\ntrain_years = 2011-2012\ntruth_year = 2013\n"
+        f"[aggregation]\nmethods = borda:sum\nk = 3\n[output]\ndir = {out}\n",
+        encoding="utf-8",
+    )
+    generate_corpus(corpus_params(1), str(corpus), compute_realized=False)
+    assert main(["pipeline", "--config", str(config)]) == EXIT_OK
+    target = (corpus if name in DUMPS else out) / name
+    before = target.read_bytes()
+    fail_rename_onto(monkeypatch, name)
+    if name in DUMPS:
+        with pytest.raises(OSError, match="rename onto"):
+            generate_corpus(corpus_params(2), str(corpus), compute_realized=False)
+    else:
+        generate_corpus(corpus_params(2), str(corpus), compute_realized=False)
+        assert main(["pipeline", "--config", str(config)]) == EXIT_IO
+        assert f"rename onto {name} failed" in capsys.readouterr().err
+    assert target.read_bytes() == before
+    assert [f for _, _, files in os.walk(tmp_path) for f in files if f.endswith(".tmp")] == []
+
+
+@pytest.mark.parametrize("blank", [False, True], ids=["no-blank", "blank"])
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_score_and_ranking_files_read_alike_with_lf_or_crlf_line_ends(
+    tmp_path, line_end, blank
+):
+    table = make_table(2014, {"A": 2, "B": Fraction(1, 3), "Dept, Univ": 1})
+    ranking = make_rank_list([("A", 2.0), ("Dept, Univ", 1.0), ("B", 0.5)])
+    scores, ranks = tmp_path / "scores.csv", tmp_path / "ranking.csv"
+    write_score_csv(table, str(scores))
+    write_ranking_csv(ranking, str(ranks))
+    for path in (scores, ranks):
+        text = path.read_text(encoding="utf-8") + ("\n" if blank else "")
+        path.write_bytes(text.replace("\n", line_end).encode("utf-8"))
+    back = read_score_csv(str(scores), 2014)
+    assert back == stored_table(table)
+    assert list(back.numerators) == list(stored_table(table).numerators)
+    assert read_ranking_csv(str(ranks)) == ranking
 
 
 def test_score_csv_tolerates_commas_in_institution_ids(tmp_path):

@@ -11,7 +11,6 @@ from .aggregate import (
     AggregationSpec,
     RankList,
     RankedItem,
-    borda_aggregate,
     fagin_topk,
     normalized_sum,
     rank_venue,
@@ -21,7 +20,6 @@ from .aggregate import (
 from .evaluate import (
     EvalReport,
     EvalRow,
-    dcg_at_k,
     evaluate_rankings,
     ndcg_at_k,
 )
@@ -65,8 +63,6 @@ __all__ = [
     "TableSchema",
     "UNKNOWN_INSTITUTION",
     "YearRange",
-    "borda_aggregate",
-    "dcg_at_k",
     "evaluate_rankings",
     "fagin_topk",
     "filter_papers",

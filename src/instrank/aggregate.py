@@ -219,19 +219,6 @@ def borda_points(orders: Sequence[Sequence[str]]) -> dict[str, list[int]]:
     return points
 
 
-def borda_aggregate(
-    rank_lists: Sequence[RankList],
-    variant: str = "sum",
-    p: float | None = None,
-) -> RankList:
-    """Rank by per-list positional points combined across lists (``borda_combine``)."""
-    if not rank_lists:
-        raise ValueError("no rank lists to aggregate")
-    return borda_combine(
-        borda_points([rank_list.ids() for rank_list in rank_lists]), variant, p
-    )
-
-
 def borda_combine(
     points: Mapping[str, Sequence[int]], variant: str = "sum", p: float | None = None
 ) -> RankList:

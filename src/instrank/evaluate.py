@@ -18,17 +18,12 @@ class ZeroIdealError(ValueError):
     """Truth with no positive relevance leaves NDCG undefined."""
 
 
-def dcg_at_k(ids: Sequence[str], truth: RankList, k: int) -> float:
+def _dcg(ids: Sequence[str], relevance: Mapping[str, float], k: int) -> float:
     """Discounted cumulative gain of the first k ranked ids.
 
-    Each id's gain is its score in ``truth``. Position i (1-based)
-    contributes gain / log2(i + 1); rankings shorter than k simply stop
-    early.
+    Each id's gain is its relevance. Position i (1-based) contributes
+    gain / log2(i + 1); rankings shorter than k simply stop early.
     """
-    return _dcg(ids, dict(truth.items), k)
-
-
-def _dcg(ids: Sequence[str], relevance: Mapping[str, float], k: int) -> float:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     gains = []

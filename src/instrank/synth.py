@@ -62,6 +62,7 @@ class CorpusParams:
         ):
             if low < 1 or high < low:
                 raise InvalidParamsError(f"{name} range ({low}, {high}) is empty")
+        # _draw_sample's rejection loop would never end.
         if self.authors_per_paper[1] > self.num_authors:
             raise InvalidParamsError("authors_per_paper exceeds the author pool")
         if not 0.0 <= self.unknown_rate < 1.0:
@@ -109,22 +110,57 @@ def planted_weights(params: CorpusParams, year: int) -> list[float]:
     return weights
 
 
+def _draw_sample(getrandbits: Callable[[int], int], n: int, k: int) -> list[int]:
+    """Draw what ``Random.sample(range(n), k)`` draws, from the same ``getrandbits`` calls.
+
+    Each index is ``Random._randbelow``'s draw: ``getrandbits(m.bit_length())``,
+    retried while it is ``>= m``. As in CPython, a pool list is swapped when
+    ``n`` is no larger than a ``k``-element set would be, and otherwise
+    repeats are rejected (here against the short list drawn so far).
+    """
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    chosen = []
+    if n <= setsize:
+        pool = list(range(n))
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            chosen.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        bits = n.bit_length()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in chosen:
+                j = getrandbits(bits)
+            chosen.append(j)
+    return chosen
+
+
 def iter_corpus(params: CorpusParams) -> Iterator[AttributedPaper]:
     """Yield the corpus paper by paper, deterministically for a given seed.
 
-    The draws are the ones ``rng.choices(ids, cum_weights=...)`` and
-    ``rng.randint`` make, in the same order (all of an author's
-    institutions, then their UNKNOWN draws), made inline with ``bisect``
-    and ``rng.randrange``: a seed gives the corpus it always gave.
+    The draws are the ones ``rng.randint``, ``rng.sample(range(num_authors),
+    k)`` and ``rng.choices(ids, cum_weights=...)`` make, in the same order
+    (the author count, the authors, then per author the institution count,
+    all of their institutions and then their UNKNOWN draws). They are made
+    from ``rng.getrandbits`` and ``rng.random`` alone, inline or in
+    ``_draw_sample``, so a seed gives the corpus it always gave.
     """
     rng = random.Random(params.rng_seed)
-    draw, randrange, sample = rng.random, rng.randrange, rng.sample
+    draw, getrandbits = rng.random, rng.getrandbits
     ids = institution_ids(params)
     last = len(ids) - 1
-    authors = range(params.num_authors)
+    num_authors = params.num_authors
     author_lo, author_hi = params.authors_per_paper
     affil_lo, affil_hi = params.affils_per_author
-    author_stop, affil_stop = author_hi + 1, affil_hi + 1
+    # ``randint(lo, hi)`` is ``lo`` plus a draw below the width, as in _draw_sample.
+    author_width, affil_width = author_hi - author_lo + 1, affil_hi - affil_lo + 1
+    author_bits, affil_bits = author_width.bit_length(), affil_width.bit_length()
     unknown_rate = params.unknown_rate
     serial = 0
     for year in params.years:
@@ -136,11 +172,17 @@ def iter_corpus(params: CorpusParams) -> Iterator[AttributedPaper]:
                 paper_id = f"P{serial}"
                 serial += 1
                 rows = []
-                for author_index in sample(authors, randrange(author_lo, author_stop)):
+                count = getrandbits(author_bits)
+                while count >= author_width:
+                    count = getrandbits(author_bits)
+                for author_index in _draw_sample(getrandbits, num_authors, author_lo + count):
                     author_id = f"A{author_index}"
+                    count = getrandbits(affil_bits)
+                    while count >= affil_width:
+                        count = getrandbits(affil_bits)
                     institutions = [
                         ids[bisect(cum_weights, draw() * total, 0, last)]
-                        for _ in range(randrange(affil_lo, affil_stop))
+                        for _ in range(affil_lo + count)
                     ]
                     for institution in institutions:
                         if unknown_rate and draw() < unknown_rate:

@@ -17,14 +17,16 @@ import tempfile
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
-from conftest import exact, make_rank_list, make_table
+from conftest import exact, make_table
 from instrank.aggregate import (
     AggregationSpec,
     YearTables,
-    borda_aggregate,
+    borda_combine,
+    borda_points,
     normalized_sum,
     rank_venue,
     ranking_file_name,
@@ -103,7 +105,7 @@ def test_report_layout_matches_the_golden_file(announce):
             ],
         )
         rendered = render_report_text(report).encode("utf-8")
-        golden = open(GOLDEN, "rb").read()
+        golden = Path(GOLDEN).read_bytes()
         assert rendered == golden
 
 
@@ -217,18 +219,18 @@ def test_fagin_always_returns_the_naive_top_k(announce):
         assert elapsed < 30.0, f"fagin comparison took {elapsed:.1f}s"
 
 
-def _random_full_lists(rng, universe, n_lists, max_adjacent_swaps=3):
+def _random_full_orders(rng, universe, n_lists, max_adjacent_swaps=3):
     base = universe[:]
     rng.shuffle(base)
-    lists = []
+    orders = []
     for _ in range(n_lists):
         order = base[:]
         for _ in range(rng.randint(0, max_adjacent_swaps)):
             pos = rng.randrange(len(order) - 1) if len(order) > 1 else 0
             if len(order) > 1:
                 order[pos], order[pos + 1] = order[pos + 1], order[pos]
-        lists.append(make_rank_list([(inst, len(order) - i) for i, inst in enumerate(order)]))
-    return lists
+        orders.append(order)
+    return orders
 
 
 BORDA_CASES = (
@@ -244,10 +246,11 @@ def test_borda_unanimity(announce):
         rng = random.Random(31415)
         for _ in range(500):
             universe = [f"I{j:02d}" for j in range(rng.randint(2, 12))]
-            lists = _random_full_lists(rng, universe, rng.randint(1, 5))
-            positions = [{institution: rank for rank, institution in enumerate(rl.ids())} for rl in lists]
+            orders = _random_full_orders(rng, universe, rng.randint(1, 5))
+            positions = [{institution: rank for rank, institution in enumerate(order)} for order in orders]
+            points = borda_points(orders)
             for variant, p in BORDA_CASES:
-                ranking = borda_aggregate(lists, variant, p=p)
+                ranking = borda_combine(points, variant, p=p)
                 agg_pos = {institution: rank for rank, institution in enumerate(ranking.ids())}
                 for x, y in combinations(universe, 2):
                     if all(pos[x] < pos[y] for pos in positions):
@@ -261,12 +264,12 @@ def test_borda_permutation_invariance(announce):
         rng = random.Random(2718)
         for _ in range(500):
             universe = [f"I{j:02d}" for j in range(rng.randint(2, 12))]
-            lists = _random_full_lists(rng, universe, rng.randint(2, 6), 10)
-            shuffled = lists[:]
+            orders = _random_full_orders(rng, universe, rng.randint(2, 6), 10)
+            shuffled = orders[:]
             rng.shuffle(shuffled)
             for variant, p in BORDA_CASES:
-                direct = borda_aggregate(lists, variant, p=p)
-                reordered = borda_aggregate(shuffled, variant, p=p)
+                direct = borda_combine(borda_points(orders), variant, p=p)
+                reordered = borda_combine(borda_points(shuffled), variant, p=p)
                 assert direct == reordered
 
 
@@ -275,17 +278,16 @@ def test_borda_p1_matches_sum_order(announce):
         rng = random.Random(161803)
         for _ in range(500):
             universe = [f"I{j:02d}" for j in range(rng.randint(2, 20))]
-            lists = []
+            orders = []
             for _ in range(rng.randint(1, 6)):
                 members = [inst for inst in universe if rng.random() < 0.8]
                 rng.shuffle(members)
-                lists.append(
-                    make_rank_list([(inst, len(members) - i) for i, inst in enumerate(members)])
-                )
-            if not any(rl.items for rl in lists):
+                orders.append(members)
+            if not any(orders):
                 continue
-            by_sum = borda_aggregate(lists, "sum")
-            by_p1 = borda_aggregate(lists, "p_norm", p=1.0)
+            points = borda_points(orders)
+            by_sum = borda_combine(points, "sum")
+            by_p1 = borda_combine(points, "p_norm", p=1.0)
             assert by_sum.ids() == by_p1.ids()
 
 
@@ -486,14 +488,14 @@ def test_pipeline_selects_a_consistent_winner(announce, tmp_path):
         assert main(["pipeline", "--config", str(config_path)]) == EXIT_OK
 
         values: dict[str, dict[str, float]] = {}
-        report_csv = open(out_dir / "report.csv", encoding="utf-8").read().splitlines()
+        report_csv = (out_dir / "report.csv").read_text(encoding="utf-8").splitlines()
         assert report_csv[0] == "venue,method,ndcg@20"
         for line in report_csv[1:]:
             venue, label, value = line.split(",")
             values.setdefault(venue, {})[label] = float(value)
         assert set(values) == {"V0", "V1", "V2"}
 
-        report_txt = open(out_dir / "report.txt", encoding="utf-8").read().splitlines()
+        report_txt = (out_dir / "report.txt").read_text(encoding="utf-8").splitlines()
         labels = report_txt[1].split()[2:]
         assert labels == ["normalized_sum", "borda_sum", "fagin"]
         config = load_config(str(config_path))
@@ -516,10 +518,8 @@ def test_pipeline_selects_a_consistent_winner(announce, tmp_path):
                 for year in range(2011, 2016)
             ]
             expected = run_aggregation(winning_spec, YearTables(tables))
-            prediction = open(out_dir / f"prediction_{venue}.csv", encoding="utf-8")
-            got_ids = [
-                line.split(",")[1] for line in prediction.read().splitlines()[1:]
-            ]
+            prediction = (out_dir / f"prediction_{venue}.csv").read_text(encoding="utf-8")
+            got_ids = [line.split(",")[1] for line in prediction.splitlines()[1:]]
             assert got_ids == expected.ids()
 
 

@@ -17,7 +17,6 @@ from instrank.aggregate import (
     KTooLargeError,
     RankList,
     YearTables,
-    borda_aggregate,
     borda_combine,
     borda_points,
     fagin_topk,
@@ -106,9 +105,8 @@ def test_spec_rejects_non_positive_p():
         AggregationSpec.parse("borda:p_norm:-2")
     with pytest.raises(InvalidPError):
         AggregationSpec.parse("borda:p_norm:-1")
-    lists = [make_rank_list([("A", 2), ("B", 1)])]
     with pytest.raises(InvalidPError):
-        borda_aggregate(lists, "p_norm", 0.0)
+        borda_combine(borda_points([["A", "B"]]), "p_norm", 0.0)
 
 
 def test_spec_parse_rejects_a_non_finite_p():
@@ -119,12 +117,12 @@ def test_spec_parse_rejects_a_non_finite_p():
 
 
 def test_borda_p_norm_overflow_raises_invalid_p():
-    lists = [make_rank_list([("A", 2), ("B", 1)])]
+    points = borda_points([["A", "B"]])
     with pytest.raises(InvalidPError, match="p=10000 is too large"):
-        borda_aggregate(lists, "p_norm", p=10_000)
+        borda_combine(points, "p_norm", p=10_000)
     with pytest.raises(InvalidPError, match="p=inf is too large"):
-        borda_aggregate(lists, "p_norm", p=math.inf)
-    assert borda_aggregate(lists, "p_norm", p=1000).items[0] == ("A", 2.0**1000)
+        borda_combine(points, "p_norm", p=math.inf)
+    assert borda_combine(points, "p_norm", p=1000).items[0] == ("A", 2.0**1000)
 
 
 def test_spec_labels():
@@ -185,56 +183,37 @@ def test_borda_points_for_three_items():
 
 
 def test_borda_sum_identical_lists_keep_the_order():
-    lists = [make_rank_list([("A", 3), ("B", 2), ("C", 1)])] * 3
-    final = borda_aggregate(lists, "sum")
+    final = borda_combine(borda_points([["A", "B", "C"]] * 3), "sum")
     assert final.items == (("A", 9), ("B", 6), ("C", 3))
 
 
 def test_borda_sum_opposite_lists_tie_and_fall_back_to_id_order():
-    lists = [
-        make_rank_list([("A", 3), ("B", 2), ("C", 1)]),
-        make_rank_list([("C", 3), ("B", 2), ("A", 1)]),
-    ]
-    final = borda_aggregate(lists, "sum")
+    final = borda_combine(borda_points([["A", "B", "C"], ["C", "B", "A"]]), "sum")
     assert final.items == (("A", 4), ("B", 4), ("C", 4))
 
 
 def test_borda_absent_institutions_take_zero_points():
-    lists = [
-        make_rank_list([("A", 2), ("B", 1)]),
-        make_rank_list([("B", 2)]),
-    ]
-    final = borda_aggregate(lists, "sum")
+    final = borda_combine(borda_points([["A", "B"], ["B"]]), "sum")
     # A: 2 + 0; B: 1 + ... second list has one entry so B takes 1 point there.
     assert final.items == (("A", 2), ("B", 2))
 
 
 def test_borda_median_and_geometric_mean_and_p_norm_hand_cases():
-    lists = [
-        make_rank_list([("A", 2), ("B", 1)]),
-        make_rank_list([("A", 2), ("B", 1)]),
-    ]
-    assert borda_aggregate(lists, "median").items == (("A", 2), ("B", 1))
-    geo = dict(borda_aggregate(lists, "geometric_mean").items)
+    points = borda_points([["A", "B"], ["A", "B"]])
+    assert borda_combine(points, "median").items == (("A", 2), ("B", 1))
+    geo = dict(borda_combine(points, "geometric_mean").items)
     assert geo["A"] == pytest.approx(2.0)
     assert geo["B"] == pytest.approx(1.0)
-    assert borda_aggregate(lists, "p_norm", p=2).items == (("A", 4.0), ("B", 1.0))
+    assert borda_combine(points, "p_norm", p=2).items == (("A", 4.0), ("B", 1.0))
 
 
 def test_borda_median_splits_even_counts():
-    lists = [
-        make_rank_list([("A", 2), ("B", 1)]),
-        make_rank_list([("B", 2), ("A", 1)]),
-    ]
-    assert borda_aggregate(lists, "median").items == (("A", 1.5), ("B", 1.5))
+    points = borda_points([["A", "B"], ["B", "A"]])
+    assert borda_combine(points, "median").items == (("A", 1.5), ("B", 1.5))
 
 
 def test_borda_geometric_mean_zeroes_on_any_absence():
-    lists = [
-        make_rank_list([("A", 2), ("B", 1)]),
-        make_rank_list([("A", 1)]),
-    ]
-    final = dict(borda_aggregate(lists, "geometric_mean").items)
+    final = dict(borda_combine(borda_points([["A", "B"], ["A"]]), "geometric_mean").items)
     assert final["B"] == 0
     assert final["A"] > 0
 
@@ -242,28 +221,29 @@ def test_borda_geometric_mean_zeroes_on_any_absence():
 def test_borda_p_norm_at_one_orders_like_sum():
     rng = random.Random(11)
     for _ in range(100):
-        lists = []
+        orders = []
         universe = [f"I{i}" for i in range(rng.randint(2, 25))]
         for l in range(rng.randint(1, 6)):
             members = [inst for inst in universe if rng.random() < 0.8]
             rng.shuffle(members)
-            lists.append(
-                make_rank_list([(inst, len(members) - i) for i, inst in enumerate(members)])
-            )
-        if not any(rl.items for rl in lists):
+            orders.append(members)
+        if not any(orders):
             continue
-        by_sum = borda_aggregate(lists, "sum")
-        by_p1 = borda_aggregate(lists, "p_norm", p=1)
+        points = borda_points(orders)
+        by_sum = borda_combine(points, "sum")
+        by_p1 = borda_combine(points, "p_norm", p=1)
         assert ranked_ids(by_sum) == ranked_ids(by_p1)
 
 
 def test_borda_rejects_empty_input_and_bad_variant():
+    # A venue's Borda run starts from its YearTables, which need a year.
+    with pytest.raises(ValueError, match="no year tables to aggregate"):
+        YearTables([])
+    points = borda_points([["A"]])
     with pytest.raises(ValueError):
-        borda_aggregate([], "sum")
-    with pytest.raises(ValueError):
-        borda_aggregate([make_rank_list([("A", 1)])], "midrange")
+        borda_combine(points, "midrange")
     with pytest.raises(InvalidPError):
-        borda_aggregate([make_rank_list([("A", 1)])], "p_norm", p=None)
+        borda_combine(points, "p_norm", p=None)
 
 
 # --- fagin --------------------------------------------------------------
@@ -461,7 +441,9 @@ def test_every_borda_variant_combines_the_one_point_table(seed):
         assert view.points == YearTables(tables[:count]).points
         for spec in specs:
             got = run_aggregation(spec, view)
-            want = borda_aggregate(lists, spec.borda_variant, spec.p)
+            want = borda_combine(
+                borda_points([ranking.ids() for ranking in lists]), spec.borda_variant, spec.p
+            )
             assert [(inst, repr(float(score))) for inst, score in got.items] == [
                 (inst, repr(float(score))) for inst, score in want.items
             ], spec.label
@@ -744,8 +726,8 @@ def reference_ranking(years: list[dict], spec: AggregationSpec) -> list:
                 totals[inst] = totals.get(inst, 0) + value
         return reference_order(totals)
     if spec.method == "borda":
-        lists = [make_rank_list(reference_order(entries)) for entries in normalized]
-        return list(borda_aggregate(lists, spec.borda_variant, spec.p).items)
+        orders = [[inst for inst, _ in reference_order(entries)] for entries in normalized]
+        return list(borda_combine(borda_points(orders), spec.borda_variant, spec.p).items)
     universe = {inst for entries in normalized for inst in entries}
     means = {
         inst: math.fsum(float(entries.get(inst, 0)) for entries in normalized) / len(normalized)

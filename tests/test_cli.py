@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -201,7 +202,7 @@ def test_a_shorthand_flag_sets_its_config_key_and_wins_over_set(
 def test_a_percent_sign_in_a_path_is_taken_literally(tmp_path, capsys):
     def written(out_dir):
         return {
-            name: open(os.path.join(out_dir, name), "rb").read()
+            name: Path(out_dir, name).read_bytes()
             for name in os.listdir(out_dir)
         }
 
@@ -581,11 +582,11 @@ def test_exit_2_on_an_empty_output_dir(tmp_path, monkeypatch, capsys, command):
     assert main(["pipeline", "--config", cfg_path]) == EXIT_OK
     # The working directory holds every file a stage reads, so only the check stops it.
     monkeypatch.chdir(out_dir)
-    before = {name: open(name, "rb").read() for name in os.listdir(".")}
+    before = {name: Path(name).read_bytes() for name in os.listdir(".")}
     capsys.readouterr()
     assert main([command, "--config", cfg_path, "--set", "output.dir="]) == EXIT_CONFIG
     assert "error: output.dir is empty" in capsys.readouterr().err
-    assert {name: open(name, "rb").read() for name in os.listdir(".")} == before
+    assert {name: Path(name).read_bytes() for name in os.listdir(".")} == before
 
 
 def test_exit_3_on_missing_input_file(tmp_path):
@@ -990,9 +991,7 @@ def test_aggregate_method_flag_runs_only_that_method(tmp_path):
     produced = sorted(os.listdir(out_dir))
     rankings = [name for name in produced if name.startswith("ranking_")]
     assert rankings == ["ranking_V0_fagin.csv", "ranking_V0_fagin.json"]
-    payload = json.loads(
-        open(os.path.join(out_dir, "ranking_V0_fagin.json"), encoding="utf-8").read()
-    )
+    payload = json.loads(Path(out_dir, "ranking_V0_fagin.json").read_text(encoding="utf-8"))
     assert payload["method"]["name"] == "fagin"
     assert payload["method"]["fagin_k"] == 2
 
@@ -1003,23 +1002,21 @@ def test_aggregate_method_flag_runs_only_that_method(tmp_path):
 def test_pipeline_perfect_agreement_scores_one_everywhere(tmp_path, capsys):
     cfg_path, out_dir = tiny_config(tmp_path)
     assert main(["pipeline", "--config", cfg_path]) == EXIT_OK
-    report_csv = open(os.path.join(out_dir, "report.csv"), encoding="utf-8").read()
+    report_csv = Path(out_dir, "report.csv").read_text(encoding="utf-8")
     assert report_csv == (
         "venue,method,ndcg@2\n"
         "V0,normalized_sum,1.0\n"
         "V0,borda_sum,1.0\n"
         "V0,fagin,1.0\n"
     )
-    report_txt = open(os.path.join(out_dir, "report.txt"), encoding="utf-8").read()
+    report_txt = Path(out_dir, "report.txt").read_text(encoding="utf-8")
     assert report_txt == (
         "NDCG@2 values for V0\n"
         "Conf. Name  normalized_sum  borda_sum  fagin\n"
         "V0          *1.000          1.000      1.000\n"
     )
     assert capsys.readouterr().out == report_txt
-    prediction = open(
-        os.path.join(out_dir, "prediction_V0.csv"), encoding="utf-8"
-    ).read()
+    prediction = Path(out_dir, "prediction_V0.csv").read_text(encoding="utf-8")
     assert prediction == "rank,institution_id,score\n1,IA,3.0\n2,IB,1.5\n"
 
 
@@ -1050,7 +1047,7 @@ def test_pipeline_reruns_byte_identically(tmp_path):
 
     def snapshot():
         return {
-            name: open(os.path.join(out_dir, name), "rb").read()
+            name: Path(out_dir, name).read_bytes()
             for name in sorted(os.listdir(out_dir))
         }
 
@@ -1086,11 +1083,7 @@ def test_pipeline_prediction_recomputes_from_the_winning_method(tmp_path):
     )
     assert main(["pipeline", "--config", cfg_path]) == EXIT_OK
     config = load_config(cfg_path)
-    report_lines = (
-        open(os.path.join(out_dir, "report.csv"), encoding="utf-8")
-        .read()
-        .splitlines()[1:]
-    )
+    report_lines = Path(out_dir, "report.csv").read_text(encoding="utf-8").splitlines()[1:]
     values = {}
     for line in report_lines:
         _, label, value = line.split(",")
@@ -1236,7 +1229,7 @@ def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch)
         for command in commands:
             assert main([command, "--config", cfg_path]) == EXIT_OK
         outputs[out_name] = {
-            name: open(os.path.join(out_dir, name), "rb").read()
+            name: Path(out_dir, name).read_bytes()
             for name in sorted(os.listdir(out_dir))
         }
     predictions = {name for name in outputs["pipeline"] if name.startswith("prediction_")}

@@ -25,7 +25,6 @@ from instrank.evaluate import (
     EvalRow,
     ZeroIdealError,
     _graded,
-    dcg_at_k,
     evaluate_rankings,
     ndcg_at_k,
     render_report_csv,
@@ -35,42 +34,47 @@ from instrank.ingest import UNKNOWN_INSTITUTION
 from instrank.scoring import ScoreTable, read_score_csv, write_score_csv
 
 THREE_LEVELS = to_ranking(make_table(2015, {"A": 3, "B": 2, "C": 1}))
+# 1 / log2(3), the discount at the second position.
+SECOND = 0.6309297535714575
+# DCG@3 of THREE_LEVELS in its own order: 3/log2(2) + 2/log2(3) + 1/log2(4).
+THREE_LEVELS_IDEAL = 3.0 + 2.0 * SECOND + 0.5
 
 
 # --- dcg ---------------------------------------------------------------
 
 
 def test_dcg_discounts_by_log_of_position():
-    # 3/log2(2) + 2/log2(3) + 1/log2(4)
-    value = dcg_at_k(["A", "B", "C"], THREE_LEVELS, 3)
-    assert value == pytest.approx(3.0 + 2.0 * 0.6309297535714575 + 0.5)
+    # 1/log2(2) + 2/log2(3) + 3/log2(4), over the ideal DCG.
+    value = ndcg_at_k(["C", "B", "A"], THREE_LEVELS, 3)
+    assert value == pytest.approx((1.0 + 2.0 * SECOND + 1.5) / THREE_LEVELS_IDEAL)
 
 
 def test_dcg_second_position_discount_is_frozen():
     truth = to_ranking(make_table(2015, {"B": 1}))
-    assert dcg_at_k(["A", "B"], truth, 2) == pytest.approx(
-        0.6309297535714575, abs=1e-15
-    )
+    # The ideal DCG is 1, so the NDCG is the discount itself.
+    assert ndcg_at_k(["A", "B"], truth, 2) == pytest.approx(SECOND, abs=1e-15)
 
 
 def test_dcg_ignores_items_missing_from_truth():
-    assert dcg_at_k(["Z", "Y"], THREE_LEVELS, 2) == 0.0
+    assert ndcg_at_k(["Z", "Y"], THREE_LEVELS, 2) == 0.0
 
 
 def test_dcg_stops_at_k():
-    assert dcg_at_k(["A", "B", "C"], THREE_LEVELS, 1) == 3.0
+    # Past position 1, C before B would cost something.
+    assert ndcg_at_k(["A", "C", "B"], THREE_LEVELS, 1) == 1.0
 
 
 def test_dcg_rejects_nonpositive_k():
     with pytest.raises(ValueError):
-        dcg_at_k(["A"], THREE_LEVELS, 0)
+        ndcg_at_k(["A"], THREE_LEVELS, 0)
 
 
 def test_ideal_dcg_orders_by_relevance():
     relevance, ideal = _graded(THREE_LEVELS, 3)
     assert relevance == {"A": 3.0, "B": 2.0, "C": 1.0}
-    assert ideal == dcg_at_k(["A", "B", "C"], THREE_LEVELS, 3)
-    assert ideal > dcg_at_k(["C", "B", "A"], THREE_LEVELS, 3)
+    assert ideal == pytest.approx(THREE_LEVELS_IDEAL)
+    assert ndcg_at_k(["A", "B", "C"], THREE_LEVELS, 3) == 1.0
+    assert ndcg_at_k(["C", "B", "A"], THREE_LEVELS, 3) < 1.0
 
 
 def test_truth_keeps_its_ideal_order_ties_by_id():

@@ -5,9 +5,11 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import random
 import re
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -136,6 +138,59 @@ def test_unknown_rate_blanks_roughly_that_share_of_rows():
     assert 0.25 < blanked / len(rows) < 0.35
 
 
+# --- draws --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_draw_sample_makes_the_draws_random_sample_makes(seed):
+    # n crosses 21 and 85, where CPython's sample stops swapping a pool list
+    # and rejects repeats from a set instead (for k <= 5, then 6 <= k <= 21).
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in range(1, 101):
+        for k in range(1, min(n, 9) + 1):
+            drawn = synth._draw_sample(ours.getrandbits, n, k)
+            assert drawn == theirs.sample(range(n), k), (n, k)
+            assert ours.getstate() == theirs.getstate(), (n, k)
+
+
+def reference_corpus(params):
+    """The corpus drawn with ``Random``'s own ``randint``, ``sample`` and ``choices``."""
+    rng = random.Random(params.rng_seed)
+    ids = institution_ids(params)
+    serial = 0
+    for year in params.years:
+        cum_weights = list(accumulate(planted_weights(params, year)))
+        for venue_index in range(params.num_venues):
+            for _ in range(params.papers_per_venue_year):
+                paper_id = f"P{serial}"
+                serial += 1
+                rows = []
+                count = rng.randint(*params.authors_per_paper)
+                for author in rng.sample(range(params.num_authors), count):
+                    affils = rng.randint(*params.affils_per_author)
+                    for institution in rng.choices(ids, cum_weights=cum_weights, k=affils):
+                        if params.unknown_rate and rng.random() < params.unknown_rate:
+                            institution = UNKNOWN_INSTITUTION
+                        rows.append((paper_id, f"A{author}", institution))
+                yield (paper_id, year, f"V{venue_index}"), rows
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # Papers of up to 5 authors reject repeats; of 6 to 9, swap a pool.
+        dict(num_authors=30, authors_per_paper=(1, 9), unknown_rate=0.2),
+        # Ranges one wide still draw.
+        dict(num_authors=3, authors_per_paper=(3, 3), affils_per_author=(2, 2)),
+        dict(num_authors=200, affils_per_author=(1, 5), strength_drift=1.5),
+    ],
+)
+def test_iter_corpus_equals_the_corpus_random_draws_itself(overrides):
+    params = small_params(**overrides)
+    drawn = [(paper, list(rows)) for paper, rows in iter_corpus(params)]
+    assert drawn == list(reference_corpus(params))
+
+
 # --- files on disk ------------------------------------------------------
 
 
@@ -151,9 +206,9 @@ PINNED_PARAMS = {
         papers_per_venue_year=40,
         rng_seed=11,
     ),
-    # Twelve authors is few enough that ``Random.sample`` shuffles a pool
-    # list rather than rejecting repeats from a set; the drift clamps
-    # weights at MIN_WEIGHT by the last year.
+    # Twelve authors is few enough that the authors are drawn by swapping a
+    # pool list, as ``Random.sample`` does, rather than by rejecting repeats;
+    # the drift clamps weights at MIN_WEIGHT by the last year.
     "pool": dict(
         num_institutions=9,
         num_authors=12,
@@ -210,12 +265,11 @@ def test_generate_corpus_same_seed_same_bytes(tmp_path):
         (tmp_path / sub).mkdir()
     first = generate_corpus(small_params(), str(tmp_path / "a"))
     second = generate_corpus(small_params(), str(tmp_path / "b"))
-    papers_a = open(first.papers_path, "rb").read()
-    papers_b = open(second.papers_path, "rb").read()
-    assert papers_a == papers_b
-    affils_a = open(first.affiliations_path, "rb").read()
-    affils_b = open(second.affiliations_path, "rb").read()
-    assert affils_a == affils_b
+    for a, b in (
+        (first.papers_path, second.papers_path),
+        (first.affiliations_path, second.affiliations_path),
+    ):
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_generate_corpus_writes_each_papers_rows_as_one_run(tmp_path):

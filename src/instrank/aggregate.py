@@ -1,10 +1,10 @@
 """Consensus rankings from per-year score tables.
 
-Every year is normalized once (``YearTables.normalized``) and three
+A span's years are normalized once (``YearTables.normalized``) and three
 aggregation families read that view: a normalized score sum over the
 years, positional (Borda-style) point counts with several combining
 variants, and Fagin-style top-k by mean normalized score. Each
-institution's per-year Borda points are counted once per venue from the
+institution's per-year Borda points are counted once per span from the
 normalized years' id orders (``YearTables.points``), and every variant
 combines that one table (``borda_combine``). A normalized year is its
 integer numerators over the year's top numerator, so sums and orderings
@@ -159,8 +159,8 @@ class YearTables:
     so building it copies nothing. ``normalized`` is the one view every
     method reads. ``points`` holds each institution's Borda points in the
     normalized years' orders (``borda_points``), which every positional
-    method combines. ``through`` slices both, so each year is ordered and
-    counted once however many spans and specs read it.
+    method combines. A span of years is its own ``YearTables``, built from
+    that span's tables.
     """
 
     def __init__(self, tables: Sequence[ScoreTable]) -> None:
@@ -170,17 +170,6 @@ class YearTables:
         self.points = borda_points(
             [[inst for inst, _ in order_by_score(table.numerators)] for table in self.normalized]
         )
-
-    def through(self, year: int) -> "YearTables":
-        """The leading years up to ``year``, sharing these views and points."""
-        count = sum(table.year <= year for table in self.normalized)
-        head = object.__new__(YearTables)
-        head.normalized = self.normalized[:count]
-        # An institution that first appears after ``year`` is not in the head.
-        head.points = {
-            inst: kept for inst, vector in self.points.items() if any(kept := vector[:count])
-        }
-        return head
 
 
 def normalized_sum(year_tables: YearTables) -> ScoreTable:
@@ -204,10 +193,6 @@ def borda_points(orders: Sequence[Sequence[str]]) -> dict[str, list[int]]:
     the first earns n points and the last 1.
     """
     count = len(orders)
-    # Every order takes its point counts from one list of ints, so a count
-    # is one object however many orders and institutions hold it.
-    longest = max(map(len, orders), default=0)
-    counts = list(range(longest + 1))
     points: dict[str, list[int]] = {}
     for index, order in enumerate(orders):
         n = len(order)
@@ -215,7 +200,7 @@ def borda_points(orders: Sequence[Sequence[str]]) -> dict[str, list[int]]:
             vector = points.get(institution)
             if vector is None:
                 vector = points[institution] = [0] * count
-            vector[index] = counts[n - position]
+            vector[index] = n - position
     return points
 
 
@@ -294,15 +279,11 @@ def fagin_topk(tables: Sequence[ScoreTable], k: int) -> RankList:
         raise KTooLargeError(f"k={k} exceeds universe of {n}")
     # Each year's value is the float of its exact score; fsum makes the
     # mean independent of year order.
-    values = [
-        {
-            institution: numerator / table.denominator
-            for institution, numerator in table.numerators.items()
-        }
-        for table in tables
-    ]
     means = {
-        institution: math.fsum(year.get(institution, 0.0) for year in values) / len(tables)
+        institution: math.fsum(
+            table.numerators.get(institution, 0) / table.denominator for table in tables
+        )
+        / len(tables)
         for institution in universe
     }
     return _ranked(means, k=k)

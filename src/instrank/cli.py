@@ -199,21 +199,20 @@ def cmd_pipeline(config: PipelineConfig) -> int:
 
     No score file is read back: each table ``cmd_score`` wrote is rounded
     as its file stores it (``stored_table``), so aggregation sees what the
-    separate stages read. Each venue-year is normalized and given its
-    Borda points once; everything after that runs on those views in
-    memory: every venue's rankings are written first, then the report,
-    then the predictions, which aggregate every scored year.
+    separate stages read. The training years are ranked as ``cmd_aggregate``
+    ranks them, as a ``YearTables`` of exactly those years; everything after
+    that runs in memory: every venue's rankings are written first, then the
+    report, then the predictions, which aggregate every scored year.
     """
     written = cmd_score(config)
-    years_by_venue = {}
+    tables_by_venue = {}
     rankings_by_venue = {}
     truth_by_venue = {}
     for venue_id in config.venues:
-        tables = {
+        tables = tables_by_venue[venue_id] = {
             year: stored_table(written.pop((venue_id, year))) for year in config.scored_years()
         }
-        years = years_by_venue[venue_id] = YearTables(list(tables.values()))
-        training = years.through(config.train_years.high)
+        training = YearTables([tables[year] for year in config.train_years])
         rankings_by_venue[venue_id] = _write_rankings(config, venue_id, training)
         truth_by_venue[venue_id] = to_ranking(tables[config.truth_year])
     report = evaluate_rankings(rankings_by_venue, truth_by_venue, config.k)
@@ -221,7 +220,8 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     for row in report.rows:
         venue_id, label = row.venue_id, row.winner
         winner = [spec for spec in config.specs if spec.label == label]
-        prediction = rank_venue(venue_id, years_by_venue[venue_id], winner)[label]
+        years = YearTables(list(tables_by_venue[venue_id].values()))
+        prediction = rank_venue(venue_id, years, winner)[label]
         write_ranking_csv(prediction, os.path.join(config.output_dir, f"prediction_{venue_id}.csv"))
     return EXIT_OK
 
@@ -241,7 +241,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
             affils_per_author=parse_range(args.affils_per_author),
             strength_drift=args.drift,
             unknown_rate=args.unknown_rate,
-            filler_width=args.filler_width,
             rng_seed=args.seed,
         )
     except ValueError as exc:
@@ -277,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--affils-per-author", default="1-2", help="range, e.g. 1-2")
     synth.add_argument("--drift", type=float, default=0.0)
     synth.add_argument("--unknown-rate", type=float, default=0.0)
-    synth.add_argument("--filler-width", type=int, default=0)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument(
         "--no-truth",

@@ -26,12 +26,10 @@ def _dcg(ids: Sequence[str], relevance: Mapping[str, float], k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    gains = []
-    for position, institution in enumerate(ids[:k], start=1):
-        value = relevance.get(institution, 0.0)
-        if value:
-            gains.append(value / math.log2(position + 1))
-    return math.fsum(gains)
+    return math.fsum(
+        relevance.get(institution, 0.0) / math.log2(position + 1)
+        for position, institution in enumerate(ids[:k], start=1)
+    )
 
 
 def _graded(truth: RankList, k: int) -> tuple[dict[str, float], float]:

@@ -422,7 +422,6 @@ def years_with_comings_and_goings(seed: int) -> list:
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_every_borda_variant_combines_the_one_point_table(seed):
     tables = years_with_comings_and_goings(seed)
-    years = YearTables(tables)
     specs = [
         AggregationSpec.parse(text)
         for text in (
@@ -433,12 +432,11 @@ def test_every_borda_variant_combines_the_one_point_table(seed):
             "borda:p_norm:0.5",
         )
     ]
-    for last, view in ((2014, years), (2013, years.through(2013)), (2011, years.through(2011))):
-        count = last - 2010
+    for count in (4, 3, 1):
+        view = YearTables(tables[:count])
         # Borda reads only each year's order, which scaling leaves alone.
         lists = [to_ranking(table) for table in tables[:count]]
         assert view.points == borda_points([ranking.ids() for ranking in lists])
-        assert view.points == YearTables(tables[:count]).points
         for spec in specs:
             got = run_aggregation(spec, view)
             want = borda_combine(
@@ -447,8 +445,8 @@ def test_every_borda_variant_combines_the_one_point_table(seed):
             assert [(inst, repr(float(score))) for inst, score in got.items] == [
                 (inst, repr(float(score))) for inst, score in want.items
             ], spec.label
-    assert "late" in years.points
-    assert "late" not in years.through(2013).points
+    assert "late" in YearTables(tables).points
+    assert "late" not in YearTables(tables[:3]).points
 
 
 def test_borda_median_is_the_statistics_median_of_the_points():
@@ -464,14 +462,12 @@ def test_borda_median_is_the_statistics_median_of_the_points():
 
 def test_a_p_norm_that_overflows_the_shared_points_is_named_by_venue_and_method():
     # 3**1000 overflows a float and 2**1000 does not; "D" joins only in 2012.
-    years = YearTables(
-        [
-            make_table(2011, {"A": 3, "B": 2, "C": 1}),
-            make_table(2012, {"A": 3, "B": 2, "C": 1, "D": 4}),
-        ]
-    )
+    tables = [
+        make_table(2011, {"A": 3, "B": 2, "C": 1}),
+        make_table(2012, {"A": 3, "B": 2, "C": 1, "D": 4}),
+    ]
     spec = AggregationSpec("borda", "p_norm", 1000.0)
-    for view, largest in ((years.through(2011), 3), (years, 4)):
+    for view, largest in ((YearTables(tables[:1]), 3), (YearTables(tables), 4)):
         with pytest.raises(InvalidPError) as info:
             rank_venue("V3", view, [AggregationSpec.parse("borda:sum"), spec])
         assert str(info.value) == (

@@ -1070,36 +1070,42 @@ def test_pipeline_prediction_recomputes_from_the_winning_method(tmp_path):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()
     corpus = generate_corpus(params, str(corpus_dir), compute_realized=False)
-    out_dir = str(tmp_path / "out")
-    cfg_path = write_config(
-        tmp_path / "run.ini",
-        corpus.papers_path,
-        corpus.affiliations_path,
-        out_dir,
-        venues="V0",
-        train="2011-2012",
-        truth="2013",
-        extra="\n[aggregation]\nmethods = normalized_sum, borda:sum, fagin:4\nk = 4\n",
-    )
-    assert main(["pipeline", "--config", cfg_path]) == EXIT_OK
-    config = load_config(cfg_path)
-    report_lines = Path(out_dir, "report.csv").read_text(encoding="utf-8").splitlines()[1:]
-    values = {}
-    for line in report_lines:
-        _, label, value = line.split(",")
-        values[label] = float(value)
-    winner_label = max(values, key=values.get)
-    winning_spec = next(s for s in config.specs if s.label == winner_label)
-    tables = [
-        read_score_csv(os.path.join(out_dir, score_file_name("V0", year)), year)
-        for year in (2011, 2012, 2013)
-    ]
-    expected = run_aggregation(winning_spec, YearTables(tables))
-    written = read_ranking_csv(os.path.join(out_dir, "prediction_V0.csv"))
-    assert written.ids() == expected.ids()
+    # The second list's winner is a borda variant, which reads every scored
+    # year's points.
+    for name, methods in (
+        ("mixed", "normalized_sum, borda:sum, fagin:4"),
+        ("borda", "borda:sum, borda:p_norm:2"),
+    ):
+        out_dir = str(tmp_path / f"out_{name}")
+        cfg_path = write_config(
+            tmp_path / f"run_{name}.ini",
+            corpus.papers_path,
+            corpus.affiliations_path,
+            out_dir,
+            venues="V0",
+            train="2011-2012",
+            truth="2013",
+            extra=f"\n[aggregation]\nmethods = {methods}\nk = 4\n",
+        )
+        assert main(["pipeline", "--config", cfg_path]) == EXIT_OK
+        config = load_config(cfg_path)
+        report_lines = Path(out_dir, "report.csv").read_text(encoding="utf-8").splitlines()[1:]
+        values = {}
+        for line in report_lines:
+            _, label, value = line.split(",")
+            values[label] = float(value)
+        winner_label = max(values, key=values.get)
+        winning_spec = next(s for s in config.specs if s.label == winner_label)
+        tables = [
+            read_score_csv(os.path.join(out_dir, score_file_name("V0", year)), year)
+            for year in (2011, 2012, 2013)
+        ]
+        expected = run_aggregation(winning_spec, YearTables(tables))
+        written = read_ranking_csv(os.path.join(out_dir, "prediction_V0.csv"))
+        assert written == expected
 
 
-def test_pipeline_normalizes_each_venue_year_once(tmp_path, monkeypatch):
+def test_pipeline_normalizes_each_venue_year_once_per_span(tmp_path, monkeypatch):
     params = CorpusParams(
         num_institutions=9,
         num_authors=70,
@@ -1131,14 +1137,15 @@ def test_pipeline_normalizes_each_venue_year_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(aggregate, "normalize", counting_normalize)
     assert main(["pipeline", "--config", cfg_path]) == EXIT_OK
-    # Training and prediction share one view per venue-year.
-    assert sorted(built) == sorted(list(range(2011, 2015)) * 2)
+    # Per venue, the training span normalizes 2011-2013 and the prediction
+    # span every scored year, 2011-2014.
+    assert sorted(built) == sorted([2011, 2012, 2013] * 4 + [2014] * 2)
     assert os.path.exists(os.path.join(out_dir, "prediction_V1.csv"))
 
 
-def test_pipeline_ranks_each_venue_year_once(tmp_path, monkeypatch):
-    # Both methods are borda, so the winner's prediction reads every scored
-    # year's points, which must be the ones the training rankings counted.
+def test_pipeline_ranks_each_venue_year_once_per_span(tmp_path, monkeypatch):
+    # Both methods are borda, so the winner's prediction counts every scored
+    # year's points, over a span of its own.
     params = CorpusParams(
         num_institutions=9,
         num_authors=70,
@@ -1175,12 +1182,19 @@ def test_pipeline_ranks_each_venue_year_once(tmp_path, monkeypatch):
     monkeypatch.setattr(aggregate, "normalize", counting_normalize)
     monkeypatch.setattr(aggregate, "order_by_score", counting_order_by_score)
     assert main(["pipeline", "--config", cfg_path]) == EXIT_OK
-    # Two venues times four scored years, each normalized once.
-    assert sorted(table.year for table in normalized) == sorted(list(range(2011, 2015)) * 2)
-    # Each normalized year is ordered once, for its points; the truth year
-    # once more, as the ranking NDCG grades against.
-    times = [sum(entries is table.numerators for entries in ordered) for table in normalized]
-    assert times == [1 + (table.year == 2014) for table in normalized]
+    # Two venues; a training year is normalized by both spans, the truth
+    # year by the prediction span alone.
+    assert sorted(table.year for table in normalized) == sorted(
+        [2011, 2012, 2013] * 4 + [2014] * 2
+    )
+    # The corpus has no UNKNOWN rows, so every normalized year keeps its
+    # stored table's numerators. Each stored table is ordered twice: a
+    # training year for its points in both spans, the truth year for its
+    # points in the prediction span and as the ranking NDCG grades against.
+    stored = list({id(table.numerators): table.numerators for table in normalized}.values())
+    assert len(stored) == 2 * 4
+    times = [sum(entries is numerators for entries in ordered) for numerators in stored]
+    assert times == [2] * len(stored)
 
 
 def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch):
@@ -1199,52 +1213,59 @@ def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch)
     corpus_dir.mkdir()
     corpus = generate_corpus(params, str(corpus_dir), compute_realized=False)
     real_read = cli.read_score_csv
-    reads = {"stages": [], "pipeline": []}
-
-    outputs = {}
-    for out_name, commands in (
-        ("stages", ["score", "aggregate", "evaluate"]),
-        ("pipeline", ["pipeline"]),
+    venues = ("V0", "V1", "V2")
+    # The second selection scores 2013 but trains without it.
+    for train, truth, read_years in (
+        ("2011-2014", 2015, [2011, 2012, 2013, 2014, 2015]),
+        ("2011-2012", 2014, [2011, 2012, 2014]),
     ):
-        out_dir = str(tmp_path / out_name)
-        cfg_path = write_config(
-            tmp_path / f"run_{out_name}.ini",
-            corpus.papers_path,
-            corpus.affiliations_path,
-            out_dir,
-            venues="V0, V1, V2",
-            train="2011-2014",
-            truth="2015",
-            extra=(
-                "\n[aggregation]\nmethods = normalized_sum, borda:sum, borda:median, "
-                "borda:geometric_mean, borda:p_norm:2, fagin\nk = 10\n"
-            ),
+        scored = YearRange(2011, truth)
+        reads = {"stages": [], "pipeline": []}
+        outputs = {}
+        for out_name, commands in (
+            ("stages", ["score", "aggregate", "evaluate"]),
+            ("pipeline", ["pipeline"]),
+        ):
+            out_dir = str(tmp_path / f"{out_name}_{train}_{truth}")
+            cfg_path = write_config(
+                tmp_path / f"run_{out_name}_{train}_{truth}.ini",
+                corpus.papers_path,
+                corpus.affiliations_path,
+                out_dir,
+                venues=", ".join(venues),
+                train=train,
+                truth=str(truth),
+                extra=(
+                    "\n[aggregation]\nmethods = normalized_sum, borda:sum, borda:median, "
+                    "borda:geometric_mean, borda:p_norm:2, fagin\nk = 10\n"
+                ),
+            )
+
+            def counting_read(path, year, reads=reads[out_name]):
+                reads.append(os.path.basename(path))
+                return real_read(path, year)
+
+            monkeypatch.setattr(cli, "read_score_csv", counting_read)
+            for command in commands:
+                assert main([command, "--config", cfg_path]) == EXIT_OK
+            outputs[out_name] = {
+                name: Path(out_dir, name).read_bytes()
+                for name in sorted(os.listdir(out_dir))
+            }
+        predictions = {name for name in outputs["pipeline"] if name.startswith("prediction_")}
+        assert len(predictions) == 3
+        # Score files, a CSV and a JSON ranking per venue and method, and the report.
+        assert len(outputs["stages"]) == 3 * len(list(scored)) + 3 * 6 * 2 + 2
+        assert {
+            name: data for name, data in outputs["pipeline"].items() if name not in predictions
+        } == outputs["stages"]
+        # The pipeline aggregates the tables its score files store without
+        # reading them back; aggregate reads the training years and evaluate
+        # the truth year.
+        assert reads["pipeline"] == []
+        assert sorted(reads["stages"]) == sorted(
+            score_file_name(venue, year) for venue in venues for year in read_years
         )
-
-        def counting_read(path, year, reads=reads[out_name]):
-            reads.append(os.path.basename(path))
-            return real_read(path, year)
-
-        monkeypatch.setattr(cli, "read_score_csv", counting_read)
-        for command in commands:
-            assert main([command, "--config", cfg_path]) == EXIT_OK
-        outputs[out_name] = {
-            name: Path(out_dir, name).read_bytes()
-            for name in sorted(os.listdir(out_dir))
-        }
-    predictions = {name for name in outputs["pipeline"] if name.startswith("prediction_")}
-    assert len(predictions) == 3
-    # Score files, a CSV and a JSON ranking per venue and method, and the report.
-    assert len(outputs["stages"]) == 3 * 5 + 3 * 6 * 2 + 2
-    assert {
-        name: data for name, data in outputs["pipeline"].items() if name not in predictions
-    } == outputs["stages"]
-    # The pipeline aggregates the tables its score files store without reading
-    # them back; aggregate reads the training years and evaluate the truth year.
-    assert reads["pipeline"] == []
-    assert sorted(reads["stages"]) == sorted(
-        score_file_name(venue, year) for venue in ("V0", "V1", "V2") for year in range(2011, 2016)
-    )
 
 
 def test_evaluate_k_flag_overrides_config(tmp_path, capsys):

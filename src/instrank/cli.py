@@ -11,10 +11,11 @@ unchanged inputs reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .aggregate import (
     InvalidPError,
@@ -74,6 +75,10 @@ SHORTHANDS = {
     "output_dir": "output.dir",
     "method": "aggregation.methods",
 }
+
+# In-memory sources of score tables and rankings; a stage without one reads the files.
+TableSource = Callable[[str, int], ScoreTable]
+RankingSource = Callable[[str, str], RankList]
 
 
 def _describe_rows(stats: ParseStats) -> str:
@@ -145,88 +150,91 @@ def _read_table(config: PipelineConfig, venue_id: str, year: int) -> ScoreTable:
     return read_score_csv(os.path.join(config.output_dir, score_file_name(venue_id, year)), year)
 
 
-def _write_rankings(
-    config: PipelineConfig, venue_id: str, years: YearTables
-) -> dict[str, RankList]:
-    """Rank one venue's years by every spec and write each ranking as CSV and JSON."""
-    rankings = rank_venue(venue_id, years, config.specs)
-    for spec in config.specs:
-        ranking = rankings[spec.label]
-        base = os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label))
-        write_ranking_csv(ranking, base)
-        write_ranking_json(ranking, spec, base[: -len(".csv")] + ".json")
-    return rankings
+def _read_ranking(config: PipelineConfig, venue_id: str, label: str) -> RankList:
+    return read_ranking_csv(os.path.join(config.output_dir, ranking_file_name(venue_id, label)))
 
 
-def cmd_aggregate(config: PipelineConfig) -> int:
-    """Aggregate the training-year score files into final rankings."""
+def cmd_aggregate(
+    config: PipelineConfig, table: TableSource | None = None
+) -> dict[str, dict[str, RankList]]:
+    """Rank each venue's training years by every spec, write the rankings, and return them.
+
+    A spec that does not fit a venue leaves it and every later venue without
+    ranking files, but every venue is ranked: one error names each that fails.
+    """
+    table = table or functools.partial(_read_table, config)
+    rankings_by_venue, failures = {}, []
     for venue_id in config.venues:
-        tables = [_read_table(config, venue_id, year) for year in config.train_years]
-        _write_rankings(config, venue_id, YearTables(tables))
-    return EXIT_OK
+        years = YearTables([table(venue_id, year) for year in config.train_years])
+        try:
+            rankings = rankings_by_venue[venue_id] = rank_venue(venue_id, years, config.specs)
+        except (KTooLargeError, InvalidPError) as exc:
+            failures.append(exc)
+        if failures:
+            continue
+        for spec in config.specs:
+            base = os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label))
+            write_ranking_csv(rankings[spec.label], base)
+            write_ranking_json(rankings[spec.label], spec, base[: -len(".csv")] + ".json")
+    if failures:
+        raise type(failures[0])("; ".join(map(str, failures))) from failures[0]
+    return rankings_by_venue
 
 
-def _build_report(config: PipelineConfig) -> EvalReport:
+def _build_report(
+    config: PipelineConfig, table: TableSource | None = None, ranking: RankingSource | None = None
+) -> EvalReport:
+    table = table or functools.partial(_read_table, config)
+    ranking = ranking or functools.partial(_read_ranking, config)
     rankings_by_venue = {}
     truth_by_venue = {}
     for venue_id in config.venues:
-        truth_by_venue[venue_id] = to_ranking(_read_table(config, venue_id, config.truth_year))
+        truth_by_venue[venue_id] = to_ranking(table(venue_id, config.truth_year))
         rankings_by_venue[venue_id] = {
-            spec.label: read_ranking_csv(
-                os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label))
-            )
-            for spec in config.specs
+            spec.label: ranking(venue_id, spec.label) for spec in config.specs
         }
     return evaluate_rankings(rankings_by_venue, truth_by_venue, config.k)
 
 
-def _write_report(config: PipelineConfig, report: EvalReport) -> None:
+def cmd_evaluate(
+    config: PipelineConfig, table: TableSource | None = None, ranking: RankingSource | None = None
+) -> EvalReport:
+    """Grade the rankings against the held-out year; write, print and return the report."""
+    report = _build_report(config, table, ranking)
     text = render_report_text(report)
     for name, content in (("report.txt", text), ("report.csv", render_report_csv(report))):
         with write_output(os.path.join(config.output_dir, name)) as out:
             out.write(content)
     sys.stdout.write(text)
+    return report
 
 
-def cmd_evaluate(config: PipelineConfig) -> int:
-    """Score every configured method's ranking files against the held-out year."""
-    _write_report(config, _build_report(config))
-    return EXIT_OK
+def cmd_pipeline(config: PipelineConfig) -> None:
+    """Run score, aggregate and evaluate in turn on the stored tables, then predict.
 
-
-def cmd_pipeline(config: PipelineConfig) -> int:
-    """score, aggregate, evaluate, then predict the year after the truth year.
-
-    No score file is read back: each table ``cmd_score`` wrote is rounded
-    as its file stores it (``stored_table``), so aggregation sees what the
-    separate stages read. The training years are ranked as ``cmd_aggregate``
-    ranks them, as a ``YearTables`` of exactly those years; everything after
-    that runs in memory: every venue's rankings are written first, then the
-    report, then the predictions, which aggregate every scored year.
+    Each table ``cmd_score`` wrote is rounded as its file stores it
+    (``stored_table``), so aggregate and evaluate see what they would read
+    from the files, and no score or ranking file is read back. Evaluate
+    grades the rankings aggregate returned; the predictions, written last,
+    rank every scored year by each venue's winning method.
     """
-    written = cmd_score(config)
-    tables_by_venue = {}
-    rankings_by_venue = {}
-    truth_by_venue = {}
-    for venue_id in config.venues:
-        tables = tables_by_venue[venue_id] = {
-            year: stored_table(written.pop((venue_id, year))) for year in config.scored_years()
-        }
-        training = YearTables([tables[year] for year in config.train_years])
-        rankings_by_venue[venue_id] = _write_rankings(config, venue_id, training)
-        truth_by_venue[venue_id] = to_ranking(tables[config.truth_year])
-    report = evaluate_rankings(rankings_by_venue, truth_by_venue, config.k)
-    _write_report(config, report)
-    for row in report.rows:
-        venue_id, label = row.venue_id, row.winner
+    tables = cmd_score(config)
+    for key in tables:
+        tables[key] = stored_table(tables[key])
+
+    def table(venue_id: str, year: int) -> ScoreTable:
+        return tables[venue_id, year]
+
+    rankings = cmd_aggregate(config, table)
+    report = cmd_evaluate(config, table, lambda venue_id, label: rankings[venue_id][label])
+    for venue_id, _, label in report.rows:
         winner = [spec for spec in config.specs if spec.label == label]
-        years = YearTables(list(tables_by_venue[venue_id].values()))
+        years = YearTables([table(venue_id, year) for year in config.scored_years()])
         prediction = rank_venue(venue_id, years, winner)[label]
         write_ranking_csv(prediction, os.path.join(config.output_dir, f"prediction_{venue_id}.csv"))
-    return EXIT_OK
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> None:
     # Only this command generates corpora; the others never load the generator.
     from .synth import CorpusParams, generate_corpus
 
@@ -255,7 +263,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
             emitted.append(path)
     for path in emitted:
         print(path)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,21 +323,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "synth":
-            return cmd_synth(args)
-        shorthands = [
-            f"{key}={value}"
-            for dest, key in SHORTHANDS.items()
-            if (value := getattr(args, dest, None)) is not None
-        ]
-        config = load_config(args.config, [*args.set, *shorthands])
-        if args.command == "score":
-            cmd_score(config)
-            return EXIT_OK
-        if args.command == "aggregate":
-            return cmd_aggregate(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config)
-        return cmd_pipeline(config)
+            cmd_synth(args)
+        else:
+            shorthands = [
+                f"{key}={value}"
+                for dest, key in SHORTHANDS.items()
+                if (value := getattr(args, dest, None)) is not None
+            ]
+            config = load_config(args.config, [*args.set, *shorthands])
+            # Looked up when called, so a wrapper set on the module is the one run.
+            globals()[f"cmd_{args.command}"](config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -347,6 +349,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

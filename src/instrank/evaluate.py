@@ -80,21 +80,24 @@ def evaluate_rankings(
     Each venue's relevance map and ideal DCG are built once; every value
     is the float ``ndcg_at_k`` gives. The winner per venue is the method
     with the highest NDCG; exact ties go to the method listed first. A
-    venue missing from ``truth_by_venue`` raises ``KeyError``; an all-zero
-    truth raises its ``ZeroIdealError`` again, named by venue.
+    venue missing from ``truth_by_venue`` raises ``KeyError``. Every venue is
+    graded before one ``ZeroIdealError`` names each all-zero truth's venue.
     """
-    rows = []
+    rows, failures = [], []
     for venue_id, rankings in rankings_by_venue.items():
         try:
             relevance, ideal = _graded(truth_by_venue[venue_id], k)
         except ZeroIdealError as exc:
-            raise ZeroIdealError(f"venue {venue_id!r}: {exc}") from exc
+            failures.append(f"venue {venue_id!r}: {exc}")
+            continue
         values = {
             label: _dcg(ranking.ids(), relevance, k) / ideal
             for label, ranking in rankings.items()
         }
         winner = max(values, key=values.get)
         rows.append(EvalRow(venue_id, values, winner))
+    if failures:
+        raise ZeroIdealError("; ".join(failures))
     return EvalReport(k, rows)
 
 

@@ -430,6 +430,84 @@ def test_a_venue_whose_spec_fails_leaves_no_ranking_of_its_own(tmp_path, capsys,
     assert not (out_dir / "report.txt").exists()
 
 
+def credited_dumps(tmp_path, institutions_by_venue):
+    """Each venue credits each of its institutions one paper a year, 2011-2013."""
+    credited = [
+        (venue, year, inst)
+        for year in (2011, 2012, 2013)
+        for venue, insts in institutions_by_venue.items()
+        for inst in insts
+    ]
+    papers = tmp_path / "papers.txt"
+    affils = tmp_path / "affils.txt"
+    papers.write_text(
+        "".join(
+            f"P{n}\t\t\t{year}\t\t\t\t\t{venue}\n" for n, (venue, year, _) in enumerate(credited)
+        ),
+        encoding="utf-8",
+    )
+    affils.write_text(
+        "".join(f"P{n}\tA{n}\t{inst}\n" for n, (_, _, inst) in enumerate(credited)),
+        encoding="utf-8",
+    )
+    return str(papers), str(affils)
+
+
+@pytest.mark.parametrize("command", ["aggregate", "pipeline"])
+def test_every_venue_whose_spec_fails_is_named_in_one_error(tmp_path, capsys, command):
+    # fagin:3 fits V0 and V2 only. Every venue is ranked, and one error names
+    # V1 and V3; the files written are those of the venues before V1.
+    three, two = ("IA", "IB", "IC"), ("IA", "IB")
+    papers, affils = credited_dumps(tmp_path, {"V0": three, "V1": two, "V2": three, "V3": two})
+    out_dir = tmp_path / "out"
+    cfg_path = write_config(
+        tmp_path / "run.ini",
+        papers,
+        affils,
+        str(out_dir),
+        venues="V0, V1, V2, V3",
+        extra="\n[aggregation]\nmethods = normalized_sum, fagin:3\n",
+    )
+    assert main(["score", "--config", cfg_path]) == EXIT_OK
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path]) == EXIT_CONFIG
+    assert capsys.readouterr().err.endswith(
+        "error: venue 'V1', method fagin: k=3 exceeds universe of 2; "
+        "venue 'V3', method fagin: k=3 exceeds universe of 2\n"
+    )
+    assert sorted(name for name in os.listdir(out_dir) if name.startswith("ranking_")) == [
+        f"ranking_V0_{label}.{kind}"
+        for label in ("fagin", "normalized_sum")
+        for kind in ("csv", "json")
+    ]
+    assert not (out_dir / "report.txt").exists()
+
+
+def test_every_venue_with_an_all_zero_truth_is_named_in_one_error(tmp_path, capsys):
+    papers, affils = credited_dumps(tmp_path, {"V0": ("IA", "IB"), "V1": ("IA", "IC")})
+    out_dir = tmp_path / "out"
+    cfg_path = write_config(
+        tmp_path / "run.ini",
+        papers,
+        affils,
+        str(out_dir),
+        venues="V0, V1",
+        train="2011-2012",
+        truth="2014",
+        extra="\n[aggregation]\nmethods = normalized_sum\nk = 2\n",
+    )
+    assert main(["pipeline", "--config", cfg_path]) == EXIT_ZERO_TRUTH
+    assert capsys.readouterr().err.endswith(
+        "\nerror: venue 'V0': no positive relevance, NDCG undefined; "
+        "venue 'V1': no positive relevance, NDCG undefined\n"
+    )
+    assert sorted(name for name in os.listdir(out_dir) if not name.startswith("scores_")) == [
+        f"ranking_{venue}_normalized_sum.{kind}"
+        for venue in ("V0", "V1")
+        for kind in ("csv", "json")
+    ]
+
+
 @pytest.mark.parametrize(
     "methods, first, second",
     [
@@ -1197,9 +1275,10 @@ def test_pipeline_ranks_each_venue_year_once_per_span(tmp_path, monkeypatch):
     assert times == [2] * len(stored)
 
 
-def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch):
+def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch, capsys):
     # The tier-1 form of the CI diff -r: score, aggregate and evaluate run as
     # separate commands, each reading back the files the one before it wrote.
+    # The pipeline runs the same stage functions, looked up on the module.
     params = CorpusParams(
         num_institutions=30,
         num_authors=300,
@@ -1213,6 +1292,9 @@ def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch)
     corpus_dir.mkdir()
     corpus = generate_corpus(params, str(corpus_dir), compute_realized=False)
     real_read = cli.read_score_csv
+    real_stages = {
+        name: getattr(cli, name) for name in ("cmd_aggregate", "cmd_evaluate", "_build_report")
+    }
     venues = ("V0", "V1", "V2")
     # The second selection scores 2013 but trains without it.
     for train, truth, read_years in (
@@ -1221,6 +1303,8 @@ def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch)
     ):
         scored = YearRange(2011, truth)
         reads = {"stages": [], "pipeline": []}
+        calls = {"stages": [], "pipeline": []}
+        printed = {}
         outputs = {}
         for out_name, commands in (
             ("stages", ["score", "aggregate", "evaluate"]),
@@ -1246,8 +1330,17 @@ def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch)
                 return real_read(path, year)
 
             monkeypatch.setattr(cli, "read_score_csv", counting_read)
+            for name, real in real_stages.items():
+
+                def counting_stage(*args, name=name, real=real, called=calls[out_name]):
+                    called.append(name)
+                    return real(*args)
+
+                monkeypatch.setattr(cli, name, counting_stage)
+            capsys.readouterr()
             for command in commands:
                 assert main([command, "--config", cfg_path]) == EXIT_OK
+            printed[out_name] = capsys.readouterr().out
             outputs[out_name] = {
                 name: Path(out_dir, name).read_bytes()
                 for name in sorted(os.listdir(out_dir))
@@ -1266,6 +1359,11 @@ def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch)
         assert sorted(reads["stages"]) == sorted(
             score_file_name(venue, year) for venue in venues for year in read_years
         )
+        # Each stage function runs once either way, and the pipeline prints
+        # what the evaluate stage prints.
+        assert calls["pipeline"] == calls["stages"] == list(real_stages)
+        assert printed["pipeline"] == printed["stages"]
+        assert printed["stages"].startswith(f"NDCG@10 values for {', '.join(venues)}\n")
 
 
 def test_evaluate_k_flag_overrides_config(tmp_path, capsys):

@@ -305,6 +305,21 @@ def test_protocol_names_the_venue_of_an_all_zero_truth():
     assert str(info.value) == "venue 'V1': no positive relevance, NDCG undefined"
 
 
+def test_protocol_names_every_venue_of_an_all_zero_truth():
+    # Every venue's truth is checked before the error is raised; a venue
+    # with positive relevance between two failing ones is not named.
+    tables, truth = two_venue_inputs()
+    tables = {"V0": tables["V0"], "V1": tables["V1"], "V2": tables["V0"]}
+    truth["V0"] = RankList(())
+    truth["V2"] = to_ranking(make_table(2013, {"A": 0, "B": 0}))
+    with pytest.raises(ZeroIdealError) as info:
+        run_protocol(tables, truth, [AggregationSpec.parse("borda")], k=2)
+    assert str(info.value) == (
+        "venue 'V0': no positive relevance, NDCG undefined; "
+        "venue 'V2': no positive relevance, NDCG undefined"
+    )
+
+
 def test_protocol_values_are_ndcg_at_k_bit_for_bit():
     # evaluate_rankings builds each truth's relevance map and ideal DCG once.
     rng = random.Random(29)

@@ -95,41 +95,33 @@ def cmd_score(config: PipelineConfig) -> dict[tuple[str, int], ScoreTable]:
     the reader keeps by venue and year, read only their affiliation rows,
     credit each paper into its venue-year. Both readers still check and
     count every row. The affiliations may be read twice (see
-    ``RowReader``); each pass counts into its own ``ParseStats`` and the
-    summary reports the last, so no row is counted twice. The fourth
-    phase writes one score file per venue and scored year. Returns the
-    exact tables it wrote, by (venue, year).
+    ``RowReader``); each pass sets the counts of one ``ParseStats`` (the
+    first pass is closed before the second starts), so the summary
+    reports the last pass and no row is counted twice. The fourth phase
+    writes one score file per venue and scored year. Returns the exact
+    tables it wrote, by (venue, year).
     """
     os.makedirs(config.output_dir, exist_ok=True)
     span = config.scored_years()
     venue_set = set(config.venues)
     paper_stats = ParseStats()
     affil_stats = ParseStats()
-    unattributed = 0
-
-    def count_missing(_paper) -> None:
-        nonlocal unattributed
-        unattributed += 1
-
     papers = iter_papers(
         config.papers_path, config.papers_schema, config.strict, paper_stats, venue_set, span
     )
-
-    def read_rows(paper_ids):
-        nonlocal affil_stats
-        affil_stats = ParseStats()
-        return iter_affiliations(
-            config.affiliations_path,
-            config.affiliations_schema,
-            config.strict,
-            affil_stats,
-            paper_ids,
-        )
-
+    read_rows = functools.partial(
+        iter_affiliations,
+        config.affiliations_path,
+        config.affiliations_schema,
+        config.strict,
+        affil_stats,
+    )
     try:
-        tables = score_venue_years(papers, read_rows, count_missing)
+        tables = score_venue_years(papers, read_rows)
     except DuplicatePaperIdError as exc:
         raise DuplicatePaperIdError(f"{config.papers_path}: {exc}") from exc
+    # A credited paper's shares, UNKNOWN included, sum to exactly 1: a table totals its papers.
+    credited = sum(sum(t.numerators.values()) // t.denominator for t in tables.values())
     for venue_id in config.venues:
         for year in span:
             table = tables.setdefault((venue_id, year), ScoreTable.from_numerators(year, {}, 1))
@@ -140,7 +132,7 @@ def cmd_score(config: PipelineConfig) -> dict[tuple[str, int], ScoreTable]:
         f"papers: {_describe_rows(paper_stats)}; "
         f"affiliations: {_describe_rows(affil_stats)}; "
         f"papers kept by the venue/year filter: {paper_stats.kept}; "
-        f"filtered papers without affiliations: {unattributed}",
+        f"filtered papers without affiliations: {paper_stats.kept - credited}",
         file=sys.stderr,
     )
     return tables

@@ -128,7 +128,7 @@ RowReader = Callable[[Collection[str]], Iterable[tuple[str, str, str]]]
 
 
 class ParseStats:
-    """Counts kept while parsing one table."""
+    """Counts of the last read of a table, set as it ends or is closed; reads replace, not add."""
 
     def __init__(
         self, rows: int = 0, skipped: int = 0, first_skipped: int | None = None, *, kept: int = 0
@@ -297,10 +297,10 @@ def _read_rows(
         finally:
             # Counted once, not per row; a strict abort's row is read, not skipped.
             if stats is not None:
-                stats.rows += line_number - header
-                stats.skipped += skipped
-                stats.kept += kept
-                stats.first_skipped = stats.first_skipped or first_skipped
+                stats.rows = line_number - header
+                stats.skipped = skipped
+                stats.kept = kept
+                stats.first_skipped = first_skipped
 
 
 def iter_papers(

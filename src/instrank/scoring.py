@@ -37,7 +37,7 @@ import os
 from contextlib import contextmanager
 from operator import itemgetter
 from sys import intern
-from typing import Callable, Collection, Iterable, Iterator, Mapping, TextIO
+from typing import Collection, Iterable, Iterator, Mapping, TextIO
 
 from .ingest import (
     UNKNOWN_INSTITUTION,
@@ -131,8 +131,8 @@ def over_lcm(year: int | None, parts: Collection[tuple[int, Mapping[str, int]]])
 class _Credit:
     """One venue-year's credit, counted per denominator as plain integers.
 
-    It is also the index entry of each of its credited papers, so marking
-    a paper credited builds nothing per paper.
+    It is also the index entry of each paper credited run by run, so
+    marking a paper credited builds nothing per paper.
     """
 
     __slots__ = ("key", "amounts")
@@ -142,10 +142,8 @@ class _Credit:
         self.amounts: dict[int, dict[str, int]] = {}
 
 
-def _credit(
-    where: dict[str, object], paper_id: str, ids: list, credited: dict[tuple[str, int], _Credit]
-) -> None:
-    """Credit one paper, ``ids`` being ``[key, author, institution, ...]``, then mark it credited.
+def _credit(ids: list, credited: dict[tuple[str, int], _Credit]) -> _Credit:
+    """Credit one paper, ``ids`` being ``[key, author, institution, ...]``, and return the credit.
 
     The attribution rule: each of the paper's distinct authors holds an
     equal part, split equally over that author's distinct institutions on
@@ -178,7 +176,7 @@ def _credit(
                 counts[institution] += 1
             else:
                 counts[intern(institution)] = 1
-    where[paper_id] = credit
+    return credit
 
 
 def _credit_runs(
@@ -188,9 +186,10 @@ def _credit_runs(
 ) -> bool:
     """Credit each paper when its run of consecutive rows ends.
 
-    Rows of papers not in ``where`` are dropped. Returns False, leaving
-    the rest unread, at the first row of a paper already credited: the
-    rows are not grouped by paper.
+    Rows of papers not in ``where`` are dropped. A credited paper's index
+    entry becomes its venue-year's credit, the mark that it was credited.
+    Returns False, leaving the rest unread, at the first row of a paper
+    already credited: the rows are not grouped by paper.
     """
     run_id = None
     run: list = []
@@ -202,20 +201,18 @@ def _credit_runs(
             if entry.__class__ is _Credit:
                 return False
             if run_id is not None:
-                _credit(where, run_id, run, credited)
+                where[run_id] = _credit(run, credited)
             run_id = paper_id
             run = [entry]
         run.append(author_id)
         run.append(institution_id)
     if run_id is not None:
-        _credit(where, run_id, run, credited)
+        where[run_id] = _credit(run, credited)
     return True
 
 
 def score_venue_years(
-    papers: Iterable[PaperRecord],
-    read_rows: RowReader,
-    on_missing: Callable[[PaperRecord], None] | None = None,
+    papers: Iterable[PaperRecord], read_rows: RowReader
 ) -> dict[tuple[str, int], ScoreTable]:
     """Raw tables keyed by (venue, year) for every venue-year that has credit.
 
@@ -234,10 +231,9 @@ def score_venue_years(
     duplicate (author, institution) pairs count once, and the UNKNOWN
     sentinel is credited like any other institution, so a paper's credit
     sums to exactly 1. Each venue-year is put over the lcm of its
-    denominators once, at the end. Filtered papers without rows go to
-    ``on_missing``, in paper-stream order, and earn no credit, so a
-    venue-year whose papers all lack rows has no table. Tables are in the
-    order of each venue-year's first credited paper in the paper stream.
+    denominators once, at the end. Filtered papers without rows earn no
+    credit, so a venue-year whose papers all lack rows has no table.
+    Tables are in the order their venue-years were first credited.
     """
     where: dict[str, object] = index_papers(papers)
     credited: dict[tuple[str, int], _Credit] = {}
@@ -250,21 +246,12 @@ def score_venue_years(
         for paper_id, entry in where.items():
             if entry.__class__ is _Credit:
                 where[paper_id] = entry.key
-        for paper_id, ids in gather_rows(where, read_rows).items():
-            if len(ids) == 1:
-                where[paper_id] = ids[0]
-            else:
-                _credit(where, paper_id, ids, credited)
-    ordered: dict[tuple[str, int], _Credit] = {}
-    for paper_id, entry in where.items():
-        if entry.__class__ is _Credit:
-            if entry.key not in ordered:
-                ordered[entry.key] = entry
-        elif on_missing is not None:
-            on_missing(PaperRecord(paper_id, entry[1], entry[0]))
+        for ids in gather_rows(where, read_rows).values():
+            if len(ids) > 1:
+                _credit(ids, credited)
     # The index goes before the tables are built, so they can reuse its memory.
     del where
-    return {key: over_lcm(key[1], credit.amounts.items()) for key, credit in ordered.items()}
+    return {key: over_lcm(key[1], credit.amounts.items()) for key, credit in credited.items()}
 
 
 def paper_shares(paper: AttributedPaper) -> ScoreTable:

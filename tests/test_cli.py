@@ -880,9 +880,9 @@ def test_score_runs_the_shared_scoring_path_once(tmp_path, monkeypatch):
     assert cli.score_venue_years is scoring.score_venue_years
     calls = []
 
-    def spy(papers, rows, on_missing=None):
-        calls.append(on_missing)
-        return scoring.score_venue_years(papers, rows, on_missing)
+    def spy(papers, rows):
+        calls.append(rows)
+        return scoring.score_venue_years(papers, rows)
 
     monkeypatch.setattr(cli, "score_venue_years", spy)
     cfg_path, out_dir = tiny_config(tmp_path)
@@ -1001,8 +1001,9 @@ def test_score_reads_shuffled_affiliations_as_it_reads_grouped_ones(tmp_path, ca
         rng_seed=17,
     )
     corpus = generate_corpus(params, str(tmp_path), compute_realized=False)
+    rowless = {"P3", "P100", "P200"}  # every row of these papers is dropped from both dumps
     with open(corpus.affiliations_path, encoding="utf-8") as src:
-        grouped = src.readlines()
+        grouped = [line for line in src if line.split("\t", 1)[0] not in rowless]
     shuffled = grouped[:]
     random.Random(5).shuffle(shuffled)
     bad = "P1\t\tIA\n"  # empty author id, skipped at the same row of both dumps
@@ -1021,6 +1022,7 @@ def test_score_reads_shuffled_affiliations_as_it_reads_grouped_ones(tmp_path, ca
         runs[name] = capsys.readouterr().err
     assert re.search(r"; affiliations: \d+ rows, 1 skipped \(first at row 51\); ", runs["grouped"])
     assert runs["shuffled"] == runs["grouped"]
+    assert runs["grouped"].endswith("; filtered papers without affiliations: 3\n")
     names = sorted(os.listdir(tmp_path / "grouped"))
     assert names == sorted(os.listdir(tmp_path / "shuffled")) and len(names) == 6
     for name in names:

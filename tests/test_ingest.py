@@ -305,10 +305,10 @@ def test_parse_stats_record_the_first_skipped_row(tmp_path):
     stats = ParseStats()
     assert len(list(iter_affiliations(path, schema, stats=stats))) == 2
     assert (stats.rows, stats.skipped, stats.first_skipped, stats.kept) == (4, 2, 3, 2)
-    # A second table read into the same stats adds its counts, keeps the first row.
-    other = write_papers(tmp_path / "b.tsv", ["pid\taid\tiid", "P9"])
+    # A second table read into the same stats replaces the first read's counts.
+    other = write_papers(tmp_path / "b.tsv", ["pid\taid\tiid", "P9", "P8\tA8\tI8"])
     list(iter_affiliations(other, schema, stats=stats))
-    assert (stats.rows, stats.skipped, stats.first_skipped, stats.kept) == (5, 3, 3, 2)
+    assert (stats.rows, stats.skipped, stats.first_skipped, stats.kept) == (2, 1, 2, 1)
 
 
 def test_kept_counts_the_records_yielded_under_a_selection(tmp_path):

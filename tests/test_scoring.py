@@ -225,7 +225,7 @@ def test_any_order_of_the_papers_builds_one_table(papers, data):
     assert permuted.denominator == table.denominator
 
 
-def test_rowless_papers_go_to_on_missing_in_paper_stream_order():
+def test_rowless_papers_earn_no_credit_and_make_no_table():
     papers = [
         PaperRecord("P1", 2011, "V0"),
         PaperRecord("P2", 2012, "V0"),  # no paper of V0 2012 has rows
@@ -234,11 +234,12 @@ def test_rowless_papers_go_to_on_missing_in_paper_stream_order():
         PaperRecord("P5", 2012, "V0"),
     ]
     rows = [AffiliationRow("P4", "a1", "B"), AffiliationRow("P1", "a2", "A")]
-    missing: list[PaperRecord] = []
-    tables = score_venue_years(iter(papers), rows_of(rows), missing.append)
-    assert missing == [papers[1], papers[2], papers[4]]
-    assert all(type(record) is PaperRecord for record in missing)
-    assert list(tables) == [("V0", 2011), ("V1", 2011)]
+    # Grouped, then with a stray repeat of P4's row, which has the rows gathered.
+    for order in (rows, rows + rows[:1]):
+        tables = score_venue_years(iter(papers), rows_of(order))
+        assert set(tables) == {("V0", 2011), ("V1", 2011)}
+        assert tables[("V0", 2011)] == make_table(2011, {"A": 1})
+        assert tables[("V1", 2011)] == make_table(2011, {"B": 1})
 
 
 def test_grouped_rows_are_read_once_and_a_stray_row_reads_them_again(monkeypatch):
@@ -278,22 +279,18 @@ def test_grouped_rows_are_read_once_and_a_stray_row_reads_them_again(monkeypatch
             finally:
                 passes.append("closed")
 
-        missing: list[PaperRecord] = []
-        tables = score_venue_years(iter(papers), read_rows, missing.append)
-        return passes, tables, missing
+        return passes, score_venue_years(iter(papers), read_rows)
 
-    passes, tables, missing = run(grouped)
+    passes, tables = run(grouped)
     assert passes == ["open", "closed"] and gathers == []
-    assert list(tables) == [("V0", 2011), ("V1", 2011)]
-    assert missing == [papers[2], papers[4]]
+    assert set(tables) == {("V0", 2011), ("V1", 2011)}
 
-    passes, again, missing_again = run(stray)
+    passes, again = run(stray)
     assert passes == ["open", "closed", "open", "closed"] and gathers == [5]
-    assert list(again) == list(tables)
+    assert set(again) == set(tables)
     for key, table in again.items():
         assert list(table.numerators.items()) == list(tables[key].numerators.items())
         assert table.denominator == tables[key].denominator
-    assert missing_again == missing
 
 
 @pytest.mark.parametrize(
@@ -413,8 +410,7 @@ def test_score_venue_years_equals_the_oracle_over_the_join(drawn, shuffled, rng)
     if shuffled:
         rng.shuffle(rows)  # rows of one paper interleave with the others'
 
-    missing_scored: list[PaperRecord] = []
-    tables = score_venue_years(iter(selected), rows_of(rows), missing_scored.append)
+    tables = score_venue_years(iter(selected), rows_of(rows))
     missing_joined: list[PaperRecord] = []
     joined = list(join_affiliations(iter(selected), rows_of(rows), missing_joined.append))
 
@@ -424,7 +420,6 @@ def test_score_venue_years_equals_the_oracle_over_the_join(drawn, shuffled, rng)
     assert [a.paper for a in joined] == attributed
     for a in joined:
         assert a.affiliations == tuple(r for r in rows if r.paper_id == a.paper.paper_id)
-    assert missing_scored == missing_joined
     assert missing_joined == [paper for paper in selected if paper not in attributed]
 
     expected = {
@@ -437,6 +432,10 @@ def test_score_venue_years_equals_the_oracle_over_the_join(drawn, shuffled, rng)
         assert table.year == expected[key].year
         assert table == expected[key]
         assert list(table.numerators) == list(expected[key].numerators)
+        # Each paper's credit sums to exactly 1, so a table totals its attributed papers.
+        total, remainder = divmod(sum(table.numerators.values()), table.denominator)
+        assert remainder == 0
+        assert total == sum((a.paper.venue_id, a.paper.year) == key for a in joined)
 
 
 def test_order_by_score_breaks_ties_by_id_ascending():

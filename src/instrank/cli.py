@@ -56,7 +56,6 @@ from .scoring import (
     read_score_csv,
     score_file_name,
     score_venue_years,
-    stored_table,
     write_output,
     write_score_csv,
 )
@@ -76,9 +75,9 @@ SHORTHANDS = {
     "method": "aggregation.methods",
 }
 
-# In-memory sources of score tables and rankings; a stage without one reads the files.
+# Stage hand-offs, as the files store them; a stage without one reads the files.
 TableSource = Callable[[str, int], ScoreTable]
-RankingSource = Callable[[str, str], RankList]
+Rankings = dict[str, dict[str, RankList]]
 
 
 def _describe_rows(stats: ParseStats) -> str:
@@ -98,8 +97,8 @@ def cmd_score(config: PipelineConfig) -> dict[tuple[str, int], ScoreTable]:
     ``RowReader``); each pass sets the counts of one ``ParseStats`` (the
     first pass is closed before the second starts), so the summary
     reports the last pass and no row is counted twice. The fourth phase
-    writes one score file per venue and scored year. Returns the exact
-    tables it wrote, by (venue, year).
+    writes one score file per venue and scored year and returns the
+    tables they store (``write_score_csv``), by (venue, year).
     """
     os.makedirs(config.output_dir, exist_ok=True)
     span = config.scored_years()
@@ -124,10 +123,9 @@ def cmd_score(config: PipelineConfig) -> dict[tuple[str, int], ScoreTable]:
     credited = sum(sum(t.numerators.values()) // t.denominator for t in tables.values())
     for venue_id in config.venues:
         for year in span:
-            table = tables.setdefault((venue_id, year), ScoreTable.from_numerators(year, {}, 1))
-            write_score_csv(
-                table, os.path.join(config.output_dir, score_file_name(venue_id, year))
-            )
+            table = tables.get((venue_id, year)) or ScoreTable.from_numerators(year, {}, 1)
+            path = os.path.join(config.output_dir, score_file_name(venue_id, year))
+            tables[venue_id, year] = write_score_csv(table, path)
     print(
         f"papers: {_describe_rows(paper_stats)}; "
         f"affiliations: {_describe_rows(affil_stats)}; "
@@ -142,57 +140,61 @@ def _read_table(config: PipelineConfig, venue_id: str, year: int) -> ScoreTable:
     return read_score_csv(os.path.join(config.output_dir, score_file_name(venue_id, year)), year)
 
 
-def _read_ranking(config: PipelineConfig, venue_id: str, label: str) -> RankList:
-    return read_ranking_csv(os.path.join(config.output_dir, ranking_file_name(venue_id, label)))
-
-
 def cmd_aggregate(
-    config: PipelineConfig, table: TableSource | None = None
-) -> dict[str, dict[str, RankList]]:
-    """Rank each venue's training years by every spec, write the rankings, and return them.
+    config: PipelineConfig, table: TableSource | None = None, rankings: Rankings | None = None
+) -> None:
+    """Rank each venue's training years by every spec and write the rankings.
 
-    A spec that does not fit a venue leaves it and every later venue without
-    ranking files, but every venue is ranked: one error names each that fails.
+    A venue's rankings are dropped once written, unless the caller passes
+    ``rankings``: then they are kept there by venue and label. A spec that
+    does not fit a venue leaves it and every later venue without ranking
+    files, but every venue is ranked: one error names each that fails.
     """
     table = table or functools.partial(_read_table, config)
-    rankings_by_venue, failures = {}, []
+    failures = []
     for venue_id in config.venues:
-        years = YearTables([table(venue_id, year) for year in config.train_years])
         try:
-            rankings = rankings_by_venue[venue_id] = rank_venue(venue_id, years, config.specs)
+            ranked = rank_venue(
+                venue_id, YearTables([table(venue_id, y) for y in config.train_years]), config.specs
+            )
         except (KTooLargeError, InvalidPError) as exc:
             failures.append(exc)
-        if failures:
             continue
-        for spec in config.specs:
-            base = os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label))
-            write_ranking_csv(rankings[spec.label], base)
-            write_ranking_json(rankings[spec.label], spec, base[: -len(".csv")] + ".json")
+        if not failures:
+            for spec in config.specs:
+                base = os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label))
+                write_ranking_csv(ranked[spec.label], base)
+                write_ranking_json(ranked[spec.label], spec, base[: -len(".csv")] + ".json")
+            if rankings is not None:
+                rankings[venue_id] = ranked
+        # Else the next venue would be ranked with this one's rankings still alive.
+        del ranked
     if failures:
         raise type(failures[0])("; ".join(map(str, failures))) from failures[0]
-    return rankings_by_venue
 
 
 def _build_report(
-    config: PipelineConfig, table: TableSource | None = None, ranking: RankingSource | None = None
+    config: PipelineConfig, table: TableSource | None = None, rankings: Rankings | None = None
 ) -> EvalReport:
     table = table or functools.partial(_read_table, config)
-    ranking = ranking or functools.partial(_read_ranking, config)
-    rankings_by_venue = {}
-    truth_by_venue = {}
+    truth_by_venue, read = {}, {}
     for venue_id in config.venues:
         truth_by_venue[venue_id] = to_ranking(table(venue_id, config.truth_year))
-        rankings_by_venue[venue_id] = {
-            spec.label: ranking(venue_id, spec.label) for spec in config.specs
-        }
-    return evaluate_rankings(rankings_by_venue, truth_by_venue, config.k)
+        if rankings is None:
+            read[venue_id] = {
+                spec.label: read_ranking_csv(
+                    os.path.join(config.output_dir, ranking_file_name(venue_id, spec.label))
+                )
+                for spec in config.specs
+            }
+    return evaluate_rankings(read if rankings is None else rankings, truth_by_venue, config.k)
 
 
 def cmd_evaluate(
-    config: PipelineConfig, table: TableSource | None = None, ranking: RankingSource | None = None
+    config: PipelineConfig, table: TableSource | None = None, rankings: Rankings | None = None
 ) -> EvalReport:
     """Grade the rankings against the held-out year; write, print and return the report."""
-    report = _build_report(config, table, ranking)
+    report = _build_report(config, table, rankings)
     text = render_report_text(report)
     for name, content in (("report.txt", text), ("report.csv", render_report_csv(report))):
         with write_output(os.path.join(config.output_dir, name)) as out:
@@ -204,21 +206,19 @@ def cmd_evaluate(
 def cmd_pipeline(config: PipelineConfig) -> None:
     """Run score, aggregate and evaluate in turn on the stored tables, then predict.
 
-    Each table ``cmd_score`` wrote is rounded as its file stores it
-    (``stored_table``), so aggregate and evaluate see what they would read
-    from the files, and no score or ranking file is read back. Evaluate
-    grades the rankings aggregate returned; the predictions, written last,
-    rank every scored year by each venue's winning method.
+    ``cmd_score`` returns the tables its files store and ``cmd_aggregate``
+    fills in the rankings that evaluate grades, so no score or ranking file
+    is read back. The predictions, written last, rank every scored year by
+    each venue's winning method.
     """
     tables = cmd_score(config)
-    for key in tables:
-        tables[key] = stored_table(tables[key])
 
     def table(venue_id: str, year: int) -> ScoreTable:
         return tables[venue_id, year]
 
-    rankings = cmd_aggregate(config, table)
-    report = cmd_evaluate(config, table, lambda venue_id, label: rankings[venue_id][label])
+    rankings: Rankings = {}
+    cmd_aggregate(config, table, rankings)
+    report = cmd_evaluate(config, table, rankings)
     for venue_id, _, label in report.rows:
         winner = [spec for spec in config.specs if spec.label == label]
         years = YearTables([table(venue_id, year) for year in config.scored_years()])

@@ -18,9 +18,9 @@ shares. No ``Fraction`` is built anywhere on this path.
 Tables are keyed in sorted institution order for reproducible iteration.
 ``order_by_score`` is the one ordering of a score file and of every
 ranking. A score file stores each score as the float of its exact value;
-``stored_table`` builds, in memory, the table ``read_score_csv`` reads
-back from that file, so ``pipeline`` aggregates what the separate stages
-read without parsing its files again. Score and ranking files are read
+``write_score_csv`` returns the table ``read_score_csv`` reads back from
+that file, so ``pipeline`` aggregates what the separate stages read
+without parsing its files again. Score and ranking files are read
 back through one checked row reader (``read_checked_rows``), which
 decodes each row on its own, so a bad row, bad bytes included, raises
 ``ingest.MalformedRowError`` naming it, the same error as a bad dump row.
@@ -312,43 +312,23 @@ def score_file_name(venue_id: str, year: int) -> str:
     return f"scores_{venue_id}_{year}.csv"
 
 
-def stored_table(table: ScoreTable) -> ScoreTable:
-    """``table`` as its score file stores it, equal to what ``read_score_csv`` reads back.
+def write_score_csv(table: ScoreTable, path: str) -> ScoreTable:
+    """Write ``institution_id,score`` by exact score descending, id ascending; return the table.
 
-    The UNKNOWN sentinel is dropped and each score becomes the float
-    ``numerator / denominator`` that ``write_score_csv`` writes. Every such
-    float is exact, so the table holds the floats over their lcm, in id
-    order, as the reader builds it: same keys in the same order, same
-    numerators, same denominator.
+    The UNKNOWN sentinel never reaches disk. Each score is the float of
+    ``numerator / denominator``, which integer true division rounds
+    correctly, written as its shortest repr, so a rerun is byte-identical.
+    A float is exact, so the returned table (the floats over their lcm, in
+    id order) is what ``read_score_csv`` reads back from the file: same
+    keys in the same order, same numerators, same denominator.
     """
     visible = drop_unknown(table)
     denominator = visible.denominator
-    return ScoreTable(
-        table.year,
-        {
-            institution: numerator / denominator
-            for institution, numerator in sorted(visible.numerators.items())
-        },
-    )
-
-
-def write_score_csv(table: ScoreTable, path: str) -> None:
-    """Write ``institution_id,score`` sorted by score descending, id ascending.
-
-    The UNKNOWN sentinel never reaches disk. Scores are written as
-    shortest round-tripping floats, so a rerun is byte-identical. Integer
-    true division is correctly rounded, so ``numerator / denominator`` is
-    the float of the exact score, and the file stores ``stored_table(table)``.
-    Rows are ordered by the exact scores.
-    """
-    visible = drop_unknown(table)
-    denominator = visible.denominator
-    rows = "".join(
-        f"{institution},{numerator / denominator!r}\n"
-        for institution, numerator in order_by_score(visible.numerators)
-    )
+    scores = [(inst, n / denominator) for inst, n in order_by_score(visible.numerators)]
+    rows = "".join(f"{inst},{score!r}\n" for inst, score in scores)
     with write_output(path) as out:
         out.write("institution_id,score\n" + rows)
+    return ScoreTable(table.year, dict(sorted(scores)))
 
 
 @contextmanager

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -1280,7 +1281,8 @@ def test_pipeline_ranks_each_venue_year_once_per_span(tmp_path, monkeypatch):
 def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch, capsys):
     # The tier-1 form of the CI diff -r: score, aggregate and evaluate run as
     # separate commands, each reading back the files the one before it wrote.
-    # The pipeline runs the same stage functions, looked up on the module.
+    # The pipeline runs the same stage functions, looked up on the module,
+    # and hands on in memory what the files hold.
     params = CorpusParams(
         num_institutions=30,
         num_authors=300,
@@ -1294,8 +1296,10 @@ def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch,
     corpus_dir.mkdir()
     corpus = generate_corpus(params, str(corpus_dir), compute_realized=False)
     real_read = cli.read_score_csv
+    real_read_ranking = cli.read_ranking_csv
     real_stages = {
-        name: getattr(cli, name) for name in ("cmd_aggregate", "cmd_evaluate", "_build_report")
+        name: getattr(cli, name)
+        for name in ("cmd_score", "cmd_aggregate", "cmd_evaluate", "_build_report")
     }
     venues = ("V0", "V1", "V2")
     # The second selection scores 2013 but trains without it.
@@ -1305,7 +1309,10 @@ def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch,
     ):
         scored = YearRange(2011, truth)
         reads = {"stages": [], "pipeline": []}
+        ranking_reads = {"stages": [], "pipeline": []}
         calls = {"stages": [], "pipeline": []}
+        # The arguments and result of each stage function, by name.
+        handed = {"stages": {}, "pipeline": {}}
         printed = {}
         outputs = {}
         for out_name, commands in (
@@ -1331,12 +1338,21 @@ def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch,
                 reads.append(os.path.basename(path))
                 return real_read(path, year)
 
+            def counting_read_ranking(path, reads=ranking_reads[out_name]):
+                reads.append(os.path.basename(path))
+                return real_read_ranking(path)
+
             monkeypatch.setattr(cli, "read_score_csv", counting_read)
+            monkeypatch.setattr(cli, "read_ranking_csv", counting_read_ranking)
             for name, real in real_stages.items():
 
-                def counting_stage(*args, name=name, real=real, called=calls[out_name]):
+                def counting_stage(
+                    *args, name=name, real=real, called=calls[out_name], seen=handed[out_name]
+                ):
                     called.append(name)
-                    return real(*args)
+                    result = real(*args)
+                    seen[name] = args, result
+                    return result
 
                 monkeypatch.setattr(cli, name, counting_stage)
             capsys.readouterr()
@@ -1357,15 +1373,101 @@ def test_standalone_stages_write_what_the_pipeline_writes(tmp_path, monkeypatch,
         # The pipeline aggregates the tables its score files store without
         # reading them back; aggregate reads the training years and evaluate
         # the truth year.
-        assert reads["pipeline"] == []
+        assert reads["pipeline"] == ranking_reads["pipeline"] == []
         assert sorted(reads["stages"]) == sorted(
             score_file_name(venue, year) for venue in venues for year in read_years
         )
+        labels = [
+            "normalized_sum",
+            "borda_sum",
+            "borda_median",
+            "borda_geometric_mean",
+            "borda_p_norm_2",
+            "fagin",
+        ]
+        assert sorted(ranking_reads["stages"]) == sorted(
+            ranking_file_name(venue, label) for venue in venues for label in labels
+        )
+        # What the pipeline handed on is what its files read back as: every
+        # venue and scored year's table, keys in the same order, numerators
+        # and denominator, and every venue's rankings by label.
+        out_dir = tmp_path / f"pipeline_{train}_{truth}"
+        tables = handed["pipeline"]["cmd_score"][1]
+        assert sorted(tables) == sorted((venue, year) for venue in venues for year in scored)
+        for (venue, year), table in tables.items():
+            back = real_read(str(out_dir / score_file_name(venue, year)), year)
+            assert table.year == back.year == year
+            assert list(table.numerators.items()) == list(back.numerators.items())
+            assert table.denominator == back.denominator
+        rankings = handed["pipeline"]["cmd_aggregate"][0][2]
+        assert handed["pipeline"]["cmd_evaluate"][0][2] is rankings
+        assert list(rankings) == list(venues)
+        for venue, by_label in rankings.items():
+            assert list(by_label) == labels
+            for label, ranking in by_label.items():
+                assert ranking == real_read_ranking(str(out_dir / ranking_file_name(venue, label)))
         # Each stage function runs once either way, and the pipeline prints
         # what the evaluate stage prints.
         assert calls["pipeline"] == calls["stages"] == list(real_stages)
         assert printed["pipeline"] == printed["stages"]
         assert printed["stages"].startswith(f"NDCG@10 values for {', '.join(venues)}\n")
+
+
+def test_standalone_aggregate_holds_one_venue_at_a_time(tmp_path, monkeypatch):
+    # Each venue's YearTables and rankings are gone before the next venue's
+    # YearTables is built; only a rankings dict the caller passes keeps them.
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    params = CorpusParams(
+        num_institutions=20,
+        num_authors=100,
+        num_venues=3,
+        years=YearRange(2011, 2014),
+        papers_per_venue_year=20,
+        rng_seed=5,
+    )
+    corpus = generate_corpus(params, str(corpus_dir), compute_realized=False)
+    cfg_path = write_config(
+        tmp_path / "run.ini",
+        corpus.papers_path,
+        corpus.affiliations_path,
+        str(tmp_path / "out"),
+        venues="V0, V1, V2",
+        train="2011-2013",
+        truth="2014",
+        extra="\n[aggregation]\nmethods = normalized_sum, borda:median, fagin:5\n",
+    )
+    assert main(["score", "--config", cfg_path]) == EXIT_OK
+    refs = []
+    alive = []
+    real_rank_venue = cli.rank_venue
+
+    class TrackedYearTables(YearTables):
+        def __init__(self, tables):
+            alive.append(sum(ref() is not None for ref in refs))
+            super().__init__(tables)
+            refs.append(weakref.ref(self))
+
+    class TrackedRankings(dict):
+        pass
+
+    def tracked_rank_venue(*args):
+        rankings = TrackedRankings(real_rank_venue(*args))
+        refs.append(weakref.ref(rankings))
+        return rankings
+
+    monkeypatch.setattr(cli, "YearTables", TrackedYearTables)
+    monkeypatch.setattr(cli, "rank_venue", tracked_rank_venue)
+    assert main(["aggregate", "--config", cfg_path]) == EXIT_OK
+    assert alive == [0, 0, 0]
+    # A caller's dict keeps each venue's rankings, and nothing else.
+    refs.clear()
+    alive.clear()
+    kept = {}
+    cli.cmd_aggregate(load_config(cfg_path), None, kept)
+    assert alive == [0, 1, 2]
+    assert list(kept) == ["V0", "V1", "V2"]
+    assert all(type(rankings) is TrackedRankings for rankings in kept.values())
 
 
 def test_evaluate_k_flag_overrides_config(tmp_path, capsys):

@@ -33,7 +33,6 @@ from instrank.scoring import (
     read_score_csv,
     score_file_name,
     score_venue_years,
-    stored_table,
     write_output,
     write_score_csv,
 )
@@ -660,14 +659,14 @@ def test_score_and_ranking_files_read_alike_with_lf_or_crlf_line_ends(
     table = make_table(2014, {"A": 2, "B": Fraction(1, 3), "Dept, Univ": 1})
     ranking = make_rank_list([("A", 2.0), ("Dept, Univ", 1.0), ("B", 0.5)])
     scores, ranks = tmp_path / "scores.csv", tmp_path / "ranking.csv"
-    write_score_csv(table, str(scores))
+    stored = write_score_csv(table, str(scores))
     write_ranking_csv(ranking, str(ranks))
     for path in (scores, ranks):
         text = path.read_text(encoding="utf-8") + ("\n" if blank else "")
         path.write_bytes(text.replace("\n", line_end).encode("utf-8"))
     back = read_score_csv(str(scores), 2014)
-    assert back == stored_table(table)
-    assert list(back.numerators) == list(stored_table(table).numerators)
+    assert back == stored
+    assert list(back.numerators) == list(stored.numerators)
     assert read_ranking_csv(str(ranks)) == ranking
 
 
@@ -723,12 +722,12 @@ NEAR_THIRD = Fraction(1, 3) + Fraction(1, 2**80)
 @example({UNKNOWN_INSTITUTION: Fraction(1, 2)})
 @example({"B": Fraction(1, 3), "A": NEAR_THIRD, "I\rJ": Fraction(2), UNKNOWN_INSTITUTION: 1})
 @settings(max_examples=300, deadline=None)
-def test_the_stored_table_is_what_its_score_file_reads_back_as(tmp_path_factory, entries):
-    # pipeline aggregates stored_table(table) instead of reading the file back.
+def test_write_score_csv_returns_what_its_file_reads_back_as(tmp_path_factory, entries):
+    # pipeline aggregates the tables write_score_csv returns instead of reading the files back.
     table = ScoreTable(2014, entries)
     path = str(tmp_path_factory.mktemp("scores") / "scores.csv")
-    write_score_csv(table, path)
-    stored, back = stored_table(table), read_score_csv(path, 2014)
+    stored = write_score_csv(table, path)
+    back = read_score_csv(path, 2014)
     assert stored.year == back.year == 2014
     assert list(stored.numerators.items()) == list(back.numerators.items())
     assert stored.denominator == back.denominator
@@ -738,9 +737,9 @@ def test_two_scores_that_round_to_one_float_keep_their_exact_order_on_disk(tmp_p
     assert float(NEAR_THIRD) == float(Fraction(1, 3))
     table = ScoreTable(2014, {"A": Fraction(1, 3), "B": NEAR_THIRD})
     path = tmp_path / "scores.csv"
-    write_score_csv(table, str(path))
+    stored = write_score_csv(table, str(path))
     third = repr(1 / 3)
     assert path.read_text(encoding="utf-8") == f"institution_id,score\nB,{third}\nA,{third}\n"
-    assert stored_table(table) == read_score_csv(str(path), 2014) == ScoreTable(
+    assert stored == read_score_csv(str(path), 2014) == ScoreTable(
         2014, {"A": 1 / 3, "B": 1 / 3}
     )
